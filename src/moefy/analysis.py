@@ -46,7 +46,8 @@ def _packed_layers(bundle: CheckpointBundle):
     ]
 
 
-def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: float):
+def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: float,
+                      threads: int = 1):
     """Discrete-mode eval: returns (mean_ce, per-layer stacked scores and masks)."""
     cfg = bundle.config
     packed = _packed_layers(bundle)
@@ -58,7 +59,7 @@ def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: 
             x, y = w[:-1], w[1:]
             res = forward_lm(
                 bundle.params, x, ffn_mode="moe_discrete", routers=bundle.routers,
-                tau=tau, partitions=bundle.partitions, packed=packed,
+                tau=tau, partitions=bundle.partitions, packed=packed, threads=threads,
             )
             ce_sum += losses.task_loss(res.logits.data, y) * x.shape[0]
             tok += x.shape[0]
@@ -115,7 +116,7 @@ class SparsityReport:
 def layer_sparsity_report(bundle: CheckpointBundle, windows: list[np.ndarray],
                           tau: float, corpus_hash: str = "",
                           threads: int = 1) -> SparsityReport:
-    _, scores, masks = collect_decisions(bundle, windows, tau)
+    _, scores, masks = collect_decisions(bundle, windows, tau, threads=threads)
     per_layer = [float(1.0 - m.mean()) for m in masks]
     hists = np.stack(
         [np.histogram(s, bins=HIST_BINS, range=(0.0, 1.0))[0] for s in scores]
@@ -161,7 +162,7 @@ class EvalMetrics:
 
 def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
              tau: float = 0.5, k: int = 1, keep_fraction: float = 1.0,
-             seed: int = 0) -> EvalMetrics:
+             seed: int = 0, threads: int = 1) -> EvalMetrics:
     """Validation perplexity + sparsity + FLOPs for one routing method."""
     cfg = bundle.config
     n = cfg.n_experts
@@ -173,7 +174,7 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
         raise ValueError(f"method {method!r} needs a moefied checkpoint")
 
     if method == "lte":
-        mean_ce, _, masks = collect_decisions(bundle, windows, tau)
+        mean_ce, _, masks = collect_decisions(bundle, windows, tau, threads=threads)
         selected = [float(m.sum(axis=1).mean()) for m in masks]
         flops = sparse_exec.flops_per_token(cfg, selected)
         sparsity = float(np.mean([1.0 - m.mean() for m in masks]))
@@ -187,26 +188,29 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
     ]
     override = None
     if method == "dejavu":
-        override = lambda i, x: routing.magnitude_select(layers[i], x, keep_fraction)
+        override = lambda i, x: routing.magnitude_select(layers[i], x, keep_fraction,
+                                                          threads=threads)
     elif method == "moefication_gt":
         override = lambda i, x: routing.groundtruth_topk_select(
-            layers[i], bundle.partitions[i], x, k)
+            layers[i], bundle.partitions[i], x, k, threads=threads)
     elif method == "random_router":
         rrs = [routing.random_router_init(cfg.d_model, n, k, Rng(seed).split(f"rr{i}"))
                for i in range(cfg.n_layers)]
-        override = lambda i, x: routing.random_topk_forward(layers[i], rrs[i], x)
+        override = lambda i, x: routing.random_topk_forward(layers[i], rrs[i], x,
+                                                             threads=threads)
     elif method == "noisy_topk":
         srs = [routing.router_init(cfg.d_model, n, Rng(seed).split(f"topk{i}"),
                                    std=1.0 / math.sqrt(cfg.d_model))
                for i in range(cfg.n_layers)]
         override = lambda i, x: routing.noisy_topk_forward(
-            layers[i], bundle.partitions[i], srs[i], x, k, noise_std=0.0)
+            layers[i], bundle.partitions[i], srs[i], x, k, noise_std=0.0, threads=threads)
 
     ce_sum, tok = 0.0, 0
     with no_grad():
         for w in windows:
             x, y = w[:-1], w[1:]
-            res = forward_lm(bundle.params, x, ffn_mode="dense", ffn_override=override)
+            res = forward_lm(bundle.params, x, ffn_mode="dense", ffn_override=override,
+                             threads=threads)
             ce_sum += losses.task_loss(res.logits.data, y) * x.shape[0]
             tok += x.shape[0]
     mean_ce = ce_sum / tok

@@ -124,7 +124,7 @@ def cmd_train_base(args) -> int:
 
 
 def cmd_moefy(args) -> int:
-    cfg = _config(args, expert_size=args.expert_size)
+    cfg = _config(args, expert_size=args.expert_size, group_method=args.method)
     threads = _threads()
     bundle = load_checkpoint(args.checkpoint)
     if bundle.stage != "base":
@@ -132,7 +132,7 @@ def cmd_moefy(args) -> int:
     mc = bundle.config
     mc.expert_size = cfg.expert_size
     mc.validate()
-    method = args.method
+    method = cfg.group_method
     rng = Rng(cfg.seed)
     partitions, routers = [], []
     for i in range(mc.n_layers):
@@ -194,15 +194,16 @@ def cmd_train_lte(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args, tau=args.tau)
+    threads = _threads()
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)
     metrics = analysis.evaluate(
         bundle, windows, args.method, tau=cfg.tau, k=args.k,
-        keep_fraction=args.keep_fraction, seed=cfg.seed,
+        keep_fraction=args.keep_fraction, seed=cfg.seed, threads=threads,
     )
     tag = f"{Path(args.checkpoint).name}:{bundle.stage}"
-    line = analysis.eval_record_line(metrics, corpus.sha256, tag, threads=_threads())
+    line = analysis.eval_record_line(metrics, corpus.sha256, tag, threads=threads)
     ledger = _out_dir(cfg) / "results.tsv"
     fresh = not ledger.exists()
     with open(ledger, "a") as fh:
@@ -274,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moefy", help="partition FFN neurons into experts, add routers")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--method", choices=("kmeans", "random"), default="kmeans")
+    p.add_argument("--method", choices=("kmeans", "random"),
+                   help="neuron grouping; defaults to the group_method config key")
     p.add_argument("--expert-size", dest="expert_size", type=int)
     p.set_defaults(fn=cmd_moefy)
 

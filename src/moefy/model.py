@@ -317,7 +317,7 @@ def forward_lm(
                 layer = get_ffn_layer(params, i, partition=part)
                 pk = packed[i] if packed is not None else None
                 out_np, dec = routing.moe_forward_discrete(
-                    layer, part, routers[i], xf.data, tau=tau, packed=pk
+                    layer, part, routers[i], xf.data, tau=tau, packed=pk, threads=threads
                 )
                 f = Tensor(out_np)
             decisions.append(dec)

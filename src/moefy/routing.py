@@ -118,7 +118,9 @@ def moe_forward_discrete(layer, partition, router: RouterLayer, x: np.ndarray,
     if packed is None:
         lay = layer if layer.partition is not None else replace(layer, partition=partition)
         packed = sparse_exec.pack(lay)
-    selections = [np.flatnonzero(mask[t]) for t in range(mask.shape[0])]
+    # np.nonzero walks row-major, so each token's ids come out sorted ascending
+    _, ids = np.nonzero(mask)
+    selections = np.split(ids, np.cumsum(mask.sum(axis=1)))[:-1]
     y = sparse_exec.sparse_ffn_forward(packed, selections, x)
     return y, RoutingDecision(scores=scores, mask=mask, mode="discrete", tau=tau)
 

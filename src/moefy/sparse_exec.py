@@ -3,8 +3,9 @@
 Weights are stored expert-major: each expert's up-projection columns form one
 contiguous (d_model x expert_size) slab and its down-projection rows one
 contiguous (expert_size x d_model) slab, so selecting an expert loads whole
-slabs instead of strided columns. The CPU kernel walks selected experts in
-ascending order and accumulates their partial products.
+slabs instead of strided columns. The CPU kernel dispatches expert-major:
+for each selected expert, in ascending order, it gathers the tokens that
+chose it, runs one matmul pair over them and scatter-adds the result.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class PackedExpertWeights:
     @property
     def d_model(self) -> int:
         return self.up.shape[1]
-
-    def expert_offset(self, e: int) -> int:
-        return e * self.d_model * self.expert_size
 
 
 def _slab_up(w: np.ndarray, n: int, e: int) -> np.ndarray:
@@ -105,27 +103,24 @@ def unpack(packed: PackedExpertWeights, partition=None):
     )
 
 
-def _check_selection(sel: np.ndarray, n: int) -> None:
-    if sel.size == 0:
-        return
-    if (np.diff(sel) <= 0).any():
-        raise ValueError(f"selection must be sorted ascending and unique: {sel}")
-    if sel[0] < 0 or sel[-1] >= n:
-        raise ValueError(f"expert id out of range [0, {n}): {sel}")
-
-
-def _gather_rows(packed: PackedExpertWeights, x: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """FFN over selected experts only; x is (B, d_model), shared selection."""
-    y = np.zeros((x.shape[0], packed.d_model), dtype=x.dtype)
-    if packed.kind == "two_matmul":
-        for e in sel:
-            h = numerics.activation(x @ packed.up[e] + packed.b1[e], packed.activation)
-            y += h @ packed.down[e]
-    else:
-        for e in sel:
-            g = numerics.activation(x @ packed.gate[e], "silu")
-            y += (g * (x @ packed.up[e])) @ packed.down[e]
-    return y
+def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """(T, n) bool mask of per-token expert ids, each sorted ascending and unique."""
+    counts = np.fromiter((len(s) for s in selections), dtype=np.int64, count=len(selections))
+    ids = np.concatenate([np.zeros(0, np.int64)]
+                         + [np.asarray(s, dtype=np.int64) for s in selections])
+    tok = np.repeat(np.arange(len(selections)), counts)
+    # ids are compared only inside one token's segment, never across a boundary
+    bad = (np.diff(ids) <= 0) & (tok[1:] == tok[:-1])
+    if bad.any():
+        t = int(tok[1:][bad][0])
+        raise ValueError(f"selection must be sorted ascending and unique: token {t}: "
+                         f"{selections[t]}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        t = int(tok[(ids < 0) | (ids >= n)][0])
+        raise ValueError(f"expert id out of range [0, {n}): token {t}: {selections[t]}")
+    mask = np.zeros((len(selections), n), dtype=bool)
+    mask[tok, ids] = True
+    return mask
 
 
 def sparse_ffn_forward(
@@ -136,25 +131,24 @@ def sparse_ffn_forward(
     """Gather-based FFN: per token, only selected expert slabs are touched.
 
     selections[t] lists that token's expert ids, sorted ascending, unique.
-    Tokens repeating an identical selection are batched together.
+    Dispatch is expert-major: each expert any token selected gathers its
+    tokens and runs one up/down matmul pair, in ascending expert order, so
+    every token sums its experts in ascending order.
     """
     if x.ndim != 2 or len(selections) != x.shape[0]:
         raise numerics.ShapeError(
             f"{len(selections)} selections for input of shape {x.shape}"
         )
+    mask = _selection_mask(selections, packed.n_experts)
     out = np.zeros((x.shape[0], packed.d_model), dtype=x.dtype)
-    groups: dict[bytes, list[int]] = {}
-    sels: dict[bytes, np.ndarray] = {}
-    for t, raw in enumerate(selections):
-        sel = np.asarray(raw, dtype=np.int64)
-        _check_selection(sel, packed.n_experts)
-        key = sel.tobytes()
-        groups.setdefault(key, []).append(t)
-        sels[key] = sel
-    for key, token_ids in groups.items():
-        sel = sels[key]
-        if sel.size:
-            out[token_ids] = _gather_rows(packed, x[token_ids], sel)
+    for e in np.flatnonzero(mask.any(axis=0)):
+        idx = np.flatnonzero(mask[:, e])
+        xe = x[idx]
+        if packed.kind == "two_matmul":
+            h = numerics.activation(xe @ packed.up[e] + packed.b1[e], packed.activation)
+        else:
+            h = numerics.activation(xe @ packed.gate[e], "silu") * (xe @ packed.up[e])
+        out[idx] += h @ packed.down[e]
     if packed.b2 is not None:
         out += packed.b2
     return out

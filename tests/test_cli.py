@@ -95,6 +95,43 @@ class TestPipeline:
         assert abs(rep.overall_sparsity - ev.mean_sparsity) < 1e-9
 
 
+class TestConfigTakesEffect:
+    def test_group_method_set_key_used_by_moefy(self, pipeline, tmp_path):
+        from moefy.grouping import group_experts_random
+        from moefy.numerics import Rng
+
+        out = tmp_path / "grouped"
+        args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+        assert main(["moefy", "--checkpoint", str(pipeline["out"] / "base.ckpt"),
+                     "--set", "group_method=random", *args]) == 0
+        bundle = load_checkpoint(str(out / "moefied.ckpt"))
+        assert bundle.meta["group_method"] == "random"
+        expect = group_experts_random(16, 4, Rng(3).split("group0"), layer_index=0)
+        assert bundle.partitions[0].method == "random"
+        assert np.array_equal(bundle.partitions[0].permutation, expect.permutation)
+
+    def test_ledger_threads_is_what_forward_lm_ran(self, pipeline, tmp_path, monkeypatch):
+        import moefy.analysis as analysis
+
+        seen = []
+        real = analysis.forward_lm
+
+        def spy(*a, **kw):
+            seen.append(kw.get("threads", 1))
+            return real(*a, **kw)
+
+        monkeypatch.setattr(analysis, "forward_lm", spy)
+        monkeypatch.setenv("MOEFY_THREADS", "2")
+        out = tmp_path / "threads"
+        args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+        ckpt = str(pipeline["out"] / "stage2.ckpt")
+        for method in ("lte", "dense"):
+            seen.clear()
+            assert main(["eval", "--checkpoint", ckpt, "--method", method, *args]) == 0
+            record = (out / "results.tsv").read_text().strip().splitlines()[-1]
+            assert seen and set(seen) == {int(record.split("\t")[9])} == {2}
+
+
 class TestPeriodicCheckpoints:
     def test_checkpoint_every_writes_step_files(self, pipeline, tmp_path):
         out = tmp_path / "periodic"

@@ -62,7 +62,6 @@ class TestPack:
         e = packed.expert_size
         assert np.array_equal(packed.up[0], layer.W1[:, :e])
         assert np.array_equal(packed.down[0], layer.W2[:e, :])
-        assert packed.expert_offset(1) == packed.d_model * e
 
     def test_requires_permuted_layer(self):
         rng = Rng(2)
@@ -129,6 +128,73 @@ class TestSparseForward:
         batched = sparse_ffn_forward(packed, [sel] * 6, x)
         single = np.vstack([sparse_ffn_forward(packed, [sel], x[t:t + 1]) for t in range(6)])
         assert np.abs(batched - single).max() < 1e-6
+
+
+def model_shape_layer(kind, dtype, d=128, f=512, n=32):
+    """The trained model's FFN shape (expert_size 16) with fan-in scaled weights."""
+    rng = Rng(20)
+    up_std, down_std = 1.0 / np.sqrt(d), 1.0 / np.sqrt(f)
+    if kind == "two_matmul":
+        layer = FfnLayer(rng.normal((d, f), std=up_std, dtype=dtype),
+                         rng.normal((f,), std=0.2, dtype=dtype),
+                         rng.normal((f, d), std=down_std, dtype=dtype),
+                         rng.normal((d,), std=0.2, dtype=dtype), "gelu_tanh")
+    else:
+        layer = GluFfnLayer(rng.normal((d, f), std=up_std, dtype=dtype),
+                            rng.normal((d, f), std=up_std, dtype=dtype),
+                            rng.normal((f, d), std=down_std, dtype=dtype))
+    permuted = apply_partition(layer, group_experts_random(f, n, rng.split("p")))
+    return permuted, pack(permuted)
+
+
+def distinct_selections(n=32, t=64, seed=21):
+    """One distinct sorted selection per token, including empty and all-expert ones."""
+    rng = Rng(seed)
+    sels = [np.array([], dtype=np.int64), np.arange(n)]
+    sels += [np.sort(rng.choice(n, int(rng.integers(1, n)))) for _ in range(t - 3)]
+    sels.append(np.array([], dtype=np.int64))
+    return sels
+
+
+class TestExpertMajorDispatch:
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+    def test_model_shape_matches_dense_mask_oracle(self, kind, dtype, tol):
+        layer, packed = model_shape_layer(kind, dtype)
+        sels = distinct_selections()
+        assert len({s.tobytes() for s in sels}) == len(sels) - 1  # only the two empties repeat
+        x = Rng(22).normal((len(sels), 128), std=1.0, dtype=dtype)
+        y = sparse_ffn_forward(packed, sels, x)
+        assert y.dtype == dtype
+        for t, sel in enumerate(sels):
+            ref = dense_mask_oracle(layer, x[t:t + 1], sel, packed.expert_size)
+            assert np.abs(y[t] - ref[0]).max() < tol, t
+
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    def test_repeat_calls_bitwise_identical(self, kind):
+        _, packed = model_shape_layer(kind, np.float32)
+        sels = distinct_selections()
+        x = Rng(23).normal((len(sels), 128), std=1.0)
+        first = sparse_ffn_forward(packed, sels, x)
+        assert first.tobytes() == sparse_ffn_forward(packed, sels, x).tobytes()
+
+    def test_descending_ids_across_token_boundary_accepted(self):
+        layer, packed = packed_layer(Rng(24))
+        x = Rng(25).normal((2, 8), std=1.0)
+        sels = [np.array([5]), np.array([1])]
+        y = sparse_ffn_forward(packed, sels, x)
+        for t in range(2):
+            ref = dense_mask_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
+            assert np.abs(y[t] - ref[0]).max() < 1e-5
+
+    @pytest.mark.parametrize("bad", [[3, 2], [4, 4], [32], [-1], [0, 31, 32]])
+    def test_one_bad_token_in_a_batch_rejected(self, bad):
+        _, packed = model_shape_layer("two_matmul", np.float32)
+        sels = distinct_selections()
+        sels[37] = np.array(bad)
+        x = np.zeros((len(sels), 128), dtype=np.float32)
+        with pytest.raises(ValueError, match="token 37"):
+            sparse_ffn_forward(packed, sels, x)
 
 
 class TestFlops:
