@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -181,29 +180,25 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
         return EvalMetrics("lte", losses.perplexity(mean_ce), mean_ce, sparsity, flops,
                            settings={"tau": tau})
 
-    layers = [
-        get_ffn_layer(bundle.params, i,
-                      partition=None if bundle.partitions is None else bundle.partitions[i])
-        for i in range(cfg.n_layers)
-    ]
+    params = bundle.params
     override = None
     if method == "dejavu":
-        override = lambda i, x: routing.magnitude_select(layers[i], x, keep_fraction,
+        override = lambda i, x: routing.magnitude_select(params, i, x, keep_fraction,
                                                           threads=threads)
     elif method == "moefication_gt":
-        override = lambda i, x: routing.groundtruth_topk_select(
-            layers[i], bundle.partitions[i], x, k, threads=threads)
+        override = lambda i, x: routing.groundtruth_topk_select(params, i, x, k,
+                                                                 threads=threads)
     elif method == "random_router":
         rrs = [routing.random_router_init(cfg.d_model, n, k, Rng(seed).split(f"rr{i}"))
                for i in range(cfg.n_layers)]
-        override = lambda i, x: routing.random_topk_forward(layers[i], rrs[i], x,
+        override = lambda i, x: routing.random_topk_forward(params, i, rrs[i], x,
                                                              threads=threads)
     elif method == "noisy_topk":
         srs = [routing.router_init(cfg.d_model, n, Rng(seed).split(f"topk{i}"),
                                    std=1.0 / math.sqrt(cfg.d_model))
                for i in range(cfg.n_layers)]
         override = lambda i, x: routing.noisy_topk_forward(
-            layers[i], bundle.partitions[i], srs[i], x, k, noise_std=0.0, threads=threads)
+            params, i, srs[i], x, k, noise_std=0.0, threads=threads)
 
     ce_sum, tok = 0.0, 0
     with no_grad():

@@ -4,10 +4,11 @@ A small tape: each op records its parents and a closure that scatters the
 output gradient back to them. The op set is exactly what the language model,
 the routed FFN paths, and the three loss terms need - nothing speculative.
 
-Gradients are exact; the one deliberate exception is `mask` (multiply by a
-constant array), which is how discrete expert selection enters the graph in
-adaptation training: the selection indicator is piecewise constant, so the
-graph treats it as data and no gradient flows through the decision itself.
+Gradients are exact. A constant Tensor (one that does not require grad)
+receives none: that is how discrete expert selection enters the graph in
+adaptation training, as a 0/1 operand of `*`. The selection indicator is
+piecewise constant, so the graph treats it as data and no gradient flows
+through the decision itself.
 """
 
 from __future__ import annotations
@@ -169,11 +170,6 @@ class Tensor:
 
     def transpose(self) -> "Tensor":
         return self._make(self.data.T, (self,), lambda g: self._accum(g.T))
-
-    def mask(self, m: np.ndarray) -> "Tensor":
-        """Multiply by a constant array; no gradient flows into the mask."""
-        m = np.asarray(m, dtype=self.data.dtype)
-        return self._make(self.data * m, (self,), lambda g: self._accum(g * m))
 
     # -- nonlinearities -------------------------------------------------
 

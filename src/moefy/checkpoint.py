@@ -9,6 +9,8 @@ plus a fixed tensor order make identical states serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -31,9 +33,6 @@ class CheckpointBundle:
     routers: Optional[list[RouterLayer]] = None
     stage: str = "base"  # base | moefied | stage1 | stage2
     meta: dict = field(default_factory=dict)
-
-    def ffn_partition(self, i: int) -> Optional[ExpertPartition]:
-        return None if self.partitions is None else self.partitions[i]
 
 
 def _partition_to_json(p: ExpertPartition) -> dict:
@@ -93,29 +92,64 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
         "meta": bundle.meta,
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(mbytes)))
-        fh.write(mbytes)
-        for raw in blobs:
-            fh.write(raw)
+    # write beside the target, then rename: a failed write never clobbers `path`
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(mbytes)))
+            fh.write(mbytes)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> CheckpointBundle:
+    """Read a checkpoint; a truncated or malformed file raises ValueError naming it."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode())
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: truncated header")
+        (mlen,) = struct.unpack("<Q", header)
+        mbytes = fh.read(mlen)
         blob = fh.read()
+    try:
+        manifest = json.loads(mbytes.decode())
+        return _bundle_from(manifest, blob, path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest is missing key {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: unreadable manifest ({exc})") from None
 
-    cfg = ModelConfig(**manifest["config"]).validate()
+
+def _bundle_from(manifest: dict, blob: bytes, path: str) -> CheckpointBundle:
+    try:
+        cfg = ModelConfig(**manifest["config"]).validate()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model config ({exc})") from None
+    entries = manifest["tensors"]
+    expected = sum(e["nbytes"] for e in entries)
+    if len(blob) != expected:
+        raise ValueError(f"{path}: tensor data is {len(blob)} bytes, manifest lists {expected}")
     tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        a, b = entry["offset"], entry["offset"] + entry["nbytes"]
+    a = 0
+    for entry in entries:
+        if entry["offset"] != a:
+            raise ValueError(f"{path}: tensor {entry['name']} starts at byte {entry['offset']}, "
+                             f"expected {a}")
+        if entry["nbytes"] != 4 * math.prod(entry["shape"]):
+            raise ValueError(f"{path}: tensor {entry['name']} has {entry['nbytes']} bytes "
+                             f"for shape {entry['shape']}")
+        b = a + entry["nbytes"]
         arr = np.frombuffer(blob[a:b], dtype="<f4").reshape(entry["shape"]).copy()
         tensors[entry["name"]] = arr
+        a = b
 
     router_names = sorted(
         (n for n in tensors if n.startswith("router.")),

@@ -1,10 +1,12 @@
-"""Task cross-entropy plus the two router-shaping penalties and their total.
+"""Task cross-entropy plus the two router-shaping penalties.
 
 The efficiency term is the mean squared expert score across layers: pushing
 it down starves unimportant experts of score mass. The separability term is
 the inverse squared distance of each score from the threshold, guarded by a
 small floor so the singularity at score == tau cannot dominate; it repels
-scores from the threshold so discrete selection is crisp.
+scores from the threshold so discrete selection is crisp. Both exist once,
+as graph nodes (`aux_loss_graph`); under `autograd.no_grad()` the same code
+gives the plain values that the stage-2 log reports.
 """
 
 from __future__ import annotations
@@ -58,35 +60,6 @@ def task_loss(logits: np.ndarray, targets: np.ndarray) -> float:
 
 def perplexity(mean_ce: float) -> float:
     return float(np.exp(mean_ce))
-
-
-def efficiency_loss(score_mats: list[np.ndarray]) -> float:
-    """Mean squared expert score, averaged over tokens, experts, and layers."""
-    if not score_mats:
-        raise ValueError("no score matrices")
-    return float(np.mean([np.mean(np.square(g)) for g in score_mats]))
-
-
-def separability_loss(score_mats: list[np.ndarray], tau: float, guard: float) -> float:
-    """Mean of 1 / max((score - tau)^2, guard) over tokens, experts, layers."""
-    if not score_mats:
-        raise ValueError("no score matrices")
-    vals = [np.mean(1.0 / np.maximum(np.square(g - tau), guard)) for g in score_mats]
-    return float(np.mean(vals))
-
-
-def stage1_loss(l_task: float, score_mats: list[np.ndarray],
-                hp: LteHyperparams) -> LossBreakdown:
-    hp.validate()
-    eff = efficiency_loss(score_mats)
-    sep = separability_loss(score_mats, hp.tau, hp.denom_guard)
-    return LossBreakdown(
-        task=l_task,
-        efficiency=eff,
-        separability=sep,
-        total=l_task + hp.eta * eff + hp.lam * sep,
-        mean_score_per_layer=[float(np.mean(g)) for g in score_mats],
-    )
 
 
 def aux_loss_graph(per_layer_scores: list[list[Tensor]],

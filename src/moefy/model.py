@@ -3,13 +3,15 @@
 Parameters live in a flat name -> autograd Tensor dict so the optimizer,
 checkpoint format, and gradient checks all see one canonical storage. The
 forward pass builds an autograd graph; under `autograd.no_grad()` the same
-code runs as plain numpy evaluation.
+code runs as plain numpy evaluation. The FFN is written once, as
+`ffn_hidden` then `ffn_out`: dense, soft-routed, masked and baseline FFNs
+differ only in the per-expert (or per-neuron) scale passed to `ffn_out`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,22 +75,6 @@ class GluFfnLayer:
     W_up: np.ndarray
     W_down: np.ndarray
     partition: object = None
-
-
-def ffn_forward(layer: FfnLayer, x: np.ndarray, threads: int = 1) -> np.ndarray:
-    if x.shape[1] != layer.W1.shape[0]:
-        raise ShapeError(f"x width {x.shape[1]} != d_model {layer.W1.shape[0]}")
-    h = numerics.matmul(x, layer.W1, threads=threads) + layer.b1
-    a = numerics.activation(h, layer.activation)
-    return numerics.matmul(a, layer.W2, threads=threads) + layer.b2
-
-
-def glu_ffn_forward(layer: GluFfnLayer, x: np.ndarray, threads: int = 1) -> np.ndarray:
-    if x.shape[1] != layer.W_gate.shape[0]:
-        raise ShapeError(f"x width {x.shape[1]} != d_model {layer.W_gate.shape[0]}")
-    g = numerics.activation(numerics.matmul(x, layer.W_gate, threads=threads), "silu")
-    u = numerics.matmul(x, layer.W_up, threads=threads)
-    return numerics.matmul(g * u, layer.W_down, threads=threads)
 
 
 class TransformerParams:
@@ -162,6 +148,36 @@ def set_ffn_layer(params: TransformerParams, i: int, layer) -> None:
         params[f"block{i}.ffn.Wgate"].data = layer.W_gate
         params[f"block{i}.ffn.Wup"].data = layer.W_up
         params[f"block{i}.ffn.Wdown"].data = layer.W_down
+
+
+def ffn_hidden(params: TransformerParams, i: int, x: Tensor, threads: int = 1) -> Tensor:
+    """Post-activation hidden layer of block i's FFN (gate * up for swiglu)."""
+    cfg = params.config
+    if cfg.ffn_kind == "two_matmul":
+        h = x.matmul(params[f"block{i}.ffn.W1"], threads=threads) + params[f"block{i}.ffn.b1"]
+        return h.act(cfg.activation)
+    g = x.matmul(params[f"block{i}.ffn.Wgate"], threads=threads).act("silu")
+    return g * x.matmul(params[f"block{i}.ffn.Wup"], threads=threads)
+
+
+def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor] = None,
+            threads: int = 1) -> Tensor:
+    """Scale the hidden layer `a`, then down-project it (plus the shared bias).
+
+    `scale` is (T, m) with m dividing d_ffn; each column scales d_ffn / m
+    adjacent hidden units. None is the dense FFN, router scores give soft
+    routing, and a constant 0/1 Tensor gives discrete selection or a
+    baseline's mask, per expert (m = n_experts) or per neuron (m = d_ffn).
+    A constant scale passes no gradient.
+    """
+    if scale is not None:
+        width, m = a.shape[1], scale.shape[1]
+        if width % m != 0:
+            raise ShapeError(f"d_ffn {width} not divisible into {m} scale columns")
+        a = a * scale.repeat_cols(width // m)
+    if params.config.ffn_kind == "two_matmul":
+        return a.matmul(params[f"block{i}.ffn.W2"], threads=threads) + params[f"block{i}.ffn.b2"]
+    return a.matmul(params[f"block{i}.ffn.Wdown"], threads=threads)
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -304,7 +320,7 @@ def forward_lm(
             f = Tensor(out_np)
             decisions.append(dec)
         elif ffn_mode == "dense":
-            f = _dense_ffn_graph(params, i, xf, threads)
+            f = ffn_out(params, i, ffn_hidden(params, i, xf, threads), threads=threads)
         elif ffn_mode == "moe_soft":
             f, g, dec = routing.soft_ffn_graph(params, i, routers[i], xf, threads=threads)
             decisions.append(dec)
@@ -328,13 +344,3 @@ def forward_lm(
     logits = xn.matmul(head_w, threads=threads) + params["head.b"]
     return ForwardResult(logits=logits, decisions=decisions, score_graph=score_graph)
 
-
-def _dense_ffn_graph(params: TransformerParams, i: int, xf: Tensor, threads: int) -> Tensor:
-    cfg = params.config
-    if cfg.ffn_kind == "two_matmul":
-        h = xf.matmul(params[f"block{i}.ffn.W1"], threads=threads) + params[f"block{i}.ffn.b1"]
-        a = h.act(cfg.activation)
-        return a.matmul(params[f"block{i}.ffn.W2"], threads=threads) + params[f"block{i}.ffn.b2"]
-    g = xf.matmul(params[f"block{i}.ffn.Wgate"], threads=threads).act("silu")
-    u = xf.matmul(params[f"block{i}.ffn.Wup"], threads=threads)
-    return (g * u).matmul(params[f"block{i}.ffn.Wdown"], threads=threads)

@@ -18,7 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numerics
-from .model import FfnLayer, GluFfnLayer, ModelConfig
+from .autograd import Tensor, no_grad, param
+from .model import (FfnLayer, GluFfnLayer, ModelConfig, TransformerParams, ffn_hidden, ffn_out,
+                    get_ffn_layer)
 from .numerics import Rng
 
 
@@ -78,29 +80,6 @@ def pack(layer) -> PackedExpertWeights:
             down=_slab_down(layer.W_down, n, e),
         )
     raise TypeError(f"not an FFN layer: {type(layer).__name__}")
-
-
-def unpack(packed: PackedExpertWeights, partition=None):
-    """Invert pack(); reproduces the permuted dense weights exactly."""
-    n, e, d = packed.n_experts, packed.expert_size, packed.d_model
-    up = packed.up.transpose(1, 0, 2).reshape(d, n * e)
-    down = packed.down.reshape(n * e, d)
-    if packed.kind == "two_matmul":
-        return FfnLayer(
-            W1=np.ascontiguousarray(up),
-            b1=packed.b1.reshape(-1).copy(),
-            W2=np.ascontiguousarray(down),
-            b2=packed.b2.copy(),
-            activation=packed.activation,
-            partition=partition,
-        )
-    gate = packed.gate.transpose(1, 0, 2).reshape(d, n * e)
-    return GluFfnLayer(
-        W_gate=np.ascontiguousarray(gate),
-        W_up=np.ascontiguousarray(up),
-        W_down=np.ascontiguousarray(down),
-        partition=partition,
-    )
 
 
 def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -202,11 +181,6 @@ class BenchReport:
     meta: dict
 
 
-def _dense_ffn_call(layer: FfnLayer, x: np.ndarray, threads: int) -> np.ndarray:
-    h = numerics.matmul(x, layer.W1, threads=threads) + layer.b1
-    return numerics.matmul(numerics.activation(h, layer.activation), layer.W2, threads=threads) + layer.b2
-
-
 def _time_call(fn, warmups: int, trials: int) -> tuple[int, int]:
     for _ in range(warmups):
         fn()
@@ -249,13 +223,14 @@ def bench(
     for d_model, d_ffn in shapes:
         n = d_ffn // expert_size
         wrng = rng.split(f"weights_{d_model}_{d_ffn}")
-        layer = FfnLayer(
-            W1=wrng.normal((d_model, d_ffn), std=0.02),
-            b1=np.zeros(d_ffn, dtype=np.float32),
-            W2=wrng.normal((d_ffn, d_model), std=0.02),
-            b2=np.zeros(d_model, dtype=np.float32),
-            activation=activation,
-        )
+        cfg = ModelConfig(d_model=d_model, n_heads=1, n_layers=1, d_ffn=d_ffn,
+                          activation=activation, expert_size=expert_size).validate()
+        params = TransformerParams(cfg, {
+            "block0.ffn.W1": param(wrng.normal((d_model, d_ffn), std=0.02)),
+            "block0.ffn.b1": param(np.zeros(d_ffn, dtype=np.float32)),
+            "block0.ffn.W2": param(wrng.normal((d_ffn, d_model), std=0.02)),
+            "block0.ffn.b2": param(np.zeros(d_model, dtype=np.float32)),
+        })
         from .grouping import ExpertPartition  # synthetic identity partition
 
         ident = ExpertPartition(
@@ -266,8 +241,7 @@ def bench(
             permutation=np.arange(d_ffn),
             method="random",
         )
-        layer.partition = ident
-        packed = pack(layer)
+        packed = pack(get_ffn_layer(params, 0, partition=ident))
         for batch in batch_sizes:
             x = rng.split(f"x_{d_model}_{d_ffn}_{batch}").normal((batch, d_model), std=1.0)
             shape_tag = f"T{batch}_d{d_model}_f{d_ffn}"
@@ -275,7 +249,11 @@ def bench(
                 k = max(1, int(round((1.0 - sparsity) * n)))
                 srng = rng.split(f"sel_{shape_tag}_{sparsity}")
                 selections = [np.sort(srng.choice(n, k)) for _ in range(batch)]
-                med_d, iqr_d = _time_call(lambda: _dense_ffn_call(layer, x, threads), warmups, trials)
+                with no_grad():
+                    med_d, iqr_d = _time_call(
+                        lambda: ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x), threads),
+                                        threads=threads),
+                        warmups, trials)
                 med_s, iqr_s = _time_call(
                     lambda: sparse_ffn_forward(packed, selections, x), warmups, trials
                 )

@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import losses
-from .autograd import Tensor
+from .autograd import Tensor, no_grad
 from .losses import LossBreakdown, LteHyperparams, aux_loss_graph
 from .model import TransformerParams, forward_lm
 from .numerics import NumericError, Rng
@@ -136,7 +135,6 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
 
     task = None
     per_layer_scores: list[list[Tensor]] = []
-    score_mats: list[np.ndarray] = []
     below = []
     inv_b = 1.0 / len(batch)
     for x, y in batch:
@@ -146,18 +144,17 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
         )
         ce = res.logits.cross_entropy_mean(y) * inv_b
         task = ce if task is None else task + ce
-        if res.score_graph is not None:
-            if not per_layer_scores:
-                per_layer_scores = [[] for _ in res.score_graph]
-            for l, g in enumerate(res.score_graph):
-                per_layer_scores[l].append(g)
         if res.decisions is not None:
-            for dec in res.decisions:
-                score_mats.append(dec.scores)
+            scores = (res.score_graph if res.score_graph is not None
+                      else [Tensor(dec.scores) for dec in res.decisions])
+            if not per_layer_scores:
+                per_layer_scores = [[] for _ in scores]
+            for l, dec in enumerate(res.decisions):
+                per_layer_scores[l].append(scores[l])
                 below.append(float((dec.scores <= tau).mean()))
 
+    hp = state.aux if state.aux is not None else LteHyperparams()
     if state.stage == "stage1":
-        hp = state.aux
         eff_t, sep_t = aux_loss_graph(per_layer_scores, hp)
         total = task + eff_t * hp.eta + sep_t * hp.lam
         breakdown = LossBreakdown(
@@ -170,9 +167,11 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
         )
     else:
         total = task
-        eff = losses.efficiency_loss(score_mats) if score_mats else 0.0
-        sep = (losses.separability_loss(score_mats, tau, state.aux.denom_guard)
-               if score_mats and state.aux else 0.0)
+        eff = sep = 0.0
+        if per_layer_scores:
+            with no_grad():
+                eff_t, sep_t = aux_loss_graph(per_layer_scores, hp)
+            eff, sep = eff_t.item(), sep_t.item()
         breakdown = LossBreakdown(
             task=task.item(), efficiency=eff, separability=sep, total=task.item()
         )

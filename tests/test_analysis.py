@@ -42,9 +42,13 @@ def build_bundle(seed=0, score_bias=None):
             routers.append(router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"r{i}"),
                                        std=1.0))
         else:
-            r = RouterLayer(Wg=param(np.zeros((cfg.d_model, cfg.n_experts), np.float32)),
-                            bias=param(np.asarray(score_bias, dtype=np.float32)))
-            routers.append(r)
+            # router input is ln2's output: zero gain and unit bias make it all ones,
+            # so Wg columns of logit/d_model give each expert the logit score_bias[j]
+            params[f"block{i}.ln2.g"].data[:] = 0.0
+            params[f"block{i}.ln2.b"].data[:] = 1.0
+            wg = np.tile(np.asarray(score_bias, dtype=np.float32) / cfg.d_model,
+                         (cfg.d_model, 1))
+            routers.append(RouterLayer(Wg=param(wg)))
     return CheckpointBundle(config=cfg, params=params, partitions=partitions,
                             routers=routers, stage="stage2")
 

@@ -52,11 +52,13 @@ class TestElementwise:
         check_grads(lambda a: a.square().clamp_min(0.3).reciprocal().mean(), x)
 
     def test_mask_is_constant(self):
+        # a constant 0/1 Tensor operand of `*` is data: it passes no gradient
         m = (rnd((4, 4), 8) > 0).astype(np.float64)
-        check_grads(lambda a: a.mask(m).sum(), rnd((4, 4), 9))
-        t = param(rnd((4, 4), 9))
-        t.mask(m).sum().backward()
+        check_grads(lambda a: (a * Tensor(m)).sum(), rnd((4, 4), 9))
+        t, const = param(rnd((4, 4), 9)), Tensor(m)
+        (t * const).sum().backward()
         assert np.array_equal(t.grad, m)
+        assert const.grad is None
 
 
 class TestStructure:

@@ -1,4 +1,6 @@
+import builtins
 import json
+import re
 import struct
 
 import numpy as np
@@ -102,3 +104,99 @@ class TestFormat:
         save_checkpoint(str(p1), build_bundle(seed=3))
         save_checkpoint(str(p2), build_bundle(seed=3))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def rewrite_manifest(path, edit):
+    """Apply `edit` to the manifest dict of the checkpoint at `path`, in place."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[4:12])
+    manifest = json.loads(raw[12:12 + mlen].decode())
+    edit(manifest)
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + raw[12 + mlen:])
+
+
+class TestCorruptFiles:
+    def saved(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), build_bundle())
+        return path
+
+    def test_truncated_blob_names_file(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*bytes"):
+            load_checkpoint(str(path))
+
+    def test_truncated_manifest_names_file(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(str(path))
+
+    def test_missing_manifest_key_names_file_and_key(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_manifest(path, lambda m: m.pop("stage"))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'stage'"):
+            load_checkpoint(str(path))
+
+    def test_entry_nbytes_must_match_shape(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def halve_first_shape(m):
+            m["tensors"][0]["shape"][0] //= 2
+
+        rewrite_manifest(path, halve_first_shape)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*shape"):
+            load_checkpoint(str(path))
+
+
+    def test_shifted_offset_rejected(self, tmp_path):
+        # offsets must tile the blob; a shifted one would read a neighbour's bytes
+        path = self.saved(tmp_path)
+
+        def shift_first_offset(m):
+            m["tensors"][0]["offset"] += 4
+
+        rewrite_manifest(path, shift_first_offset)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*byte 4"):
+            load_checkpoint(str(path))
+
+    def test_unknown_config_key_names_file(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_manifest(path, lambda m: m["config"].update(bogus=1))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*bogus"):
+            load_checkpoint(str(path))
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(str(path), build_bundle(seed=1))
+        before = path.read_bytes()
+        budget = [len(before) // 2]  # fail halfway through the tensor data
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) > budget[0]:
+                    self.fh.write(data[:budget[0]])
+                    raise OSError("injected write failure")
+                budget[0] -= len(data)
+                return self.fh.write(data)
+
+        monkeypatch.setattr("moefy.checkpoint.open",
+                            lambda p, mode="r": FailingFile(builtins.open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(str(path), build_bundle(seed=2))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.ckpt"]

@@ -177,6 +177,30 @@ class TestErrors:
         assert main(["train-base", "--corpus", "/nonexistent.txt",
                      "--out-dir", str(pipeline["out"])]) == 2
 
+    def test_truncated_checkpoint_exit_2_names_file(self, pipeline, tmp_path, capsys):
+        out, args = pipeline["out"], pipeline["args"]
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes((out / "stage2.ckpt").read_bytes()[:-100])
+        assert main(["eval", "--checkpoint", str(bad), "--method", "lte", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "reshape" not in err
+
+    def test_manifest_missing_key_exit_2(self, pipeline, tmp_path, capsys):
+        import json
+        import struct
+
+        out, args = pipeline["out"], pipeline["args"]
+        raw = (out / "stage2.ckpt").read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[4:12])
+        manifest = json.loads(raw[12:12 + mlen].decode())
+        del manifest["stage"]
+        mbytes = json.dumps(manifest).encode()
+        bad = tmp_path / "nostage.ckpt"
+        bad.write_bytes(raw[:4] + struct.pack("<Q", len(mbytes)) + mbytes + raw[12 + mlen:])
+        assert main(["eval", "--checkpoint", str(bad), "--method", "lte", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "stage" in err
+
     def test_bad_method_checkpoint_combo(self, pipeline):
         out, args = pipeline["out"], pipeline["args"]
         code = main(["eval", "--checkpoint", str(out / "base.ckpt"), "--method", "lte", *args])

@@ -8,8 +8,10 @@ from moefy.grouping import (
     group_experts_random,
     partition_sse,
 )
-from moefy.model import FfnLayer, GluFfnLayer, ffn_forward, glu_ffn_forward
+from moefy.model import FfnLayer, GluFfnLayer
 from moefy.numerics import Rng
+
+from ffn_blocks import dense_ffn
 
 
 def random_layer(rng, d=6, f=12, kind="two_matmul", dtype=np.float32):
@@ -106,8 +108,7 @@ class TestApplyPartition:
         p = group_experts_random(12, 3, Rng(3))
         permuted = apply_partition(layer, p)
         x = Rng(4).normal((5, 6), std=1.0, dtype=np.float64)
-        fwd = ffn_forward if kind == "two_matmul" else glu_ffn_forward
-        assert np.abs(fwd(layer, x) - fwd(permuted, x)).max() < 1e-6
+        assert np.abs(dense_ffn(layer, x) - dense_ffn(permuted, x)).max() < 1e-6
 
     def test_round_trip_bit_identical(self):
         layer = random_layer(Rng(5))

@@ -10,14 +10,16 @@ from moefy.model import (
     GluFfnLayer,
     ModelConfig,
     TransformerParams,
-    ffn_forward,
+    ffn_hidden,
+    ffn_out,
     forward_lm,
     get_ffn_layer,
-    glu_ffn_forward,
     init_params,
     param_count,
 )
-from moefy.numerics import Rng, ShapeError, activation, sigmoid
+from moefy.numerics import F64, Rng, ShapeError, activation, finite_diff_grad, sigmoid
+
+from ffn_blocks import dense_ffn, one_block
 
 
 def toy_config(**kw):
@@ -78,14 +80,14 @@ class TestFfnOps:
         w2[:d, :] = np.eye(d)
         layer = FfnLayer(w1, np.zeros(f, np.float32), w2, np.zeros(d, np.float32), "relu")
         x = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
-        assert np.allclose(ffn_forward(layer, x), x)
+        assert np.allclose(dense_ffn(layer, x), x)
 
     def test_zero_weights_bias_only(self):
         d, f = 4, 8
         c = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
         layer = FfnLayer(np.zeros((d, f), np.float32), np.zeros(f, np.float32),
                          np.zeros((f, d), np.float32), c, "gelu_tanh")
-        y = ffn_forward(layer, Rng(0).normal((3, d), std=1.0))
+        y = dense_ffn(layer, Rng(0).normal((3, d), std=1.0))
         assert np.allclose(y, np.tile(c, (3, 1)))
 
     def test_matches_scalar_reference(self):
@@ -102,20 +104,20 @@ class TestFfnOps:
             for j in range(d):
                 ref[ti, j] = sum(float(act[a]) * float(layer.W2[a, j]) for a in range(f)) \
                     + float(layer.b2[j])
-        assert np.abs(ffn_forward(layer, x) - ref).max() < 1e-6
+        assert np.abs(dense_ffn(layer, x) - ref).max() < 1e-6
 
     def test_glu_zero_input(self):
         rng = Rng(6)
         layer = GluFfnLayer(rng.normal((4, 8), std=1.0), rng.normal((4, 8), std=1.0),
                             rng.normal((8, 4), std=1.0))
-        assert np.allclose(glu_ffn_forward(layer, np.zeros((2, 4), np.float32)), 0.0)
+        assert np.allclose(dense_ffn(layer, np.zeros((2, 4), np.float32)), 0.0)
 
     def test_glu_zero_up_columns(self):
         rng = Rng(7)
         layer = GluFfnLayer(rng.normal((4, 8), std=1.0), np.zeros((4, 8), np.float32),
                             rng.normal((8, 4), std=1.0))
         x = rng.normal((3, 4), std=1.0)
-        assert np.allclose(glu_ffn_forward(layer, x), 0.0)
+        assert np.allclose(dense_ffn(layer, x), 0.0)
 
     def test_glu_matches_scalar_reference(self):
         rng = Rng(8)
@@ -132,13 +134,90 @@ class TestFfnOps:
             prod = (hg * sigmoid(hg)) * hu
             for j in range(d):
                 ref[ti, j] = sum(float(prod[a]) * float(layer.W_down[a, j]) for a in range(f))
-        assert np.abs(glu_ffn_forward(layer, x) - ref).max() < 1e-6
+        assert np.abs(dense_ffn(layer, x) - ref).max() < 1e-6
 
     def test_shape_error(self):
         layer = FfnLayer(np.zeros((3, 6), np.float32), np.zeros(6, np.float32),
                          np.zeros((6, 3), np.float32), np.zeros(3, np.float32))
         with pytest.raises(ShapeError):
-            ffn_forward(layer, np.zeros((2, 4), np.float32))
+            dense_ffn(layer, np.zeros((2, 4), np.float32))
+
+
+def random_block(kind, dtype, seed=40, d=6, f=12, expert_size=4):
+    rng = Rng(seed)
+    if kind == "two_matmul":
+        layer = FfnLayer(rng.normal((d, f), std=0.6, dtype=dtype),
+                         rng.normal((f,), std=0.3, dtype=dtype),
+                         rng.normal((f, d), std=0.6, dtype=dtype),
+                         rng.normal((d,), std=0.3, dtype=dtype), "gelu_tanh")
+    else:
+        layer = GluFfnLayer(rng.normal((d, f), std=0.6, dtype=dtype),
+                            rng.normal((d, f), std=0.6, dtype=dtype),
+                            rng.normal((f, d), std=0.6, dtype=dtype))
+    x = rng.split("x").normal((5, d), std=1.0, dtype=dtype)
+    return one_block(layer, expert_size), x
+
+
+KINDS_DTYPES = [(k, t) for k in ("two_matmul", "swiglu") for t in (np.float32, np.float64)]
+
+
+class TestScaledFfn:
+    """model.ffn_hidden / ffn_out: the one FFN every routing mode scales."""
+
+    @pytest.mark.parametrize("kind,dtype", KINDS_DTYPES)
+    def test_none_scale_bitwise_equals_all_ones(self, kind, dtype):
+        params, x = random_block(kind, dtype)
+        with no_grad():
+            a = ffn_hidden(params, 0, Tensor(x))
+            dense = ffn_out(params, 0, a).data
+            ones = ffn_out(params, 0, a, Tensor(np.ones((5, 3), dtype=dtype))).data
+        assert dense.dtype == dtype
+        assert dense.tobytes() == ones.tobytes()
+
+    @pytest.mark.parametrize("kind,dtype", KINDS_DTYPES)
+    def test_per_neuron_scale_equals_per_expert_expansion(self, kind, dtype):
+        params, x = random_block(kind, dtype)
+        s = sigmoid(Rng(41).normal((5, 3), std=1.0, dtype=dtype))
+        with no_grad():
+            a = ffn_hidden(params, 0, Tensor(x))
+            per_expert = ffn_out(params, 0, a, Tensor(s)).data
+            per_neuron = ffn_out(params, 0, a, Tensor(np.repeat(s, 4, axis=1))).data
+        assert per_expert.tobytes() == per_neuron.tobytes()
+
+    @pytest.mark.parametrize("kind,dtype,rtol", [(k, t, 1e-3 if t == np.float32 else 1e-6)
+                                                 for k, t in KINDS_DTYPES])
+    def test_score_scale_gradient_matches_finite_differences(self, kind, dtype, rtol):
+        params, x = random_block(kind, dtype)
+        s0 = sigmoid(Rng(42).normal((5, 3), std=1.0, dtype=F64))
+        g = param(s0.astype(dtype))
+        ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x)), g).square().mean().backward()
+
+        ref, x64 = params.astype(F64), x.astype(F64)
+
+        def loss(flat):
+            with no_grad():
+                a = ffn_hidden(ref, 0, Tensor(x64))
+                return float(ffn_out(ref, 0, a, Tensor(flat.reshape(s0.shape))).square().mean().data)
+
+        fd = finite_diff_grad(loss, s0.ravel(), eps=1e-6)
+        np.testing.assert_allclose(g.grad.ravel(), fd, rtol=rtol, atol=rtol * 1e-2)
+
+    @pytest.mark.parametrize("kind,dtype", KINDS_DTYPES)
+    def test_constant_mask_scale_passes_no_gradient(self, kind, dtype):
+        params, x = random_block(kind, dtype)
+        mask = np.zeros((5, 3), dtype=dtype)
+        mask[:, 1] = 1.0
+        const = Tensor(mask)
+        ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x)), const).sum().backward()
+        assert const.grad is None and not const.requires_grad
+        # only expert 1's down-projection rows (hidden units 4..7) get gradient
+        down = params["block0.ffn.W2" if kind == "two_matmul" else "block0.ffn.Wdown"].grad
+        assert not down[:4].any() and not down[8:].any() and down[4:8].any()
+
+    def test_scale_width_must_divide_d_ffn(self):
+        params, x = random_block("two_matmul", np.float64)
+        with no_grad(), pytest.raises(ShapeError):
+            ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x)), Tensor(np.ones((5, 5))))
 
 
 class TestForwardLm:
@@ -213,10 +292,12 @@ class TestForwardLm:
         for i in range(cfg.n_layers):
             p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(20 + i))
             set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
-            r = routing.router_init(cfg.d_model, cfg.n_experts, Rng(30 + i))
-            r.Wg.data = np.zeros_like(r.Wg.data)
-            r.bias = param(np.full(cfg.n_experts, 30.0, dtype=np.float32))  # sigmoid -> ~1
-            routers.append(r)
+            # router input is ln2's output: zero gain and unit bias make it all ones,
+            # so a constant positive Wg gives every expert logit 30 (sigmoid -> ~1)
+            params[f"block{i}.ln2.g"].data[:] = 0.0
+            params[f"block{i}.ln2.b"].data[:] = 1.0
+            wg = np.full((cfg.d_model, cfg.n_experts), 30.0 / cfg.d_model, dtype=np.float32)
+            routers.append(routing.RouterLayer(Wg=param(wg)))
         tokens = Rng(18).integers(0, cfg.vocab_size, size=7)
         with no_grad():
             dense = forward_lm(params, tokens).logits.data

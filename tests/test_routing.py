@@ -4,27 +4,30 @@ import numpy as np
 import pytest
 
 from moefy import routing
-from moefy.autograd import param
+from moefy.autograd import Tensor, no_grad, param
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import FfnLayer, GluFfnLayer
+from moefy.model import FfnLayer, GluFfnLayer, get_ffn_layer
 from moefy.numerics import Rng, activation
 from moefy.routing import (
     RouterLayer,
     groundtruth_topk_select,
     magnitude_select,
     moe_forward_discrete,
-    moe_forward_soft,
     noisy_topk_forward,
     random_router_init,
     random_topk_forward,
     router_init,
     router_scores,
+    soft_ffn_graph,
 )
+
+from ffn_blocks import one_block
 
 logit = lambda p: math.log(p / (1 - p))
 
 
 def make_layer(rng, d=6, f=16, kind="two_matmul", act="gelu_tanh", n_experts=4):
+    """(one-block params with an expert-permuted random FFN, its partition)."""
     if kind == "two_matmul":
         layer = FfnLayer(rng.normal((d, f), std=0.8), rng.normal((f,), std=0.5),
                          rng.normal((f, d), std=0.8), rng.normal((d,), std=0.5), act)
@@ -32,11 +35,22 @@ def make_layer(rng, d=6, f=16, kind="two_matmul", act="gelu_tanh", n_experts=4):
         layer = GluFfnLayer(rng.normal((d, f), std=0.8), rng.normal((d, f), std=0.8),
                             rng.normal((f, d), std=0.8))
     p = group_experts_random(f, n_experts, rng.split("part"))
-    return apply_partition(layer, p), p
+    return one_block(apply_partition(layer, p), f // n_experts), p
 
 
-def dense_mask_oracle(layer, x, neuron_scale):
+def discrete(params, part, router, x, tau):
+    return moe_forward_discrete(get_ffn_layer(params, 0, part), part, router, x, tau=tau)
+
+
+def soft(params, router, x):
+    with no_grad():
+        out, _, dec = soft_ffn_graph(params, 0, router, Tensor(x))
+    return out.data, dec
+
+
+def dense_mask_oracle(params, x, neuron_scale):
     """Dense FFN with each intermediate neuron scaled; written independently."""
+    layer = get_ffn_layer(params, 0)
     if isinstance(layer, FfnLayer):
         a = activation(x @ layer.W1 + layer.b1, layer.activation)
         return (a * neuron_scale) @ layer.W2 + layer.b2
@@ -72,112 +86,112 @@ class TestRouterScores:
 
 class TestDiscrete:
     def test_threshold_selection(self):
-        layer, part = make_layer(Rng(4), d=1, f=12, n_experts=3)
+        params, part = make_layer(Rng(4), d=1, f=12, n_experts=3)
         wg = np.array([[logit(0.7), logit(0.4), logit(0.6)]])
         r = RouterLayer(Wg=param(wg))
-        _, dec = moe_forward_discrete(layer, part, r, np.array([[1.0]]), tau=0.5)
+        _, dec = discrete(params, part, r, np.array([[1.0]]), tau=0.5)
         assert dec.mask.tolist() == [[True, False, True]]
 
     def test_empty_selection_gives_shared_bias(self):
-        layer, part = make_layer(Rng(5), d=3, f=8, n_experts=2)
-        r = RouterLayer(Wg=param(np.zeros((3, 2), dtype=np.float32)),
-                        bias=param(np.full(2, -50.0, dtype=np.float32)))
-        x = Rng(6).normal((4, 3), std=0.1)
-        y, dec = moe_forward_discrete(layer, part, r, x, tau=0.5)
+        params, part = make_layer(Rng(5), d=3, f=8, n_experts=2)
+        # positive inputs through a strongly negative router: every score ~0
+        r = RouterLayer(Wg=param(np.full((3, 2), -50.0, dtype=np.float32)))
+        x = np.abs(Rng(6).normal((4, 3), std=0.1)) + 0.1
+        y, dec = discrete(params, part, r, x, tau=0.5)
         assert not dec.mask.any()
-        assert np.allclose(y, np.tile(layer.b2, (4, 1)))
+        assert np.allclose(y, np.tile(params["block0.ffn.b2"].data, (4, 1)))
 
     def test_empty_selection_swiglu_gives_zero(self):
-        layer, part = make_layer(Rng(7), d=3, f=8, kind="swiglu", n_experts=2)
-        r = RouterLayer(Wg=param(np.zeros((3, 2), dtype=np.float32)),
-                        bias=param(np.full(2, -50.0, dtype=np.float32)))
-        y, _ = moe_forward_discrete(layer, part, r, Rng(8).normal((2, 3), std=1.0), tau=0.5)
+        params, part = make_layer(Rng(7), d=3, f=8, kind="swiglu", n_experts=2)
+        r = RouterLayer(Wg=param(np.full((3, 2), -50.0, dtype=np.float32)))
+        x = np.abs(Rng(8).normal((2, 3), std=1.0)) + 0.1
+        y, dec = discrete(params, part, r, x, tau=0.5)
+        assert not dec.mask.any()
         assert np.allclose(y, 0.0)
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_matches_dense_mask_oracle(self, kind):
         rng = Rng(9)
-        layer, part = make_layer(rng, kind=kind)
+        params, part = make_layer(rng, kind=kind)
         r = router_init(6, 4, rng.split("router"), std=2.0)
         x = rng.normal((8, 6), std=1.0)
-        y, dec = moe_forward_discrete(layer, part, r, x, tau=0.5)
+        y, dec = discrete(params, part, r, x, tau=0.5)
         scale = np.repeat(dec.mask, part.expert_size, axis=1).astype(x.dtype)
-        assert np.abs(y - dense_mask_oracle(layer, x, scale)).max() < 1e-5
+        assert np.abs(y - dense_mask_oracle(params, x, scale)).max() < 1e-5
 
     def test_strict_inequality_at_tau(self):
-        layer, part = make_layer(Rng(10), d=1, f=12, n_experts=3)
+        params, part = make_layer(Rng(10), d=1, f=12, n_experts=3)
         r = RouterLayer(Wg=param(np.zeros((1, 3), dtype=np.float64)))  # scores exactly 0.5
-        _, dec = moe_forward_discrete(layer, part, r, np.array([[1.0]]), tau=0.5)
+        _, dec = discrete(params, part, r, np.array([[1.0]]), tau=0.5)
         assert not dec.mask.any()
 
     def test_mask_depends_only_on_own_token(self):
         rng = Rng(11)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.5)
         x = rng.normal((5, 6), std=1.0)
         dup = np.vstack([x, x[2:3]])
-        _, d1 = moe_forward_discrete(layer, part, r, x, tau=0.5)
-        _, d2 = moe_forward_discrete(layer, part, r, dup, tau=0.5)
+        _, d1 = discrete(params, part, r, x, tau=0.5)
+        _, d2 = discrete(params, part, r, dup, tau=0.5)
         assert np.array_equal(d1.mask[2], d2.mask[-1])
 
 
 class TestSoft:
     def test_scores_one_equals_dense(self):
         rng = Rng(12)
-        layer, part = make_layer(rng)
-        r = RouterLayer(Wg=param(np.zeros((6, 4), dtype=np.float32)),
-                        bias=param(np.full(4, 40.0, dtype=np.float32)))
-        x = rng.normal((5, 6), std=1.0)
-        y, dec = moe_forward_soft(layer, part, r, x)
-        dense = dense_mask_oracle(layer, x, np.ones(16, dtype=np.float32))
+        params, part = make_layer(rng)
+        # positive inputs through a strongly positive router: every score 1
+        r = RouterLayer(Wg=param(np.full((6, 4), 40.0, dtype=np.float32)))
+        x = np.abs(rng.normal((5, 6), std=1.0)) + 0.1
+        y, dec = soft(params, r, x)
+        dense = dense_mask_oracle(params, x, np.ones(16, dtype=np.float32))
         assert np.abs(y - dense).max() < 1e-5
         assert dec.mask.all() and dec.mode == "soft"
 
     def test_scores_zero_gives_shared_bias(self):
         rng = Rng(13)
-        layer, part = make_layer(rng)
-        r = RouterLayer(Wg=param(np.zeros((6, 4), dtype=np.float32)),
-                        bias=param(np.full(4, -40.0, dtype=np.float32)))
-        y, _ = moe_forward_soft(layer, part, r, rng.normal((3, 6), std=1.0))
-        assert np.allclose(y, np.tile(layer.b2, (3, 1)), atol=1e-6)
+        params, part = make_layer(rng)
+        r = RouterLayer(Wg=param(np.full((6, 4), -40.0, dtype=np.float32)))
+        y, _ = soft(params, r, np.abs(rng.normal((3, 6), std=1.0)) + 0.1)
+        assert np.allclose(y, np.tile(params["block0.ffn.b2"].data, (3, 1)), atol=1e-6)
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_matches_scaled_dense_oracle(self, kind):
         rng = Rng(14)
-        layer, part = make_layer(rng, kind=kind)
+        params, part = make_layer(rng, kind=kind)
         r = router_init(6, 4, rng.split("router"), std=1.0)
         x = rng.normal((7, 6), std=1.0)
-        y, dec = moe_forward_soft(layer, part, r, x)
+        y, dec = soft(params, r, x)
         scale = np.repeat(dec.scores, part.expert_size, axis=1).astype(x.dtype)
-        assert np.abs(y - dense_mask_oracle(layer, x, scale)).max() < 1e-5
+        assert np.abs(y - dense_mask_oracle(params, x, scale)).max() < 1e-5
 
     def test_binarized_soft_equals_discrete(self):
         # scores away from tau: discrete output == dense scaled by the 0/1 mask
         rng = Rng(15)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("router"), std=3.0)
         x = rng.normal((6, 6), std=1.0)
-        y, dec = moe_forward_discrete(layer, part, r, x, tau=0.5)
+        y, dec = discrete(params, part, r, x, tau=0.5)
         binarized = dec.mask.astype(x.dtype)
-        oracle = dense_mask_oracle(layer, x, np.repeat(binarized, part.expert_size, axis=1))
+        oracle = dense_mask_oracle(params, x, np.repeat(binarized, part.expert_size, axis=1))
         assert np.abs(y - oracle).max() < 1e-5
 
 
 class TestNoisyTopk:
     def test_hand_softmax_logits_210(self):
-        layer, part = make_layer(Rng(16), d=1, f=12, n_experts=3)
+        params, part = make_layer(Rng(16), d=1, f=12, n_experts=3)
         r = RouterLayer(Wg=param(np.array([[2.0, 1.0, 0.0]])))
-        y, dec = noisy_topk_forward(layer, part, r, np.array([[1.0]]), k=2)
+        y, dec = noisy_topk_forward(params, 0, r, np.array([[1.0]]), k=2)
         e = math.e
         assert np.allclose(dec.scores[0], [e / (e + 1), 1 / (e + 1), 0.0], atol=1e-12)
         assert dec.mask.tolist() == [[True, True, False]]
 
     def test_k_equals_n_is_full_softmax(self):
         rng = Rng(17)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.0)
         x = rng.normal((5, 6), std=1.0)
-        _, dec = noisy_topk_forward(layer, part, r, x, k=4)
+        _, dec = noisy_topk_forward(params, 0, r, x, k=4)
         logits = x @ r.Wg.data
         full = np.exp(logits - logits.max(1, keepdims=True))
         full /= full.sum(1, keepdims=True)
@@ -185,63 +199,63 @@ class TestNoisyTopk:
 
     def test_k1_single_expert_weight_one(self):
         rng = Rng(18)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.0)
-        _, dec = noisy_topk_forward(layer, part, r, rng.normal((6, 6), std=1.0), k=1)
+        _, dec = noisy_topk_forward(params, 0, r, rng.normal((6, 6), std=1.0), k=1)
         assert np.allclose(dec.scores.max(axis=1), 1.0)
         assert (dec.mask.sum(axis=1) == 1).all()
 
     def test_rows_sum_to_one(self):
         rng = Rng(19)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.0)
-        _, dec = noisy_topk_forward(layer, part, r, rng.normal((9, 6), std=1.0), k=2)
+        _, dec = noisy_topk_forward(params, 0, r, rng.normal((9, 6), std=1.0), k=2)
         assert np.abs(dec.scores.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_noise_needs_rng_and_changes_logits(self):
         rng = Rng(20)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.0)
         x = rng.normal((4, 6), std=1.0)
         with pytest.raises(ValueError):
-            noisy_topk_forward(layer, part, r, x, k=2, noise_std=0.1)
-        _, d1 = noisy_topk_forward(layer, part, r, x, k=2, noise_std=0.1, rng=Rng(1))
-        _, d2 = noisy_topk_forward(layer, part, r, x, k=2, noise_std=0.1, rng=Rng(1))
+            noisy_topk_forward(params, 0, r, x, k=2, noise_std=0.1)
+        _, d1 = noisy_topk_forward(params, 0, r, x, k=2, noise_std=0.1, rng=Rng(1))
+        _, d2 = noisy_topk_forward(params, 0, r, x, k=2, noise_std=0.1, rng=Rng(1))
         assert np.array_equal(d1.scores, d2.scores)
 
     def test_k_out_of_range(self):
-        layer, part = make_layer(Rng(21))
+        params, part = make_layer(Rng(21))
         r = router_init(6, 4, Rng(22))
         with pytest.raises(ValueError):
-            noisy_topk_forward(layer, part, r, np.zeros((1, 6), np.float32), k=5)
+            noisy_topk_forward(params, 0, r, np.zeros((1, 6), np.float32), k=5)
 
 
 class TestMagnitudeSelect:
     def test_example_ranking(self):
         # swiglu intermediate ~ [3, -5, 0.1]: |-5| > |3| > |0.1|
-        layer = GluFfnLayer(
+        params = one_block(GluFfnLayer(
             W_gate=np.full((1, 3), 20.0),               # silu(20) ~= 20
             W_up=np.array([[0.15, -0.25, 0.005]]),
             W_down=np.eye(3, 1),
-        )
-        _, mask = magnitude_select(layer, np.array([[1.0]]), keep_fraction=2 / 3)
+        ), expert_size=1)
+        _, mask = magnitude_select(params, 0, np.array([[1.0]]), keep_fraction=2 / 3)
         assert mask.tolist() == [[True, True, False]]
 
     def test_keep_all_is_dense(self):
         rng = Rng(23)
-        layer, _ = make_layer(rng)
+        params, _ = make_layer(rng)
         x = rng.normal((5, 6), std=1.0)
-        y, mask = magnitude_select(layer, x, keep_fraction=1.0)
+        y, mask = magnitude_select(params, 0, x, keep_fraction=1.0)
         assert mask.all()
-        dense = dense_mask_oracle(layer, x, np.ones(16, dtype=x.dtype))
+        dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert np.abs(y - dense).max() < 1e-6
 
     def test_beats_random_mask_on_average(self):
         rng = Rng(24)
-        layer, _ = make_layer(rng, act="relu")
+        params, _ = make_layer(rng, act="relu")
         x = rng.normal((20, 6), std=1.0)
-        dense = dense_mask_oracle(layer, x, np.ones(16, dtype=x.dtype))
-        y, _ = magnitude_select(layer, x, keep_fraction=0.5)
+        dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
+        y, _ = magnitude_select(params, 0, x, keep_fraction=0.5)
         mag_err = float(np.abs(y - dense).mean())
         rand_errs = []
         for s in range(20):
@@ -249,22 +263,22 @@ class TestMagnitudeSelect:
             m = np.zeros((20, 16), dtype=x.dtype)
             for t in range(20):
                 m[t, srng.choice(16, 8)] = 1.0
-            rand_errs.append(float(np.abs(dense_mask_oracle(layer, x, m) - dense).mean()))
+            rand_errs.append(float(np.abs(dense_mask_oracle(params, x, m) - dense).mean()))
         assert mag_err <= np.mean(rand_errs)
 
     def test_bad_fraction(self):
-        layer, _ = make_layer(Rng(25))
+        params, _ = make_layer(Rng(25))
         with pytest.raises(ValueError):
-            magnitude_select(layer, np.zeros((1, 6), np.float32), keep_fraction=0.0)
+            magnitude_select(params, 0, np.zeros((1, 6), np.float32), keep_fraction=0.0)
 
 
 class TestGroundtruthTopk:
     def test_k_equals_n_dense(self):
         rng = Rng(26)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         x = rng.normal((4, 6), std=1.0)
-        y, mask = groundtruth_topk_select(layer, part, x, k=4)
-        dense = dense_mask_oracle(layer, x, np.ones(16, dtype=x.dtype))
+        y, mask = groundtruth_topk_select(params, 0, x, k=4)
+        dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert mask.all()
         assert np.abs(y - dense).max() < 1e-6
 
@@ -275,21 +289,19 @@ class TestGroundtruthTopk:
         layer = FfnLayer(rng.normal((d, f), std=1.0), np.zeros(f, np.float32),
                          rng.normal((f, d), std=1.0), rng.normal((d,), std=1.0), "relu")
         layer.b1[2:] = -1e9
-        ident = group_experts_random(f, n, Rng(0))
-        ident.permutation = np.arange(f)
-        ident.assignment = np.arange(f) // 2
-        layer.partition = ident
+        params = one_block(layer, expert_size=f // n)
         x = np.abs(rng.normal((5, d), std=1.0))
-        y, mask = groundtruth_topk_select(layer, ident, x, k=1)
-        dense = dense_mask_oracle(layer, x, np.ones(f, dtype=x.dtype))
+        y, mask = groundtruth_topk_select(params, 0, x, k=1)
+        dense = dense_mask_oracle(params, x, np.ones(f, dtype=x.dtype))
         assert (mask[:, 0]).all()
         assert np.abs(y - dense).max() < 1e-5
 
     def test_matches_bruteforce_norms(self):
         rng = Rng(28)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         x = rng.normal((6, 6), std=1.0)
-        _, mask = groundtruth_topk_select(layer, part, x, k=2)
+        _, mask = groundtruth_topk_select(params, 0, x, k=2)
+        layer = get_ffn_layer(params, 0)
         inter = activation(x @ layer.W1 + layer.b1, layer.activation)
         for t in range(6):
             norms = [np.linalg.norm(inter[t, e * 4:(e + 1) * 4]) for e in range(4)]
@@ -300,20 +312,20 @@ class TestGroundtruthTopk:
 class TestRandomRouter:
     def test_deterministic_selection(self):
         rng = Rng(29)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         x = rng.normal((5, 6), std=1.0)
         rr1 = random_router_init(6, 4, 2, Rng(77))
         rr2 = random_router_init(6, 4, 2, Rng(77))
-        _, d1 = random_topk_forward(layer, rr1, x)
-        _, d2 = random_topk_forward(layer, rr2, x)
+        _, d1 = random_topk_forward(params, 0, rr1, x)
+        _, d2 = random_topk_forward(params, 0, rr2, x)
         assert np.array_equal(d1.mask, d2.mask)
 
     def test_k_equals_n_dense(self):
         rng = Rng(30)
-        layer, part = make_layer(rng)
+        params, part = make_layer(rng)
         x = rng.normal((4, 6), std=1.0)
-        y, _ = random_topk_forward(layer, random_router_init(6, 4, 4, Rng(1)), x)
-        dense = dense_mask_oracle(layer, x, np.ones(16, dtype=x.dtype))
+        y, _ = random_topk_forward(params, 0, random_router_init(6, 4, 4, Rng(1)), x)
+        dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert np.abs(y - dense).max() < 1e-6
 
     def test_selection_frequency_near_uniform(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import FfnLayer, GluFfnLayer, ModelConfig, ffn_forward, glu_ffn_forward
+from moefy.model import FfnLayer, GluFfnLayer, ModelConfig
 from moefy.numerics import Rng, activation
 from moefy.sparse_exec import (
     BENCH_COLUMNS,
@@ -11,8 +11,9 @@ from moefy.sparse_exec import (
     format_bench_report,
     pack,
     sparse_ffn_forward,
-    unpack,
 )
+
+from ffn_blocks import dense_ffn
 
 
 def packed_layer(rng, d=8, f=24, n=6, kind="two_matmul", dtype=np.float32, act="gelu_tanh"):
@@ -45,17 +46,21 @@ def dense_mask_oracle(layer, x, expert_sel, expert_size):
 class TestPack:
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_round_trip_bit_identical(self, kind):
+        # every slab is its expert's dense columns / rows, bit for bit
         layer, packed = packed_layer(Rng(0), kind=kind)
-        back = unpack(packed)
+        e = packed.expert_size
+        for x in range(packed.n_experts):
+            cols = slice(x * e, (x + 1) * e)
+            if kind == "two_matmul":
+                assert np.array_equal(packed.up[x], layer.W1[:, cols])
+                assert np.array_equal(packed.b1[x], layer.b1[cols])
+                assert np.array_equal(packed.down[x], layer.W2[cols])
+            else:
+                assert np.array_equal(packed.gate[x], layer.W_gate[:, cols])
+                assert np.array_equal(packed.up[x], layer.W_up[:, cols])
+                assert np.array_equal(packed.down[x], layer.W_down[cols])
         if kind == "two_matmul":
-            assert np.array_equal(back.W1, layer.W1)
-            assert np.array_equal(back.b1, layer.b1)
-            assert np.array_equal(back.W2, layer.W2)
-            assert np.array_equal(back.b2, layer.b2)
-        else:
-            assert np.array_equal(back.W_gate, layer.W_gate)
-            assert np.array_equal(back.W_up, layer.W_up)
-            assert np.array_equal(back.W_down, layer.W_down)
+            assert np.array_equal(packed.b2, layer.b2)
 
     def test_expert_zero_slice_is_leading_columns(self):
         layer, packed = packed_layer(Rng(1))
@@ -78,7 +83,7 @@ class TestSparseForward:
         x = Rng(4).normal((5, 8), std=1.0)
         sel = [np.arange(6)] * 5
         y = sparse_ffn_forward(packed, sel, x)
-        dense = (ffn_forward if kind == "two_matmul" else glu_ffn_forward)(layer, x)
+        dense = dense_ffn(layer, x)
         assert np.abs(y - dense).max() < 1e-5
 
     def test_empty_selection(self):
