@@ -23,6 +23,11 @@ from .sparse_exec import FlopsReport
 
 HIST_BINS = 64
 
+# Windows per forward_lm call in eval: one batched pass per chunk keeps the
+# per-call cost spread over many tokens while memory stays bounded for any
+# window count.
+EVAL_CHUNK = 32
+
 EVAL_METHODS = ("dense", "lte", "dejavu", "moefication_gt", "random_router", "noisy_topk")
 
 
@@ -36,6 +41,13 @@ def val_windows(data: np.ndarray, seq_len: int, max_windows: int) -> list[np.nda
     if not out:
         raise ValueError("eval slice too small for one window")
     return out
+
+
+def _chunks(windows: list[np.ndarray]):
+    """Yield stacked (inputs, flat targets) for up to EVAL_CHUNK windows at a time."""
+    for c in range(0, len(windows), EVAL_CHUNK):
+        w = np.stack(windows[c:c + EVAL_CHUNK])
+        yield w[:, :-1], w[:, 1:].reshape(-1)
 
 
 def _packed_layers(bundle: CheckpointBundle):
@@ -54,14 +66,13 @@ def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: 
     scores = [[] for _ in range(cfg.n_layers)]
     masks = [[] for _ in range(cfg.n_layers)]
     with no_grad():
-        for w in windows:
-            x, y = w[:-1], w[1:]
+        for x, y in _chunks(windows):
             res = forward_lm(
                 bundle.params, x, ffn_mode="moe_discrete", routers=bundle.routers,
                 tau=tau, partitions=bundle.partitions, packed=packed, threads=threads,
             )
-            ce_sum += losses.task_loss(res.logits.data, y) * x.shape[0]
-            tok += x.shape[0]
+            ce_sum += losses.task_loss(res.logits.data, y) * y.shape[0]
+            tok += y.shape[0]
             for l, dec in enumerate(res.decisions):
                 scores[l].append(dec.scores)
                 masks[l].append(dec.mask)
@@ -202,12 +213,11 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
 
     ce_sum, tok = 0.0, 0
     with no_grad():
-        for w in windows:
-            x, y = w[:-1], w[1:]
+        for x, y in _chunks(windows):
             res = forward_lm(bundle.params, x, ffn_mode="dense", ffn_override=override,
                              threads=threads)
-            ce_sum += losses.task_loss(res.logits.data, y) * x.shape[0]
-            tok += x.shape[0]
+            ce_sum += losses.task_loss(res.logits.data, y) * y.shape[0]
+            tok += y.shape[0]
     mean_ce = ce_sum / tok
 
     per_layer_dense = (4 if cfg.ffn_kind == "two_matmul" else 6) * cfg.d_model * cfg.d_ffn

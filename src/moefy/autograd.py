@@ -157,19 +157,31 @@ class Tensor:
     __rmul__ = __mul__
 
     def matmul(self, other: "Tensor", threads: int = 1) -> "Tensor":
+        """2-D or stacked (..., m, k) @ (..., k, n) product via numerics.matmul."""
         data = numerics.matmul(self.data, other.data, threads=threads)
         def back(g):
             if self.requires_grad:
-                self._accum(numerics.matmul(g, other.data.T, threads=threads))
+                self._accum(numerics.matmul(g, other.data.swapaxes(-1, -2), threads=threads))
             if other.requires_grad:
-                other._accum(numerics.matmul(self.data.T, g, threads=threads))
+                other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g, threads=threads))
         return self._make(data, (self, other), back)
 
     def __matmul__(self, other):
         return self.matmul(other)
 
     def transpose(self) -> "Tensor":
-        return self._make(self.data.T, (self,), lambda g: self._accum(g.T))
+        """Swap the last two axes."""
+        return self._make(self.data.swapaxes(-1, -2), (self,),
+                          lambda g: self._accum(g.swapaxes(-1, -2)))
+
+    def reshape(self, *shape: int) -> "Tensor":
+        return self._make(self.data.reshape(shape), (self,),
+                          lambda g: self._accum(g.reshape(self.data.shape)))
+
+    def permute(self, *axes: int) -> "Tensor":
+        inverse = tuple(np.argsort(axes))
+        return self._make(self.data.transpose(axes), (self,),
+                          lambda g: self._accum(g.transpose(inverse)))
 
     # -- nonlinearities -------------------------------------------------
 
@@ -216,20 +228,6 @@ class Tensor:
             np.add.at(acc, idx, g)
             self._accum(acc)
         return self._make(self.data[idx], (self,), back)
-
-    def row_slice(self, start: int, stop: int) -> "Tensor":
-        def back(g):
-            acc = np.zeros_like(self.data)
-            acc[start:stop] = g
-            self._accum(acc)
-        return self._make(self.data[start:stop], (self,), back)
-
-    def col_slice(self, start: int, stop: int) -> "Tensor":
-        def back(g):
-            acc = np.zeros_like(self.data)
-            acc[:, start:stop] = g
-            self._accum(acc)
-        return self._make(self.data[:, start:stop], (self,), back)
 
     def repeat_cols(self, times: int) -> "Tensor":
         """Repeat each column `times` times (expert score -> per-neuron scale)."""

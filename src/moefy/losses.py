@@ -66,9 +66,10 @@ def aux_loss_graph(per_layer_scores: list[list[Tensor]],
                    hp: LteHyperparams) -> tuple[Tensor, Tensor]:
     """(efficiency, separability) as graph nodes.
 
-    per_layer_scores[l] holds one score tensor per sequence in the batch for
-    layer l; sequences share a length, so the batch token-mean is the mean of
-    per-sequence means, and layers are averaged with equal weight.
+    per_layer_scores[l] holds layer l's score tensors, each with the same
+    number of rows (training passes one (B*T, n_experts) tensor per layer),
+    so the token-mean is the mean of per-tensor means; layers are averaged
+    with equal weight.
     """
     if not per_layer_scores or not per_layer_scores[0]:
         raise ValueError("no score tensors")

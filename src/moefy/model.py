@@ -242,29 +242,25 @@ def init_params(cfg: ModelConfig, rng: numerics.Rng, dtype=F32) -> TransformerPa
 
 @dataclass
 class ForwardResult:
-    logits: Tensor                       # (T, vocab)
-    decisions: Optional[list] = None     # RoutingDecision per layer, moe modes
-    score_graph: Optional[list] = None   # per-layer score Tensors, moe_soft only
+    logits: Tensor                       # (B*T, vocab), batch-major; (T, vocab) for 1-D tokens
+    decisions: Optional[list] = None     # RoutingDecision per layer over the same B*T rows
+    score_graph: Optional[list] = None   # per-layer (B*T, n_experts) score Tensors, moe_soft only
 
 
-def _attention(params: TransformerParams, i: int, xn: Tensor, mask_add: Tensor) -> Tensor:
+def _attention(params: TransformerParams, i: int, xn: Tensor, mask_add: Tensor,
+               b: int, t: int, threads: int = 1) -> Tensor:
+    """Causal multi-head attention over (B*T, d) rows; heads split by reshape."""
     cfg = params.config
-    hd = cfg.head_dim
-    scale = 1.0 / math.sqrt(hd)
-    q = xn @ params[f"block{i}.attn.Wq"] + params[f"block{i}.attn.bq"]
-    k = xn @ params[f"block{i}.attn.Wk"] + params[f"block{i}.attn.bk"]
-    v = xn @ params[f"block{i}.attn.Wv"] + params[f"block{i}.attn.bv"]
-    wo = params[f"block{i}.attn.Wo"]
-    out = None
-    for h in range(cfg.n_heads):
-        lo, hi = h * hd, (h + 1) * hd
-        qh, kh, vh = q.col_slice(lo, hi), k.col_slice(lo, hi), v.col_slice(lo, hi)
-        att = (qh @ kh.transpose()) * scale + mask_add
-        ctx = att.softmax_rows() @ vh
-        # project each head through its row slice of Wo; the sum is the concat-matmul
-        yh = ctx @ wo.row_slice(lo, hi)
-        out = yh if out is None else out + yh
-    return out + params[f"block{i}.attn.bo"]
+    h, hd = cfg.n_heads, cfg.head_dim
+
+    def heads(name: str) -> Tensor:  # (B*T, d) -> (B, H, T, hd)
+        y = xn.matmul(params[f"block{i}.attn.W{name}"], threads) + params[f"block{i}.attn.b{name}"]
+        return y.reshape(b, t, h, hd).permute(0, 2, 1, 3)
+
+    q, k, v = heads("q"), heads("k"), heads("v")
+    att = q.matmul(k.transpose(), threads) * (1.0 / math.sqrt(hd)) + mask_add
+    ctx = att.softmax_rows().matmul(v, threads).permute(0, 2, 1, 3).reshape(b * t, cfg.d_model)
+    return ctx.matmul(params[f"block{i}.attn.Wo"], threads) + params[f"block{i}.attn.bo"]
 
 
 def causal_mask(t: int, dtype=F32) -> np.ndarray:
@@ -284,7 +280,12 @@ def forward_lm(
     ffn_override: Optional[Callable[[int, np.ndarray], tuple]] = None,
     threads: int = 1,
 ) -> ForwardResult:
-    """One-sequence forward pass.
+    """Forward pass over one sequence (T,) or a batch of equal-length ones (B, T).
+
+    Activations are (B*T, d) rows, batch-major, so every row-wise layer (the
+    layer norms, the FFN, routers, the gather path, `ffn_override` and the
+    loss) sees the whole batch in one call; only attention regroups rows into
+    (B, H, T, head_dim). Logits and RoutingDecisions have B*T rows.
 
     ffn_mode: dense | moe_soft | moe_discrete. The moe modes delegate the FFN
     to the routing module and return per-layer RoutingDecisions. moe_discrete
@@ -295,7 +296,9 @@ def forward_lm(
 
     cfg = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    t = tokens.shape[0]
+    if tokens.ndim not in (1, 2):
+        raise ShapeError(f"tokens must be (T,) or (B, T), got shape {tokens.shape}")
+    b, t = (1, tokens.shape[0]) if tokens.ndim == 1 else tokens.shape
     if t > cfg.max_seq_len:
         raise ShapeError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
     if ffn_mode not in ("dense", "moe_soft", "moe_discrete"):
@@ -304,7 +307,7 @@ def forward_lm(
         raise ValueError(f"{ffn_mode} requires routers")
 
     dtype = params["wte"].data.dtype
-    x = params["wte"].rows(tokens) + params["wpe"].row_slice(0, t)
+    x = params["wte"].rows(tokens.reshape(-1)) + params["wpe"].rows(np.tile(np.arange(t), b))
     mask_add = Tensor(causal_mask(t, dtype=dtype))
 
     decisions = [] if (ffn_mode != "dense" or ffn_override) else None
@@ -312,7 +315,7 @@ def forward_lm(
 
     for i in range(cfg.n_layers):
         xn = x.layernorm(params[f"block{i}.ln1.g"], params[f"block{i}.ln1.b"])
-        x = x + _attention(params, i, xn, mask_add)
+        x = x + _attention(params, i, xn, mask_add, b, t, threads)
         xf = x.layernorm(params[f"block{i}.ln2.g"], params[f"block{i}.ln2.b"])
 
         if ffn_override is not None:

@@ -40,24 +40,27 @@ class NumericError(ArithmeticError):
 def matmul(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
     """C = A @ B with a fixed 64-wide reduction blocking.
 
-    The K dimension is processed in ascending 64-column blocks, each block
-    contribution accumulated in order; rows may be statically partitioned
-    across `threads` workers (row results are independent, so threading does
-    not change the numbers).
+    Operands are 2-D, or stacked (..., m, k) @ (..., k, n) with equal leading
+    shapes, one product per leading index. The K dimension is processed in
+    ascending 64-column blocks, each block contribution accumulated in order;
+    the m rows (axis -2) may be statically partitioned across `threads`
+    workers (row results are independent, so threading does not change the
+    numbers). Products with fewer than 2 * MATMUL_BLOCK rows run on the
+    calling thread; leading axes are never split.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects 2-D or equally stacked operands, got "
+                         f"{a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.result_type(a, b))
+    m, k = a.shape[-2:]
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
 
     def fill_rows(r0: int, r1: int) -> None:
-        acc = out[r0:r1]
+        acc = out[..., r0:r1, :]
         for k0 in range(0, k, MATMUL_BLOCK):
             k1 = min(k0 + MATMUL_BLOCK, k)
-            acc += a[r0:r1, k0:k1] @ b[k0:k1]
+            acc += a[..., r0:r1, k0:k1] @ b[..., k0:k1, :]
 
     if threads <= 1 or m < 2 * MATMUL_BLOCK:
         fill_rows(0, m)

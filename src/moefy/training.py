@@ -125,52 +125,48 @@ def sample_batch(data: np.ndarray, rng: Rng, batch_size: int, seq_len: int):
 def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
     """One optimization step; returns the loss breakdown and monitored sparsity.
 
-    Monitored sparsity is the fraction of expert scores at or below tau (the
-    complement of discrete selection); 0.0 in dense mode.
+    The batch's (input, target) sequences share a length and run as one
+    stacked (B, T) forward pass; the task loss is the mean cross-entropy over
+    all B*T targets. Monitored sparsity is the fraction of expert scores at or
+    below tau (the complement of discrete selection), averaged over layers;
+    0.0 in dense mode.
     """
     state.step += 1
     state.zero_grads()
     mode = {"base": "dense", "stage1": "moe_soft", "stage2": "moe_discrete"}[state.stage]
     tau = state.aux.tau if state.aux is not None else 0.5
 
-    task = None
-    per_layer_scores: list[list[Tensor]] = []
+    xs = np.stack([x for x, _ in batch])
+    ys = np.stack([y for _, y in batch])
+    res = forward_lm(
+        state.params, xs, ffn_mode=mode, routers=state.routers, tau=tau,
+        threads=state.threads,
+    )
+    task = res.logits.cross_entropy_mean(ys.reshape(-1))
+    scores: list[Tensor] = []
     below = []
-    inv_b = 1.0 / len(batch)
-    for x, y in batch:
-        res = forward_lm(
-            state.params, x, ffn_mode=mode, routers=state.routers, tau=tau,
-            threads=state.threads,
-        )
-        ce = res.logits.cross_entropy_mean(y) * inv_b
-        task = ce if task is None else task + ce
-        if res.decisions is not None:
-            scores = (res.score_graph if res.score_graph is not None
-                      else [Tensor(dec.scores) for dec in res.decisions])
-            if not per_layer_scores:
-                per_layer_scores = [[] for _ in scores]
-            for l, dec in enumerate(res.decisions):
-                per_layer_scores[l].append(scores[l])
-                below.append(float((dec.scores <= tau).mean()))
+    if res.decisions is not None:
+        scores = (res.score_graph if res.score_graph is not None
+                  else [Tensor(dec.scores) for dec in res.decisions])
+        below = [float((dec.scores <= tau).mean()) for dec in res.decisions]
 
     hp = state.aux if state.aux is not None else LteHyperparams()
     if state.stage == "stage1":
-        eff_t, sep_t = aux_loss_graph(per_layer_scores, hp)
+        eff_t, sep_t = aux_loss_graph([[g] for g in scores], hp)
         total = task + eff_t * hp.eta + sep_t * hp.lam
         breakdown = LossBreakdown(
             task=task.item(),
             efficiency=eff_t.item(),
             separability=sep_t.item(),
             total=total.item(),
-            mean_score_per_layer=[float(np.mean([g.data.mean() for g in layer]))
-                                  for layer in per_layer_scores],
+            mean_score_per_layer=[float(g.data.mean()) for g in scores],
         )
     else:
         total = task
         eff = sep = 0.0
-        if per_layer_scores:
+        if scores:
             with no_grad():
-                eff_t, sep_t = aux_loss_graph(per_layer_scores, hp)
+                eff_t, sep_t = aux_loss_graph([[g] for g in scores], hp)
             eff, sep = eff_t.item(), sep_t.item()
         breakdown = LossBreakdown(
             task=task.item(), efficiency=eff, separability=sep, total=task.item()

@@ -315,12 +315,12 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     corpus = tmp_path / "c.txt"
     make_synthetic_corpus(str(corpus), n_bytes=40_000, seed=5)
 
-    def run(out):
+    def run(out, extra=()):
         args = ["--corpus", str(corpus), "--out-dir", str(out), "--seed", "3",
                 "--set", "d_model=16", "--set", "n_layers=1", "--set", "d_ffn=16",
                 "--set", "n_heads=2", "--set", "expert_size=4", "--set", "seq_len=32",
                 "--set", "max_seq_len=64", "--set", "lr=0.003", "--set", "batch_size=4",
-                "--set", "eval_windows=4"]
+                "--set", "eval_windows=4", *extra]
         assert cli_main(["train-base", "--steps", "25", *args]) == 0
         assert cli_main(["moefy", "--checkpoint", str(out / "base.ckpt"), *args]) == 0
         assert cli_main(["train-lte", "--checkpoint", str(out / "moefied.ckpt"),
@@ -331,12 +331,25 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                          "--method", "lte", *args]) == 0
         assert cli_main(["report", "--checkpoint", str(out / "stage2.ckpt"), *args]) == 0
 
-    run(tmp_path / "run1")
-    run(tmp_path / "run2")
     files = ["base.ckpt", "moefied.ckpt", "stage1.ckpt", "stage2.ckpt",
              "train_base.log", "train_stage1.log", "train_stage2.log",
              "results.tsv", "report.txt", "sparsity_per_layer.svg", "score_histogram.svg"]
-    diffs = [f for f in files
-             if (tmp_path / "run1" / f).read_bytes() != (tmp_path / "run2" / f).read_bytes()]
-    report(10, not diffs, "pipeline determinism: all artifacts byte-identical"
-           + ("" if not diffs else f"; differing: {diffs}"))
+    # the default settings end stage 1 with every score below tau; the mixed run
+    # keeps some experts selected, so stage 2 and eval exercise the gather path
+    settings = {"default": (), "mixed": ("--set", "eta=0.3", "--set", "tau=0.47")}
+    diffs, sparsity = [], {}
+    for name, extra in settings.items():
+        run(tmp_path / f"{name}1", extra)
+        run(tmp_path / f"{name}2", extra)
+        diffs += [f"{name}/{f}" for f in files
+                  if (tmp_path / f"{name}1" / f).read_bytes()
+                  != (tmp_path / f"{name}2" / f).read_bytes()]
+        lines = (tmp_path / f"{name}1" / "report.txt").read_text().splitlines()
+        sparsity[name] = next(float(l.split("\t")[1]) for l in lines
+                              if l.startswith("overall_sparsity\t"))
+    mixed_ok = 0.0 < sparsity["mixed"] < 1.0
+    report(10, not diffs and mixed_ok,
+           "pipeline determinism: all artifacts byte-identical"
+           + ("" if not diffs else f"; differing: {diffs}")
+           + "; overall sparsity " + ", ".join(f"{k}={v:.3f}" for k, v in sparsity.items())
+           + " (mixed run must lie strictly inside (0, 1))")

@@ -19,12 +19,13 @@ from moefy.analysis import (
     union_sparsity,
     val_windows,
 )
-from moefy.autograd import param
+from moefy.autograd import no_grad, param
+from moefy.losses import task_loss
 from moefy.checkpoint import CheckpointBundle
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import ModelConfig, get_ffn_layer, init_params, set_ffn_layer
+from moefy.model import ModelConfig, forward_lm, get_ffn_layer, init_params, set_ffn_layer
 from moefy.numerics import Rng
-from moefy.routing import RouterLayer, router_init
+from moefy.routing import RouterLayer, magnitude_select, router_init
 
 logit = lambda p: math.log(p / (1 - p))
 
@@ -194,6 +195,34 @@ class TestEvaluate:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             evaluate(build_bundle(seed=20), windows_from(21), "magic")
+
+    def test_chunked_eval_matches_per_window(self):
+        # 40 windows run as two forward_lm chunks (32 + 8); float64 reference per window
+        bundle = build_bundle(seed=22)
+        bundle.params = bundle.params.astype(np.float64)
+        for r in bundle.routers:
+            r.Wg = param(r.Wg.data.astype(np.float64))
+        wins = windows_from(23, n=40)
+        assert len(wins) > analysis.EVAL_CHUNK
+        ce, scores, masks = collect_decisions(bundle, wins, tau=0.5)
+        with no_grad():
+            runs = [forward_lm(bundle.params, w[:-1], "moe_discrete", routers=bundle.routers,
+                               tau=0.5, partitions=bundle.partitions) for w in wins]
+        ref_ce = np.mean([task_loss(r.logits.data, w[1:]) for r, w in zip(runs, wins)])
+        assert abs(ce - ref_ce) < 1e-12
+        for l in range(bundle.config.n_layers):
+            ref_mask = np.concatenate([r.decisions[l].mask for r in runs])
+            assert np.array_equal(masks[l], ref_mask)
+            assert 0 < ref_mask.mean() < 1
+        assert abs(evaluate(bundle, wins, "lte").mean_ce - ref_ce) < 1e-12
+        dejavu = lambda i, x: magnitude_select(bundle.params, i, x, 0.5)
+        for method, override in (("dense", None), ("dejavu", dejavu)):
+            with no_grad():
+                ref = np.mean([task_loss(forward_lm(bundle.params, w[:-1],
+                                                    ffn_override=override).logits.data, w[1:])
+                               for w in wins])
+            got = evaluate(bundle, wins, method, keep_fraction=0.5).mean_ce
+            assert abs(got - ref) < 1e-12
 
     def test_val_windows_deterministic_and_bounded(self):
         data = np.arange(1000, dtype=np.uint8)

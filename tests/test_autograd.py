@@ -72,9 +72,33 @@ class TestStructure:
         idx = np.array([0, 2, 2, 1])
         check_grads(lambda a: a.rows(idx).square().sum(), rnd((4, 3), 13))
 
-    def test_row_col_slice(self):
-        check_grads(lambda a: a.row_slice(1, 3).sum(), rnd((5, 2), 14))
-        check_grads(lambda a: a.col_slice(0, 2).square().sum(), rnd((3, 4), 15))
+    def test_transpose_swaps_last_two_axes(self):
+        x = rnd((2, 3, 4), 14)
+        assert param(x).transpose().shape == (2, 4, 3)
+        check_grads(lambda a: (a.transpose() * rnd((2, 4, 3), 15)).sum(), x)
+
+    def test_reshape(self):
+        check_grads(lambda a: (a.reshape(6, 4) * rnd((6, 4), 30)).square().sum(),
+                    rnd((2, 3, 4), 31))
+
+    def test_permute(self):
+        x = rnd((2, 3, 4, 5), 32)
+        assert param(x).permute(0, 2, 1, 3).shape == (2, 4, 3, 5)
+        check_grads(lambda a: (a.permute(2, 0, 3, 1) * rnd((4, 2, 5, 3), 33)).square().sum(), x)
+
+    def test_stacked_matmul_both_operands(self):
+        check_grads(lambda a, b: (a @ b).square().mean(),
+                    rnd((2, 3, 4, 5), 34), rnd((2, 3, 5, 2), 35))
+
+    def test_stacked_matmul_spans_reduction_blocks(self):
+        check_grads(lambda a, b: (a @ b).square().mean(),
+                    rnd((2, 3, 70), 36, std=0.3), rnd((2, 70, 2), 37, std=0.3))
+
+    def test_stacked_matmul_shape_errors(self):
+        with pytest.raises(ShapeError):
+            param(rnd((2, 3, 4), 38)) @ param(rnd((3, 4, 2), 39))
+        with pytest.raises(ShapeError):
+            param(rnd((2, 3, 4), 40)) @ param(rnd((4, 2), 41))
 
     def test_repeat_cols(self):
         check_grads(lambda a: (a.repeat_cols(3) * 0.5).square().sum(), rnd((2, 4), 16))
@@ -89,6 +113,21 @@ class TestFused:
 
     def test_softmax_rows(self):
         check_grads(lambda a: (a.softmax_rows() * rnd((4, 5), 21)).sum(), rnd((4, 5), 20))
+
+    def test_softmax_rows_4d(self):
+        check_grads(lambda a: (a.softmax_rows() * rnd((2, 2, 3, 4), 42)).sum(),
+                    rnd((2, 2, 3, 4), 43))
+
+    def test_layernorm_on_batch_rows(self):
+        # (B, T, d) flattened to B*T rows, as the batched forward pass does
+        check_grads(
+            lambda x, g, b: x.reshape(6, 8).layernorm(g, b).square().mean(),
+            rnd((2, 3, 8), 44), rnd((8,), 45) + 1.0, rnd((8,), 46),
+        )
+
+    def test_cross_entropy_on_batch_rows(self):
+        targets = np.array([[1, 0, 3], [2, 2, 4]]).reshape(-1)
+        check_grads(lambda a: a.reshape(6, 5).cross_entropy_mean(targets), rnd((2, 3, 5), 47))
 
     def test_softmax_rows_sum_to_one(self):
         p = param(rnd((7, 9), 22)).softmax_rows().data

@@ -326,6 +326,66 @@ class TestForwardLm:
         assert all(d.mask.all() for d in disc.decisions)
 
 
+def moefied_f64(kind, seed=60):
+    """Float64 toy model with random partitions and routers giving mixed masks."""
+    from moefy.grouping import apply_partition, group_experts_random
+    from moefy.model import set_ffn_layer
+
+    cfg = toy_config(ffn_kind=kind, d_ffn=16 if kind == "two_matmul" else 12)
+    params = init_params(cfg, Rng(seed)).astype(F64)
+    partitions, routers = [], []
+    for i in range(cfg.n_layers):
+        p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(seed).split(f"g{i}"))
+        set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+        partitions.append(p)
+        routers.append(routing.router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"r{i}"),
+                                           std=1.0, dtype=np.float64))
+    return params, routers, partitions
+
+
+# test mode -> forward_lm ffn_mode; the gather variant runs under no_grad
+BATCH_MODES = {"dense": "dense", "moe_soft": "moe_soft", "moe_discrete_graph": "moe_discrete",
+               "moe_discrete_gather": "moe_discrete", "override": "dense"}
+
+
+class TestBatchedForward:
+    """(B, T) tokens give the rows of B one-sequence calls, batch-major."""
+
+    @staticmethod
+    def run(params, routers, partitions, tokens, mode):
+        kw = dict(ffn_mode=BATCH_MODES[mode], routers=routers, partitions=partitions)
+        if mode == "override":
+            kw["ffn_override"] = lambda i, x: routing.magnitude_select(params, i, x, 0.5)
+        if mode == "moe_discrete_gather":
+            with no_grad():
+                res = forward_lm(params, tokens, **kw)
+        else:
+            res = forward_lm(params, tokens, **kw)
+        masks = [getattr(d, "mask", d) for d in (res.decisions or [])]
+        return res.logits.data, masks
+
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    @pytest.mark.parametrize("mode", BATCH_MODES)
+    def test_batch_equals_per_sequence(self, kind, mode):
+        params, routers, partitions = moefied_f64(kind)
+        tokens = Rng(61).integers(0, params.config.vocab_size, size=(3, 7))
+        logits, masks = self.run(params, routers, partitions, tokens, mode)
+        singles = [self.run(params, routers, partitions, t, mode) for t in tokens]
+        assert logits.shape == (21, params.config.vocab_size)
+        ref = np.concatenate([lg for lg, _ in singles])
+        assert np.abs(logits - ref).max() < 1e-10
+        assert len(masks) == (0 if mode == "dense" else params.config.n_layers)
+        for l, m in enumerate(masks):
+            assert np.array_equal(m, np.concatenate([ms[l] for _, ms in singles]))
+        if mode.startswith("moe_discrete"):
+            assert 0 < np.mean([m.mean() for m in masks]) < 1  # mixed selections
+
+    def test_token_rank_checked(self):
+        params = init_params(toy_config(), Rng(62))
+        with pytest.raises(ShapeError):
+            forward_lm(params, np.zeros((2, 2, 2), dtype=np.int64))
+
+
 class TestParamCount:
     @pytest.mark.parametrize("kw", [
         {},

@@ -75,6 +75,31 @@ class TestMatmul:
         b = rng.normal((128, 64), std=1.0)
         assert np.array_equal(matmul(a, b, threads=2), matmul(a, b, threads=1))
 
+    @pytest.mark.parametrize("m", [256, 64])  # rows split across workers / unpartitioned
+    def test_threaded_stacked_match_single_thread(self, m):
+        rng = Rng(10)
+        a = rng.normal((2, 3, m, 130), std=1.0)
+        b = rng.normal((2, 3, 130, 40), std=1.0)
+        assert np.array_equal(matmul(a, b, threads=2), matmul(a, b, threads=1))
+
+    def test_stacked_matches_per_slice_oracle(self):
+        rng = Rng(12)
+        a = rng.normal((2, 3, 5, 70), std=1.0, dtype=np.float64)
+        b = rng.normal((2, 3, 70, 4), std=1.0, dtype=np.float64)
+        out = matmul(a, b)
+        assert out.shape == (2, 3, 5, 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.allclose(out[i, j], triple_loop(a[i, j], b[i, j]), atol=1e-9)
+
+    def test_stacked_shape_errors(self):
+        with pytest.raises(ShapeError):  # leading shapes differ
+            matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+        with pytest.raises(ShapeError):  # stacked with plain 2-D
+            matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
+        with pytest.raises(ShapeError):
+            matmul(np.zeros(3), np.zeros((3, 2)))
+
 
 class TestActivation:
     def test_relu(self):

@@ -99,6 +99,32 @@ class TestGradients:
         rel = np.abs(analytic - fd) / denom
         assert rel.max() < 1e-4
 
+    def test_stage1_toy_batch_matches_finite_differences(self):
+        # the same objective over a (B=2, T=6) batch; tolerance as criterion 2
+        cfg = toy_config()
+        hp = LteHyperparams(eta=1.0, lam=0.5)
+        params = init_params(cfg, Rng(21)).astype(F64)
+        routers, _ = moefy_params(params, seed=21, router_std=0.8)
+        tokens = Rng(22).integers(0, cfg.vocab_size, size=(2, 6))
+        targets = Rng(23).integers(0, cfg.vocab_size, size=(2, 6)).reshape(-1)
+
+        trainable = dict(params.tensors)
+        trainable["router.0.Wg"] = routers[0].Wg
+        grads = collect_gradients(stage1_total(params, routers, tokens, targets, hp), trainable)
+        analytic = np.concatenate([grads[n].ravel() for n in trainable])
+        base = trainable_vector(trainable)
+
+        def f(vec):
+            scatter_vector(trainable, vec)
+            with no_grad():
+                out = float(stage1_total(params, routers, tokens, targets, hp).data)
+            scatter_vector(trainable, base)
+            return out
+
+        fd = finite_diff_grad(f, base, eps=1e-6)
+        denom = np.maximum(np.abs(fd), 1e-4 * np.abs(fd).max())
+        assert (np.abs(analytic - fd) / denom).max() <= 1e-4
+
     def test_finite_difference_eps_cross_check(self):
         cfg = toy_config()
         hp = LteHyperparams(eta=0.5, lam=0.5)
@@ -273,6 +299,58 @@ class TestRuns:
         final_d = np.mean([r[1].task for r in rows_d[-10:]])
         final_s = np.mean([r[1].task for r in rows_s[-10:]])
         assert abs(final_s - final_d) / final_d < 0.10
+
+    @pytest.mark.parametrize("stage", ["base", "stage1", "stage2"])
+    def test_batched_step_matches_per_sequence_formulas(self, small_corpus, stage):
+        st = make_state(small_corpus, seed=13, stage=stage, steps=4)
+        st.params = st.params.astype(F64)
+        if st.routers is not None:
+            for r in st.routers:
+                r.Wg = param(r.Wg.data.astype(F64))
+        batch = sample_batch(small_corpus.train, Rng(14), 3, 32)
+        mode = {"base": "dense", "stage1": "moe_soft", "stage2": "moe_discrete"}[stage]
+        tau, hp = st.aux.tau, st.aux
+        # the per-sequence formulas, with the graph-mode FFN train_step runs
+        runs = [forward_lm(st.params, x, ffn_mode=mode, routers=st.routers, tau=tau)
+                for x, _ in batch]
+        task = np.mean([r.logits.cross_entropy_mean(y).item() for r, (_, y) in zip(runs, batch)])
+        below, layers = [], []
+        if stage != "base":
+            layers = [[param(r.decisions[l].scores) for r in runs]
+                      for l in range(st.params.config.n_layers)]
+            below = [float((d.scores <= tau).mean()) for r in runs for d in r.decisions]
+            with no_grad():
+                eff, sep = (t.item() for t in aux_loss_graph(layers, hp))
+
+        bd, sparsity = train_step(st, batch)
+        assert abs(bd.task - task) < 1e-12
+        assert abs(sparsity - (np.mean(below) if below else 0.0)) < 1e-12
+        if stage == "base":
+            assert bd.efficiency == bd.separability == 0.0 and bd.total == bd.task
+            return
+        assert abs(bd.efficiency - eff) < 1e-12 and abs(bd.separability - sep) < 1e-12
+        if stage == "stage1":
+            assert abs(bd.total - (task + hp.eta * eff + hp.lam * sep)) < 1e-12
+            for l, layer in enumerate(layers):
+                mean = np.mean([g.data.mean() for g in layer])
+                assert abs(bd.mean_score_per_layer[l] - mean) < 1e-12
+        else:
+            assert bd.total == bd.task
+
+    def test_threads_leave_parameters_byte_identical(self, small_corpus):
+        # B*T = 256 rows, so threads=2 partitions the forward and input-grad matmuls
+        final = []
+        for threads in (1, 2):
+            st = make_state(small_corpus, seed=15, steps=6)
+            st.threads = threads
+            st.hyper.batch_size = 8
+            run_training(st, small_corpus.train, 3)
+            st.routers, st.partitions = moefy_params(st.params, seed=15)
+            run_stage1(st, small_corpus.train, 3)
+            tensors = dict(st.params.tensors, **{f"router{i}": r.Wg
+                                                 for i, r in enumerate(st.routers)})
+            final.append({k: t.data.tobytes() for k, t in tensors.items()})
+        assert final[0] == final[1]
 
     def test_monitored_sparsity_bounds(self, small_corpus):
         st = make_state(small_corpus, seed=12, stage="stage1", steps=3)
