@@ -45,6 +45,7 @@ class LossBreakdown:
     separability: float
     total: float
     mean_score_per_layer: list = field(default_factory=list)
+    grad_norm: float = 0.0    # pre-clip L2 norm of the step's gradients
 
 
 def task_loss(logits: np.ndarray, targets: np.ndarray) -> float:

@@ -93,12 +93,12 @@ def matmul_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else F64)
+    if x.dtype.kind != "f":
+        x = x.astype(F64)
+    # exp(-x) where x >= 0 and exp(x) below (NaN keeps its sign): never overflows
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def activation(h: np.ndarray, kind: str) -> np.ndarray:

@@ -77,7 +77,8 @@ def moe_forward_discrete(layer, partition, router: RouterLayer, x: np.ndarray,
         packed = sparse_exec.pack(lay)
     # np.nonzero walks row-major, so each token's ids come out sorted ascending
     _, ids = np.nonzero(mask)
-    selections = np.split(ids, np.cumsum(mask.sum(axis=1)))[:-1]
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    selections = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
     y = sparse_exec.sparse_ffn_forward(packed, selections, x)
     return y, RoutingDecision(scores=scores, mask=mask, mode="discrete", tau=tau)
 

@@ -3,9 +3,12 @@
 Weights are stored expert-major: each expert's up-projection columns form one
 contiguous (d_model x expert_size) slab and its down-projection rows one
 contiguous (expert_size x d_model) slab, so selecting an expert loads whole
-slabs instead of strided columns. The CPU kernel dispatches expert-major:
-for each selected expert, in ascending order, it gathers the tokens that
-chose it, runs one matmul pair over them and scatter-adds the result.
+slabs instead of strided columns. The CPU kernel dispatches expert-major
+over one buffer of (expert, token) pairs: an up matmul per selected expert
+into its span, one activation over the whole buffer, then a down matmul per
+expert scatter-added into its tokens, in ascending expert order. An expert
+every token chose reads `x` and adds into the output without a gather or a
+scatter.
 """
 
 from __future__ import annotations
@@ -85,8 +88,7 @@ def pack(layer) -> PackedExpertWeights:
 def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
     """(T, n) bool mask of per-token expert ids, each sorted ascending and unique."""
     counts = np.fromiter((len(s) for s in selections), dtype=np.int64, count=len(selections))
-    ids = np.concatenate([np.zeros(0, np.int64)]
-                         + [np.asarray(s, dtype=np.int64) for s in selections])
+    ids = np.concatenate([np.zeros(0, np.int64), *selections]).astype(np.int64, copy=False)
     tok = np.repeat(np.arange(len(selections)), counts)
     # ids are compared only inside one token's segment, never across a boundary
     bad = (np.diff(ids) <= 0) & (tok[1:] == tok[:-1])
@@ -110,24 +112,46 @@ def sparse_ffn_forward(
     """Gather-based FFN: per token, only selected expert slabs are touched.
 
     selections[t] lists that token's expert ids, sorted ascending, unique.
-    Dispatch is expert-major: each expert any token selected gathers its
-    tokens and runs one up/down matmul pair, in ascending expert order, so
-    every token sums its experts in ascending order.
+    The selected (expert, token) pairs are laid out expert-major in one
+    hidden buffer. Each selected expert costs one up matmul (two for swiglu)
+    into its span and one down matmul added into its tokens; the bias and
+    the activation run once over the whole buffer. Experts run in ascending
+    order, so every token sums its experts from zero in ascending order.
     """
     if x.ndim != 2 or len(selections) != x.shape[0]:
         raise numerics.ShapeError(
             f"{len(selections)} selections for input of shape {x.shape}"
         )
     mask = _selection_mask(selections, packed.n_experts)
-    out = np.zeros((x.shape[0], packed.d_model), dtype=x.dtype)
-    for e in np.flatnonzero(mask.any(axis=0)):
-        idx = np.flatnonzero(mask[:, e])
-        xe = x[idx]
-        if packed.kind == "two_matmul":
-            h = numerics.activation(xe @ packed.up[e] + packed.b1[e], packed.activation)
+    # an expert every token chose reads x itself; BLAS on a strided x can
+    # round differently from the contiguous rows a gather makes
+    x = np.ascontiguousarray(x)
+    n_tok = x.shape[0]
+    e_ids, tok = np.nonzero(mask.T)  # expert-major pairs, tokens ascending within an expert
+    counts = np.bincount(e_ids, minlength=packed.n_experts).tolist()
+    ends = np.cumsum(counts).tolist()
+    spans = [(e, hi - c, hi) for e, (c, hi) in enumerate(zip(counts, ends)) if c]
+
+    dtype = np.result_type(x, packed.up)
+    up = np.empty((tok.size, packed.expert_size), dtype=dtype)
+    gate = np.empty_like(up) if packed.kind == "swiglu" else None
+    for e, lo, hi in spans:
+        xe = x if hi - lo == n_tok else x[tok[lo:hi]]
+        np.matmul(xe, packed.up[e], out=up[lo:hi])
+        if gate is not None:
+            np.matmul(xe, packed.gate[e], out=gate[lo:hi])
+    if gate is None:
+        up += packed.b1[e_ids]
+        h = numerics.activation(up, packed.activation)
+    else:
+        h = numerics.activation(gate, "silu") * up
+
+    out = np.zeros((n_tok, packed.d_model), dtype=x.dtype)
+    for e, lo, hi in spans:
+        if hi - lo == n_tok:
+            out += h[lo:hi] @ packed.down[e]
         else:
-            h = numerics.activation(xe @ packed.gate[e], "silu") * (xe @ packed.up[e])
-        out[idx] += h @ packed.down[e]
+            out[tok[lo:hi]] += h[lo:hi] @ packed.down[e]
     if packed.b2 is not None:
         out += packed.b2
     return out

@@ -21,7 +21,7 @@ from .routing import RouterLayer
 
 GradientSet = dict[str, np.ndarray]
 
-LOG_COLUMNS = ("step", "task", "efficiency", "separability", "total", "sparsity")
+LOG_COLUMNS = ("step", "task", "efficiency", "separability", "total", "sparsity", "grad_norm")
 
 
 @dataclass
@@ -173,7 +173,7 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
         )
 
     grads = collect_gradients(total, state.trainable())
-    clip_gradients(grads, state.hyper.clip_norm)
+    breakdown.grad_norm = clip_gradients(grads, state.hyper.clip_norm)
     optimizer_step(state, grads)
     sparsity = float(np.mean(below)) if below else 0.0
     return breakdown, sparsity
@@ -182,7 +182,8 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
 def format_log_row(step: int, bd: LossBreakdown, sparsity: float) -> str:
     return "\t".join(
         [str(step)]
-        + [f"{v:.8g}" for v in (bd.task, bd.efficiency, bd.separability, bd.total, sparsity)]
+        + [f"{v:.8g}" for v in (bd.task, bd.efficiency, bd.separability, bd.total, sparsity,
+                                 bd.grad_norm)]
     )
 
 

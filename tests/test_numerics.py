@@ -133,6 +133,57 @@ class TestActivation:
             activation(np.zeros(1), "tanh")
 
 
+def two_branch_sigmoid(x):
+    """The boolean-mask formula sigmoid replaced, kept as its bitwise oracle."""
+    x = np.asarray(x)
+    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 1e-8, -1e-8, 20.0, -20.0, 88.0, -88.0, 1e4, -1e4, np.nan, -np.nan]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_two_branch_formula(self, dtype):
+        x = np.array(self.EDGES, dtype=dtype)
+        got = sigmoid(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == two_branch_sigmoid(x).tobytes()
+        block = Rng(3).normal((64, 32), std=8.0, dtype=dtype)
+        assert sigmoid(block).tobytes() == two_branch_sigmoid(block).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raises_exactly_where_two_branch_formula_raises(self, dtype):
+        # exp(-|x|) underflows at +-1e4 in both; every other edge must not raise
+        raised = []
+        for v in self.EDGES:
+            x = np.array([v], dtype=dtype)
+            outcome = []
+            for f in (sigmoid, two_branch_sigmoid):
+                try:
+                    with np.errstate(all="raise"):
+                        outcome.append(f(x).tobytes())
+                except FloatingPointError:
+                    outcome.append("raised")
+            assert outcome[0] == outcome[1], v
+            if outcome[0] == "raised":
+                raised.append(v)
+        assert raised == [1e4, -1e4]
+
+    def test_integer_input_returns_float64(self):
+        x = np.array([-3, 0, 2], dtype=np.int64)
+        assert sigmoid(x).dtype == np.float64
+        assert sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+        # narrow integers are computed in float64 too (the old formula's exp
+        # of an int8 array ran in float16)
+        small = x.astype(np.int8)
+        assert sigmoid(small).tobytes() == sigmoid(x.astype(np.float64)).tobytes()
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         g = finite_diff_grad(lambda p: float(p[0] ** 2), np.array([3.0]), eps=1e-5)

@@ -136,6 +136,31 @@ class TestDiscrete:
         assert np.array_equal(d1.mask[2], d2.mask[-1])
 
 
+    def test_gather_kernel_receives_per_token_id_arrays(self, monkeypatch):
+        # the benchmark's traced observer reads sparse_ffn_forward's args[1] as
+        # one sorted id array per token; a mask argument would break its counts
+        seen = []
+        kernel = routing.sparse_exec.sparse_ffn_forward
+
+        def spy(packed, selections, x):
+            seen.append(selections)
+            return kernel(packed, selections, x)
+
+        monkeypatch.setattr(routing.sparse_exec, "sparse_ffn_forward", spy)
+        rng = Rng(12)
+        params, part = make_layer(rng, n_experts=4)
+        r = router_init(6, 4, rng.split("r"), std=1.5)
+        x = rng.normal((9, 6), std=1.0)
+        _, dec = discrete(params, part, r, x, tau=0.5)
+        assert 0 < dec.mask.mean() < 1 and len(seen) == 1
+        sels = seen[0]
+        assert isinstance(sels, list) and len(sels) == 9
+        for t, sel in enumerate(sels):
+            assert isinstance(sel, np.ndarray) and sel.ndim == 1
+            assert np.issubdtype(sel.dtype, np.integer)
+            assert np.array_equal(sel, np.flatnonzero(dec.mask[t]))
+
+
 class TestSoft:
     def test_scores_one_equals_dense(self):
         rng = Rng(12)

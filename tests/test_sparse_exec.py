@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moefy import numerics
 from moefy.grouping import apply_partition, group_experts_random
 from moefy.model import FfnLayer, GluFfnLayer, ModelConfig
 from moefy.numerics import Rng, activation
@@ -200,6 +201,87 @@ class TestExpertMajorDispatch:
         x = np.zeros((len(sels), 128), dtype=np.float32)
         with pytest.raises(ValueError, match="token 37"):
             sparse_ffn_forward(packed, sels, x)
+
+
+def expert_loop_oracle(packed, selections, x):
+    """The expert-by-expert gather loop this kernel replaced: it gathers each
+    selected expert's tokens, activates them, and scatter-adds its down matmul."""
+    mask = np.zeros((x.shape[0], packed.n_experts), dtype=bool)
+    for t, sel in enumerate(selections):
+        mask[t, sel] = True
+    out = np.zeros((x.shape[0], packed.d_model), dtype=x.dtype)
+    for e in np.flatnonzero(mask.any(axis=0)):
+        idx = np.flatnonzero(mask[:, e])
+        xe = x[idx]
+        if packed.kind == "two_matmul":
+            h = activation(xe @ packed.up[e] + packed.b1[e], packed.activation)
+        else:
+            h = activation(xe @ packed.gate[e], "silu") * (xe @ packed.up[e])
+        out[idx] += h @ packed.down[e]
+    if packed.b2 is not None:
+        out += packed.b2
+    return out
+
+
+def seeded_mask(n_tok, variant, n=32, seed=30):
+    """~40%-dense selection mask; `columns` forces expert 0 on for every token
+    and expert 5 off, `rows` alternates tokens that chose none and all."""
+    mask = Rng(seed + n_tok).normal((n_tok, n), std=1.0) > 0.25
+    if variant == "columns":
+        mask[:, 0] = True
+        mask[:, 5] = False
+    elif variant == "rows":
+        mask[0::4] = False
+        mask[1::4] = True
+    return mask
+
+
+class TestKernelByteIdentity:
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_tok", [0, 1, 40, 2048])
+    @pytest.mark.parametrize("variant", ["random", "columns", "rows"])
+    def test_matches_expert_loop_bitwise(self, kind, dtype, n_tok, variant):
+        _, packed = model_shape_layer(kind, dtype)
+        mask = seeded_mask(n_tok, variant)
+        sels = [np.flatnonzero(row) for row in mask]
+        x = Rng(31).normal((n_tok, 128), std=1.0, dtype=dtype)
+        y = sparse_ffn_forward(packed, sels, x)
+        ref = expert_loop_oracle(packed, sels, x)
+        assert y.dtype == ref.dtype == dtype
+        assert y.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    @pytest.mark.parametrize("n_tok", [1, 40])
+    def test_strided_input_matches_expert_loop_bitwise(self, kind, n_tok):
+        _, packed = model_shape_layer(kind, np.float32)
+        mask = seeded_mask(n_tok, "columns")
+        sels = [np.flatnonzero(row) for row in mask]
+        x = Rng(33).normal((n_tok, 256), std=1.0)[:, ::2]
+        y = sparse_ffn_forward(packed, sels, x)
+        assert y.tobytes() == expert_loop_oracle(packed, sels, x).tobytes()
+
+    def test_masks_cover_the_edge_cases(self):
+        cols, rows = seeded_mask(40, "columns"), seeded_mask(40, "rows")
+        assert cols[:, 0].all() and not cols[:, 5].any()
+        assert not rows[0].any() and rows[1].all()
+        assert 0 < cols.mean() < 1 and 0 < rows.mean() < 1
+
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    def test_one_activation_call_per_forward(self, kind, monkeypatch):
+        _, packed = model_shape_layer(kind, np.float32)
+        calls = []
+
+        def counting(h, act):
+            calls.append(h.shape)
+            return activation(h, act)
+
+        monkeypatch.setattr(numerics, "activation", counting)
+        mask = seeded_mask(40, "columns")
+        sparse_ffn_forward(packed, [np.flatnonzero(r) for r in mask],
+                           Rng(32).normal((40, 128), std=1.0))
+        # one call over every selected (expert, token) pair
+        assert calls == [(int(mask.sum()), packed.expert_size)]
 
 
 class TestFlops:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moefy import training
 from moefy.autograd import no_grad, param
 from moefy.config import make_synthetic_corpus, load_corpus
 from moefy.grouping import apply_partition, group_experts_random
@@ -9,6 +10,7 @@ from moefy.model import ModelConfig, TransformerParams, forward_lm, get_ffn_laye
 from moefy.numerics import F64, Rng, finite_diff_grad
 from moefy.routing import router_init
 from moefy.training import (
+    LOG_COLUMNS,
     TrainHyper,
     TrainingState,
     collect_gradients,
@@ -351,6 +353,30 @@ class TestRuns:
                                                  for i, r in enumerate(st.routers)})
             final.append({k: t.data.tobytes() for k, t in tensors.items()})
         assert final[0] == final[1]
+
+    def test_log_records_clip_gradients_norm(self, small_corpus, tmp_path, monkeypatch):
+        norms = []
+        clip = training.clip_gradients
+
+        def recording(grads, max_norm):
+            norms.append(clip(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "clip_gradients", recording)
+        st = make_state(small_corpus, seed=16, stage="stage1", steps=9)
+        st.stage = "base"
+        paths = [tmp_path / f"{p}.log" for p in ("base", "stage1", "stage2")]
+        for run, path in zip((run_training, run_stage1, run_stage2), paths):
+            rows = run(st, small_corpus.train, 3, log_path=str(path))
+            assert [bd.grad_norm for _, bd, _ in rows] == norms[-3:]
+        assert len(norms) == 9 and all(v > 0 for v in norms)
+        logged = []
+        for path in paths:
+            header, *lines = path.read_text().splitlines()
+            assert header.split("\t") == list(LOG_COLUMNS) and LOG_COLUMNS[-1] == "grad_norm"
+            assert LOG_COLUMNS[1] == "task"
+            logged += [line.split("\t")[-1] for line in lines]
+        assert logged == [f"{v:.8g}" for v in norms]
 
     def test_monitored_sparsity_bounds(self, small_corpus):
         st = make_state(small_corpus, seed=12, stage="stage1", steps=3)
