@@ -18,7 +18,7 @@ from . import losses, routing, sparse_exec
 from .autograd import no_grad
 from .checkpoint import CheckpointBundle
 from .model import forward_lm, get_ffn_layer
-from .numerics import Rng
+from .numerics import Rng, blas_threads
 from .sparse_exec import FlopsReport
 
 HIST_BINS = 64
@@ -57,8 +57,7 @@ def _packed_layers(bundle: CheckpointBundle):
     ]
 
 
-def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: float,
-                      threads: int = 1):
+def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: float):
     """Discrete-mode eval: returns (mean_ce, per-layer stacked scores and masks)."""
     cfg = bundle.config
     packed = _packed_layers(bundle)
@@ -69,7 +68,7 @@ def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: 
         for x, y in _chunks(windows):
             res = forward_lm(
                 bundle.params, x, ffn_mode="moe_discrete", routers=bundle.routers,
-                tau=tau, partitions=bundle.partitions, packed=packed, threads=threads,
+                tau=tau, partitions=bundle.partitions, packed=packed,
             )
             ce_sum += losses.task_loss(res.logits.data, y) * y.shape[0]
             tok += y.shape[0]
@@ -120,13 +119,11 @@ class SparsityReport:
     union_by_batch: dict            # batch size -> per-layer union sparsity
     concentration: list             # per layer (max mean score, entropy)
     mean_selected_per_layer: list
-    threads: int = 1
 
 
 def layer_sparsity_report(bundle: CheckpointBundle, windows: list[np.ndarray],
-                          tau: float, corpus_hash: str = "",
-                          threads: int = 1) -> SparsityReport:
-    _, scores, masks = collect_decisions(bundle, windows, tau, threads=threads)
+                          tau: float, corpus_hash: str = "") -> SparsityReport:
+    _, scores, masks = collect_decisions(bundle, windows, tau)
     per_layer = [float(1.0 - m.mean()) for m in masks]
     hists = np.stack(
         [np.histogram(s, bins=HIST_BINS, range=(0.0, 1.0))[0] for s in scores]
@@ -148,7 +145,6 @@ def layer_sparsity_report(bundle: CheckpointBundle, windows: list[np.ndarray],
         union_by_batch=union_by_batch,
         concentration=[score_concentration(s) for s in scores],
         mean_selected_per_layer=[float(m.sum(axis=1).mean()) for m in masks],
-        threads=threads,
     )
 
 
@@ -172,7 +168,7 @@ class EvalMetrics:
 
 def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
              tau: float = 0.5, k: int = 1, keep_fraction: float = 1.0,
-             seed: int = 0, threads: int = 1) -> EvalMetrics:
+             seed: int = 0) -> EvalMetrics:
     """Validation perplexity + sparsity + FLOPs for one routing method."""
     cfg = bundle.config
     n = cfg.n_experts
@@ -184,7 +180,7 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
         raise ValueError(f"method {method!r} needs a moefied checkpoint")
 
     if method == "lte":
-        mean_ce, _, masks = collect_decisions(bundle, windows, tau, threads=threads)
+        mean_ce, _, masks = collect_decisions(bundle, windows, tau)
         selected = [float(m.sum(axis=1).mean()) for m in masks]
         flops = sparse_exec.flops_per_token(cfg, selected)
         sparsity = float(np.mean([1.0 - m.mean() for m in masks]))
@@ -194,28 +190,24 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
     params = bundle.params
     override = None
     if method == "dejavu":
-        override = lambda i, x: routing.magnitude_select(params, i, x, keep_fraction,
-                                                          threads=threads)
+        override = lambda i, x: routing.magnitude_select(params, i, x, keep_fraction)
     elif method == "moefication_gt":
-        override = lambda i, x: routing.groundtruth_topk_select(params, i, x, k,
-                                                                 threads=threads)
+        override = lambda i, x: routing.groundtruth_topk_select(params, i, x, k)
     elif method == "random_router":
         rrs = [routing.random_router_init(cfg.d_model, n, k, Rng(seed).split(f"rr{i}"))
                for i in range(cfg.n_layers)]
-        override = lambda i, x: routing.random_topk_forward(params, i, rrs[i], x,
-                                                             threads=threads)
+        override = lambda i, x: routing.random_topk_forward(params, i, rrs[i], x)
     elif method == "noisy_topk":
         srs = [routing.router_init(cfg.d_model, n, Rng(seed).split(f"topk{i}"),
                                    std=1.0 / math.sqrt(cfg.d_model))
                for i in range(cfg.n_layers)]
         override = lambda i, x: routing.noisy_topk_forward(
-            params, i, srs[i], x, k, noise_std=0.0, threads=threads)
+            params, i, srs[i], x, k, noise_std=0.0)
 
     ce_sum, tok = 0.0, 0
     with no_grad():
         for x, y in _chunks(windows):
-            res = forward_lm(bundle.params, x, ffn_mode="dense", ffn_override=override,
-                             threads=threads)
+            res = forward_lm(bundle.params, x, ffn_mode="dense", ffn_override=override)
             ce_sum += losses.task_loss(res.logits.data, y) * y.shape[0]
             tok += y.shape[0]
     mean_ce = ce_sum / tok
@@ -246,8 +238,7 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
     return EvalMetrics(method, losses.perplexity(mean_ce), mean_ce, sparsity, flops, settings)
 
 
-def eval_record_line(metrics: EvalMetrics, corpus_hash: str, checkpoint_tag: str,
-                     threads: int = 1) -> str:
+def eval_record_line(metrics: EvalMetrics, corpus_hash: str, checkpoint_tag: str) -> str:
     """Append-only results-ledger line; trailing field is a content hash."""
     settings = ",".join(f"{k}={v}" for k, v in sorted(metrics.settings.items()))
     fields = [
@@ -260,7 +251,7 @@ def eval_record_line(metrics: EvalMetrics, corpus_hash: str, checkpoint_tag: str
         f"{metrics.flops.dense_flops_per_token:.8g}",
         f"{metrics.flops.sparse_flops_per_token:.8g}",
         f"{metrics.flops.router_flops_per_token:.8g}",
-        str(threads),
+        blas_threads(),
         corpus_hash[:16],
     ]
     digest = hashlib.sha256("\t".join(fields).encode()).hexdigest()[:16]
@@ -282,7 +273,7 @@ def format_report(r: SparsityReport) -> str:
         f"eval_tokens\t{r.eval_tokens}",
         f"corpus_hash\t{r.corpus_hash}",
         f"stage\t{r.stage}",
-        f"threads\t{r.threads}",
+        f"threads\t{blas_threads()}",
         f"overall_sparsity\t{r.overall_sparsity:.9g}",
         "",
         "layer\tsparsity\tmean_selected\tmax_mean_score\tscore_entropy",

@@ -156,14 +156,14 @@ class Tensor:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def matmul(self, other: "Tensor", threads: int = 1) -> "Tensor":
+    def matmul(self, other: "Tensor") -> "Tensor":
         """2-D or stacked (..., m, k) @ (..., k, n) product via numerics.matmul."""
-        data = numerics.matmul(self.data, other.data, threads=threads)
+        data = numerics.matmul(self.data, other.data)
         def back(g):
             if self.requires_grad:
-                self._accum(numerics.matmul(g, other.data.swapaxes(-1, -2), threads=threads))
+                self._accum(numerics.matmul(g, other.data.swapaxes(-1, -2)))
             if other.requires_grad:
-                other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g, threads=threads))
+                other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g))
         return self._make(data, (self, other), back)
 
     def __matmul__(self, other):

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 config error, 3 runtime numeric failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -27,17 +26,8 @@ from .config import (
 )
 from .losses import LteHyperparams
 from .model import ModelConfig, get_ffn_layer, init_params, set_ffn_layer
-from .numerics import NumericError, Rng
+from .numerics import NumericError, Rng, blas_threads
 from .training import TrainHyper, TrainingState
-
-THREADS_ENV = "MOEFY_THREADS"
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer")
 
 
 def model_config(cfg: RunConfig) -> ModelConfig:
@@ -98,19 +88,17 @@ def _config(args, **extra) -> RunConfig:
 
 def cmd_train_base(args) -> int:
     cfg = _config(args, base_steps=args.steps)
-    threads = _threads()
     corpus = load_corpus(cfg.corpus)
     out = _out_dir(cfg)
     rng = Rng(cfg.seed)
     params = init_params(model_config(cfg), rng.split("init"))
     state = TrainingState(
         params=params, hyper=_hyper(cfg, cfg.base_steps), rng=rng.split("base_batches"),
-        stage="base", threads=threads,
-    )
+        stage="base")
     bundle = CheckpointBundle(
         config=params.config, params=params, stage="base",
         meta={"seed": cfg.seed, "steps": cfg.base_steps, "corpus": corpus.sha256,
-              "threads": threads},
+              "threads": blas_threads()},
     )
     training.run_training(
         state, corpus.train, cfg.base_steps, log_path=str(out / "train_base.log"),
@@ -125,7 +113,6 @@ def cmd_train_base(args) -> int:
 
 def cmd_moefy(args) -> int:
     cfg = _config(args, expert_size=args.expert_size, group_method=args.method)
-    threads = _threads()
     bundle = load_checkpoint(args.checkpoint)
     if bundle.stage != "base":
         raise ConfigError(f"moefy needs a dense base checkpoint, got stage {bundle.stage!r}")
@@ -151,7 +138,7 @@ def cmd_moefy(args) -> int:
     bundle.routers = routers
     bundle.stage = "moefied"
     bundle.meta = dict(bundle.meta, moefy_seed=cfg.seed, group_method=method,
-                       threads=threads)
+                       threads=blas_threads())
     out = _out_dir(cfg) / "moefied.ckpt"
     save_checkpoint(str(out), bundle)
     print(f"wrote {out}")
@@ -160,7 +147,6 @@ def cmd_moefy(args) -> int:
 
 def cmd_train_lte(args) -> int:
     cfg = _config(args, eta=args.eta, lam=args.lam)
-    threads = _threads()
     steps = args.steps if args.steps is not None else (
         cfg.stage1_steps if args.stage == 1 else cfg.stage2_steps)
     bundle = load_checkpoint(args.checkpoint)
@@ -173,8 +159,7 @@ def cmd_train_lte(args) -> int:
     state = TrainingState(
         params=bundle.params, hyper=_hyper(cfg, steps),
         rng=Rng(cfg.seed).split(f"stage{args.stage}_batches"),
-        routers=bundle.routers, partitions=bundle.partitions, aux=_aux(cfg),
-        threads=threads,
+        routers=bundle.routers, aux=_aux(cfg),
     )
     bundle.stage = f"stage{args.stage}"
     run = training.run_stage1 if args.stage == 1 else training.run_stage2
@@ -184,7 +169,7 @@ def cmd_train_lte(args) -> int:
             str(out / f"stage{args.stage}_step{s:06d}.ckpt"), bundle))
     bundle.meta = dict(bundle.meta, **{
         f"stage{args.stage}_steps": steps, "eta": cfg.eta, "lam": cfg.lam,
-        "tau": cfg.tau, "seed": cfg.seed, "threads": threads,
+        "tau": cfg.tau, "seed": cfg.seed, "threads": blas_threads(),
     })
     ckpt = out / f"stage{args.stage}.ckpt"
     save_checkpoint(str(ckpt), bundle)
@@ -194,16 +179,15 @@ def cmd_train_lte(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args, tau=args.tau)
-    threads = _threads()
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)
     metrics = analysis.evaluate(
         bundle, windows, args.method, tau=cfg.tau, k=args.k,
-        keep_fraction=args.keep_fraction, seed=cfg.seed, threads=threads,
+        keep_fraction=args.keep_fraction, seed=cfg.seed,
     )
     tag = f"{Path(args.checkpoint).name}:{bundle.stage}"
-    line = analysis.eval_record_line(metrics, corpus.sha256, tag, threads=threads)
+    line = analysis.eval_record_line(metrics, corpus.sha256, tag)
     ledger = _out_dir(cfg) / "results.tsv"
     fresh = not ledger.exists()
     with open(ledger, "a") as fh:
@@ -216,11 +200,10 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config(args)
-    threads = _threads()
     grid = tuple(float(s) / 100.0 for s in args.grid.split(","))
     report = sparse_exec.bench(
         sparsity_grid=grid, expert_size=args.expert_size, trials=args.trials,
-        warmups=args.warmups, seed=cfg.seed, threads=threads,
+        warmups=args.warmups, seed=cfg.seed,
     )
     out = _out_dir(cfg) / "bench.tsv"
     sparse_exec.write_bench_report(report, str(out))
@@ -238,8 +221,7 @@ def cmd_report(args) -> int:
         raise ConfigError("report needs a moefied checkpoint with routers")
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)
     report = analysis.layer_sparsity_report(bundle, windows, cfg.tau,
-                                            corpus_hash=corpus.sha256,
-                                            threads=_threads())
+                                            corpus_hash=corpus.sha256)
     out = _out_dir(cfg)
     analysis.write_report(report, str(out / "report.txt"))
     (out / "sparsity_per_layer.svg").write_text(analysis.render_sparsity_svg(report))

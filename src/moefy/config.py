@@ -107,6 +107,10 @@ def build_config(file_path: Optional[str] = None, overrides: Optional[dict] = No
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "expert_size",
+                "max_seq_len", "batch_size", "seq_len", "eval_windows"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
     if cfg.d_model % cfg.n_heads != 0:
         raise ConfigError("d_model must be divisible by n_heads")
     if cfg.d_ffn % cfg.expert_size != 0:

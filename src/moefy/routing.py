@@ -55,22 +55,21 @@ def router_init(d_model: int, n_experts: int, rng: Rng, std: Optional[float] = N
     return RouterLayer(Wg=param(rng.normal((d_model, n_experts), std=std, dtype=dtype)))
 
 
-def router_scores(router: RouterLayer, x: np.ndarray, threads: int = 1) -> np.ndarray:
+def router_scores(router: RouterLayer, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != router.Wg.data.shape[0]:
         raise ShapeError(f"x width {x.shape[1]} != router input {router.Wg.data.shape[0]}")
-    return numerics.sigmoid(numerics.matmul(x, router.Wg.data, threads=threads))
+    return numerics.sigmoid(numerics.matmul(x, router.Wg.data))
 
 
 # --- learned sigmoid routing ---------------------------------------------------
 
 
 def moe_forward_discrete(layer, partition, router: RouterLayer, x: np.ndarray,
-                         tau: float = 0.5, packed=None,
-                         threads: int = 1) -> tuple[np.ndarray, RoutingDecision]:
+                         tau: float = 0.5, packed=None) -> tuple[np.ndarray, RoutingDecision]:
     """Threshold selection (score strictly above tau) over the gather path."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0,1), got {tau}")
-    scores = router_scores(router, x, threads=threads)
+    scores = router_scores(router, x)
     mask = scores > tau
     if packed is None:
         lay = layer if layer.partition is not None else replace(layer, partition=partition)
@@ -83,27 +82,27 @@ def moe_forward_discrete(layer, partition, router: RouterLayer, x: np.ndarray,
     return y, RoutingDecision(scores=scores, mask=mask, mode="discrete", tau=tau)
 
 
-def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer, xf: Tensor,
-                   threads: int = 1) -> tuple[Tensor, Tensor, RoutingDecision]:
+def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,
+                   xf: Tensor) -> tuple[Tensor, Tensor, RoutingDecision]:
     """Every expert runs, scaled by its score; returns (ffn_out, score_tensor, decision)."""
-    g = xf.matmul(router.Wg, threads=threads).sigmoid()
-    out = ffn_out(params, i, ffn_hidden(params, i, xf, threads), g, threads=threads)
+    g = xf.matmul(router.Wg).sigmoid()
+    out = ffn_out(params, i, ffn_hidden(params, i, xf), g)
     dec = RoutingDecision(scores=g.data.copy(), mask=np.ones_like(g.data, dtype=bool), mode="soft")
     return out, g, dec
 
 
 def discrete_ffn_graph(params: TransformerParams, i: int, router: RouterLayer, xf: Tensor,
-                       tau: float, threads: int = 1) -> tuple[Tensor, RoutingDecision]:
+                       tau: float) -> tuple[Tensor, RoutingDecision]:
     """Masked-dense graph for adaptation training.
 
     The selection indicator is piecewise constant in the inputs, so it enters
     the graph as a constant scale: gradients flow only through selected
     experts' weights.
     """
-    scores = router_scores(router, xf.data, threads=threads)
+    scores = router_scores(router, xf.data)
     mask = scores > tau
-    a = ffn_hidden(params, i, xf, threads)
-    out = ffn_out(params, i, a, Tensor(mask.astype(a.dtype)), threads=threads)
+    a = ffn_hidden(params, i, xf)
+    out = ffn_out(params, i, a, Tensor(mask.astype(a.dtype)))
     return out, RoutingDecision(scores=scores, mask=mask, mode="discrete", tau=tau)
 
 
@@ -119,13 +118,13 @@ def _topk_rows(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def noisy_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x: np.ndarray,
-                       k: int, noise_std: float = 0.0, rng: Optional[Rng] = None,
-                       threads: int = 1) -> tuple[np.ndarray, RoutingDecision]:
+                       k: int, noise_std: float = 0.0,
+                       rng: Optional[Rng] = None) -> tuple[np.ndarray, RoutingDecision]:
     """Top-k softmax routing; Gaussian logit noise during training only."""
     n = router.n_experts
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    logits = numerics.matmul(x, router.Wg.data, threads=threads)
+    logits = numerics.matmul(x, router.Wg.data)
     if noise_std > 0:
         if rng is None:
             raise ValueError("noise_std > 0 requires an rng")
@@ -135,13 +134,13 @@ def noisy_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x
     m = kept.max(axis=1, keepdims=True)
     expw = np.exp(kept - m)
     weights = expw / expw.sum(axis=1, keepdims=True)
-    a = ffn_hidden(params, i, Tensor(x), threads)
-    y = ffn_out(params, i, a, Tensor(weights.astype(a.dtype)), threads=threads).data
+    a = ffn_hidden(params, i, Tensor(x))
+    y = ffn_out(params, i, a, Tensor(weights.astype(a.dtype))).data
     return y, RoutingDecision(scores=weights, mask=mask, mode="discrete")
 
 
-def magnitude_select(params: TransformerParams, i: int, x: np.ndarray, keep_fraction: float,
-                     threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def magnitude_select(params: TransformerParams, i: int, x: np.ndarray,
+                     keep_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Keep the largest-|value| hidden neurons per token, zero the rest.
 
     Exact-value oracle: the true activations stand in for a trained predictor,
@@ -149,23 +148,23 @@ def magnitude_select(params: TransformerParams, i: int, x: np.ndarray, keep_frac
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    a = ffn_hidden(params, i, Tensor(x), threads)
+    a = ffn_hidden(params, i, Tensor(x))
     n_keep = math.ceil(keep_fraction * a.shape[1])
     mask = _topk_rows(np.abs(a.data), n_keep)
-    return ffn_out(params, i, a, Tensor(mask.astype(a.dtype)), threads=threads).data, mask
+    return ffn_out(params, i, a, Tensor(mask.astype(a.dtype))).data, mask
 
 
-def groundtruth_topk_select(params: TransformerParams, i: int, x: np.ndarray, k: int,
-                            threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def groundtruth_topk_select(params: TransformerParams, i: int, x: np.ndarray,
+                            k: int) -> tuple[np.ndarray, np.ndarray]:
     """Score experts by the L2 norm of their true hidden slice, keep top-k."""
     cfg = params.config
     n = cfg.n_experts
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    a = ffn_hidden(params, i, Tensor(x), threads)
+    a = ffn_hidden(params, i, Tensor(x))
     norms = np.sqrt((a.data * a.data).reshape(a.shape[0], n, cfg.expert_size).sum(axis=2))
     mask = _topk_rows(norms, k)
-    return ffn_out(params, i, a, Tensor(mask.astype(a.dtype)), threads=threads).data, mask
+    return ffn_out(params, i, a, Tensor(mask.astype(a.dtype))).data, mask
 
 
 @dataclass
@@ -183,10 +182,10 @@ def random_router_init(d_model: int, n_experts: int, k: int, rng: Rng) -> Random
     return RandomTopKRouter(router=r, k=k)
 
 
-def random_topk_forward(params: TransformerParams, i: int, rr: RandomTopKRouter, x: np.ndarray,
-                        threads: int = 1) -> tuple[np.ndarray, RoutingDecision]:
-    scores = router_scores(rr.router, x, threads=threads)
+def random_topk_forward(params: TransformerParams, i: int, rr: RandomTopKRouter,
+                        x: np.ndarray) -> tuple[np.ndarray, RoutingDecision]:
+    scores = router_scores(rr.router, x)
     mask = _topk_rows(scores, rr.k)
-    a = ffn_hidden(params, i, Tensor(x), threads)
-    y = ffn_out(params, i, a, Tensor(mask.astype(a.dtype)), threads=threads).data
+    a = ffn_hidden(params, i, Tensor(x))
+    y = ffn_out(params, i, a, Tensor(mask.astype(a.dtype))).data
     return y, RoutingDecision(scores=scores, mask=mask, mode="discrete")

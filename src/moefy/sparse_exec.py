@@ -24,7 +24,7 @@ from . import numerics
 from .autograd import Tensor, no_grad, param
 from .model import (FfnLayer, GluFfnLayer, ModelConfig, TransformerParams, ffn_hidden, ffn_out,
                     get_ffn_layer)
-from .numerics import Rng
+from .numerics import Rng, blas_threads
 
 
 @dataclass
@@ -226,7 +226,6 @@ def bench(
     trials: int = 30,
     warmups: int = 5,
     seed: int = 0,
-    threads: int = 1,
     activation: str = "relu",
 ) -> BenchReport:
     """Median/IQR wall time per FFN call, dense path vs gather path.
@@ -275,8 +274,7 @@ def bench(
                 selections = [np.sort(srng.choice(n, k)) for _ in range(batch)]
                 with no_grad():
                     med_d, iqr_d = _time_call(
-                        lambda: ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x), threads),
-                                        threads=threads),
+                        lambda: ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x))),
                         warmups, trials)
                 med_s, iqr_s = _time_call(
                     lambda: sparse_ffn_forward(packed, selections, x), warmups, trials
@@ -293,7 +291,7 @@ def bench(
                             sparsity=sparsity,
                             median_ns=med,
                             iqr_ns=iqr,
-                            threads=threads,
+                            threads=blas_threads(),
                             trials=trials,
                         )
                     )

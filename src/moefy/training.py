@@ -49,10 +49,8 @@ class TrainingState:
     rng: Rng
     stage: str = "base"  # base | stage1 | stage2
     routers: Optional[list[RouterLayer]] = None
-    partitions: Optional[list] = None
     aux: Optional[LteHyperparams] = None
     step: int = 0
-    threads: int = 1
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -138,10 +136,7 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
 
     xs = np.stack([x for x, _ in batch])
     ys = np.stack([y for _, y in batch])
-    res = forward_lm(
-        state.params, xs, ffn_mode=mode, routers=state.routers, tau=tau,
-        threads=state.threads,
-    )
+    res = forward_lm(state.params, xs, ffn_mode=mode, routers=state.routers, tau=tau)
     task = res.logits.cross_entropy_mean(ys.reshape(-1))
     scores: list[Tensor] = []
     below = []

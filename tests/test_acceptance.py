@@ -81,7 +81,8 @@ class Runs:
             self._base[seed] = {k: t.data.copy() for k, t in params.tensors.items()}
         return self._base[seed]
 
-    def moefied_state(self, seed: int, eta: float, lam: float, steps: int) -> TrainingState:
+    def moefied_state(self, seed: int, eta: float, lam: float,
+                      steps: int) -> tuple[TrainingState, list]:
         blob = self.base_weights(seed)
         params = TransformerParams(self.cfg, {k: mkparam(v.copy()) for k, v in blob.items()})
         parts, routers = [], []
@@ -96,18 +97,18 @@ class Runs:
         return TrainingState(
             params=params,
             hyper=TrainHyper(lr=LR, batch_size=BATCH, seq_len=SEQ, total_steps=steps),
-            rng=Rng(seed).split("s1"), stage="stage1", routers=routers, partitions=parts,
+            rng=Rng(seed).split("s1"), stage="stage1", routers=routers,
             aux=LteHyperparams(eta=eta, lam=lam),
-        )
+        ), parts
 
     def stage1(self, seed: int, eta: float, lam: float, steps: int = S1_STEPS):
-        st = self.moefied_state(seed, eta, lam, steps)
+        st, parts = self.moefied_state(seed, eta, lam, steps)
         rows = run_stage1(st, self.corpus.train, steps)
-        return st, rows
+        return st, parts, rows
 
-    def bundle(self, st: TrainingState) -> CheckpointBundle:
+    def bundle(self, st: TrainingState, parts: list) -> CheckpointBundle:
         return CheckpointBundle(config=self.cfg, params=st.params,
-                                partitions=st.partitions, routers=st.routers, stage="run")
+                                partitions=parts, routers=st.routers, stage="run")
 
 
 @pytest.fixture(scope="session")
@@ -230,7 +231,7 @@ def test_criterion_3_balanced_clustering():
 def test_criterion_4_eta_sparsity_monotone(runs):
     tails = []
     for eta in (0.1, 1.0, 10.0):
-        _, rows = runs.stage1(seed=0, eta=eta, lam=0.1, steps=S1_STEPS)
+        _, _, rows = runs.stage1(seed=0, eta=eta, lam=0.1, steps=S1_STEPS)
         tails.append(float(np.mean([r[2] for r in rows[-20:]])))
     ok = tails[0] + 0.02 <= tails[1] and tails[1] + 0.02 <= tails[2]
     report(4, ok, "eta->sparsity strictly increasing with margin 0.02: "
@@ -241,8 +242,8 @@ def test_criterion_5_separability(runs):
     wins = val_windows(runs.corpus.val, SEQ, 16)
     masses = {}
     for lam in (0.0, 0.5):
-        st, _ = runs.stage1(seed=0, eta=0.1, lam=lam, steps=300)
-        _, scores, _ = collect_decisions(runs.bundle(st), wins, 0.5)
+        st, parts, _ = runs.stage1(seed=0, eta=0.1, lam=lam, steps=300)
+        _, scores, _ = collect_decisions(runs.bundle(st, parts), wins, 0.5)
         masses[lam] = float(np.mean([near_tau_fraction(s, 0.5) for s in scores]))
     ok = masses[0.5] < masses[0.0] and masses[0.0] >= 2.0 * masses[0.5]
     report(5, ok, f"separability: near-tau mass lam=0: {masses[0.0]:.4f}, "
@@ -276,9 +277,9 @@ def test_criterion_7_kernel_latency_direction():
 
 
 def test_criterion_8_union_sparsity_monotone(runs):
-    st = runs.moefied_state(seed=0, eta=1.0, lam=0.5, steps=1)
+    st, parts = runs.moefied_state(seed=0, eta=1.0, lam=0.5, steps=1)
     wins = val_windows(runs.corpus.val, SEQ, 16)  # 16 x 64 = 1024 tokens
-    _, _, masks = collect_decisions(runs.bundle(st), wins, 0.5)
+    _, _, masks = collect_decisions(runs.bundle(st, parts), wins, 0.5)
     ok = True
     for m in masks:
         assert m.shape[0] >= 1000
@@ -295,14 +296,14 @@ def test_criterion_9_stage2_contracts(runs):
     frozen_ok, train_ok, improved = True, True, 0
     ppls = []
     for seed in (0, 1, 2):
-        st, _ = runs.stage1(seed=seed, eta=1.0, lam=0.5, steps=300)
-        ce1, _, _ = collect_decisions(runs.bundle(st), wins, 0.5)
+        st, parts, _ = runs.stage1(seed=seed, eta=1.0, lam=0.5, steps=300)
+        ce1, _, _ = collect_decisions(runs.bundle(st, parts), wins, 0.5)
         before = [r.Wg.data.tobytes() for r in st.routers]
         rows2 = run_stage2(st, runs.corpus.train, S2_STEPS)
         after = [r.Wg.data.tobytes() for r in st.routers]
         frozen_ok &= before == after
         train_ok &= rows2[-1][1].task < rows2[0][1].task
-        ce2, _, _ = collect_decisions(runs.bundle(st), wins, 0.5)
+        ce2, _, _ = collect_decisions(runs.bundle(st, parts), wins, 0.5)
         improved += ce2 < ce1
         ppls.append((math.exp(ce1), math.exp(ce2)))
     ok = frozen_ok and train_ok and improved >= 2

@@ -7,6 +7,7 @@ from moefy.analysis import evaluate, val_windows
 from moefy.checkpoint import load_checkpoint
 from moefy.cli import main
 from moefy.config import load_corpus, make_synthetic_corpus
+from moefy.numerics import blas_threads
 
 
 @pytest.fixture(scope="module")
@@ -111,25 +112,32 @@ class TestConfigTakesEffect:
         assert np.array_equal(bundle.partitions[0].permutation, expect.permutation)
 
     def test_ledger_threads_is_what_forward_lm_ran(self, pipeline, tmp_path, monkeypatch):
-        import moefy.analysis as analysis
-
-        seen = []
-        real = analysis.forward_lm
-
-        def spy(*a, **kw):
-            seen.append(kw.get("threads", 1))
-            return real(*a, **kw)
-
-        monkeypatch.setattr(analysis, "forward_lm", spy)
-        monkeypatch.setenv("MOEFY_THREADS", "2")
-        out = tmp_path / "threads"
-        args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+        # BLAS takes its thread count from the environment at load; the ledger,
+        # the report header and the checkpoint meta record that setting
         ckpt = str(pipeline["out"] / "stage2.ckpt")
-        for method in ("lte", "dense"):
-            seen.clear()
-            assert main(["eval", "--checkpoint", ckpt, "--method", method, *args]) == 0
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for blas, expect in (("1", "1"), (None, "default")):
+            if blas is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+            out = tmp_path / expect
+            args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+            assert main(["eval", "--checkpoint", ckpt, "--method", "lte", *args]) == 0
+            assert main(["report", "--checkpoint", ckpt, *args]) == 0
+            assert main(["train-base", "--steps", "0", *args]) == 0
             record = (out / "results.tsv").read_text().strip().splitlines()[-1]
-            assert seen and set(seen) == {int(record.split("\t")[9])} == {2}
+            assert record.split("\t")[9] == expect
+            assert f"\nthreads\t{expect}\n" in (out / "report.txt").read_text()
+            assert load_checkpoint(str(out / "base.ckpt")).meta["threads"] == expect
+
+    @pytest.mark.parametrize("key", ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn",
+                                     "expert_size", "max_seq_len", "batch_size", "seq_len",
+                                     "eval_windows"))
+    def test_non_positive_size_exit_2_names_key(self, pipeline, tmp_path, capsys, key):
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        assert main(["train-base", "--steps", "1", *args, "--set", f"{key}=0"]) == 2
+        assert f"{key} must be positive" in capsys.readouterr().err
 
 
 class TestPeriodicCheckpoints:
@@ -217,4 +225,5 @@ class TestBenchCli:
         lines = (out / "bench.tsv").read_text().strip().splitlines()
         rows = [l for l in lines if not l.startswith("#")]
         assert rows[0].split("\t")[0] == "shape"
+        assert {r.split("\t")[5] for r in rows[1:]} == {blas_threads()}
         assert len(rows) - 1 == 2 * 4 * 2  # grid x (2 shapes x 2 batch sizes) x 2 paths
