@@ -1,10 +1,11 @@
 """Expert-partitioned FFN layers with learned contextual sparsity.
 
 Pipeline: train a tiny dense byte-level LM, partition each FFN's intermediate
-neurons into equal-size experts (balanced k-means on up-projection columns),
-attach sigmoid threshold routers, train routers and model jointly in soft
-mode under an efficiency + separability penalty, then freeze routers and
-adapt the model to discrete selection. A packed gather execution path turns
+neurons into equal-size experts (balanced k-means on gate-projection columns,
+or on up-projection columns when the FFN has no gate), attach sigmoid
+threshold routers, train routers and model jointly in soft mode under an
+efficiency + separability penalty, then freeze routers and adapt the model
+to discrete selection. A packed gather execution path turns
 the learned sparsity into measured latency wins on CPU.
 """
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import losses, routing, sparse_exec
 from .autograd import no_grad
 from .checkpoint import CheckpointBundle
-from .model import forward_lm, get_ffn_layer
+from .model import ffn_flops_per_token, forward_lm, get_ffn_layer
 from .numerics import Rng, blas_threads
 from .sparse_exec import FlopsReport
 
@@ -212,7 +212,7 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
             tok += y.shape[0]
     mean_ce = ce_sum / tok
 
-    per_layer_dense = (4 if cfg.ffn_kind == "two_matmul" else 6) * cfg.d_model * cfg.d_ffn
+    per_layer_dense = ffn_flops_per_token(cfg)
     router_total = 2.0 * cfg.d_model * n * cfg.n_layers
     if method == "dense":
         sparsity = 0.0

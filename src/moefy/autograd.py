@@ -134,8 +134,6 @@ class Tensor:
         return self._make(self.data + other.data, (self, other), back)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
         return self + (-other)
 
     def __neg__(self):

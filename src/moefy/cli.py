@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .config import (
     build_config,
     load_corpus,
     make_synthetic_corpus,
+    parse_config_file,
 )
 from .losses import LteHyperparams
 from .model import ModelConfig, get_ffn_layer, init_params, set_ffn_layer
@@ -68,7 +70,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return p
 
 
-def _config(args, **extra) -> RunConfig:
+def _set_overrides(args) -> dict:
     overrides = {}
     types = RunConfig.key_types()
     for item in args.set or []:
@@ -78,12 +80,27 @@ def _config(args, **extra) -> RunConfig:
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
         overrides[key] = _coerce(key, raw, types[key])
+    return overrides
+
+
+def _config(args, **extra) -> RunConfig:
+    overrides = _set_overrides(args)
     for key in ("corpus", "out_dir", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
     overrides.update({k: v for k, v in extra.items() if v is not None})
     return build_config(args.config, overrides)
+
+
+def _check_model_keys(args, cfg: RunConfig, mc: ModelConfig, allow: tuple = ()) -> None:
+    """Model keys come from the checkpoint: a differing --set or config-file value is an error."""
+    given = set(_set_overrides(args)) | set(parse_config_file(args.config) if args.config else ())
+    for f in fields(ModelConfig):
+        key = f.name
+        if key in given and key not in allow and getattr(cfg, key) != getattr(mc, key):
+            raise ConfigError(f"{key}={getattr(cfg, key)} differs from the checkpoint's "
+                              f"{key}={getattr(mc, key)}; model keys come from the checkpoint")
 
 
 def cmd_train_base(args) -> int:
@@ -114,6 +131,7 @@ def cmd_train_base(args) -> int:
 def cmd_moefy(args) -> int:
     cfg = _config(args, expert_size=args.expert_size, group_method=args.method)
     bundle = load_checkpoint(args.checkpoint)
+    _check_model_keys(args, cfg, bundle.config, allow=("expert_size",))
     if bundle.stage != "base":
         raise ConfigError(f"moefy needs a dense base checkpoint, got stage {bundle.stage!r}")
     mc = bundle.config
@@ -125,7 +143,8 @@ def cmd_moefy(args) -> int:
     for i in range(mc.n_layers):
         layer = get_ffn_layer(bundle.params, i)
         if method == "kmeans":
-            feats = (layer.W1 if mc.ffn_kind == "two_matmul" else layer.W_gate).T
+            w = layer.weights
+            feats = (w["gate"] if "gate" in w else w["up"]).T
             p = grouping.group_experts_kmeans(feats, mc.n_experts, rng.split(f"group{i}"),
                                               layer_index=i)
         else:
@@ -150,6 +169,7 @@ def cmd_train_lte(args) -> int:
     steps = args.steps if args.steps is not None else (
         cfg.stage1_steps if args.stage == 1 else cfg.stage2_steps)
     bundle = load_checkpoint(args.checkpoint)
+    _check_model_keys(args, cfg, bundle.config)
     need = "moefied" if args.stage == 1 else "stage1"
     if bundle.stage != need:
         raise ConfigError(
@@ -181,6 +201,7 @@ def cmd_eval(args) -> int:
     cfg = _config(args, tau=args.tau)
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)
+    _check_model_keys(args, cfg, bundle.config)
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)
     metrics = analysis.evaluate(
         bundle, windows, args.method, tau=cfg.tau, k=args.k,
@@ -217,6 +238,7 @@ def cmd_report(args) -> int:
     cfg = _config(args, tau=args.tau)
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)
+    _check_model_keys(args, cfg, bundle.config)
     if bundle.routers is None or bundle.partitions is None:
         raise ConfigError("report needs a moefied checkpoint with routers")
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)

@@ -1,18 +1,19 @@
 """Partition FFN intermediate neurons into equal-size experts.
 
-Balanced k-means on up-projection columns (gate columns for the gated FFN),
-plus a random-chop baseline, and the weight permutation that makes each
-expert's neurons contiguous so the sparse execution path can gather whole
-slabs.
+Balanced k-means on the columns of the `gate` role when the layer has one,
+else of the `up` role, plus a random-chop baseline, and the weight
+permutation that makes each expert's neurons contiguous so the sparse
+execution path can gather whole slabs. The permutation reorders each role
+along its d_ffn axis (`model.D_FFN_AXIS`) and copies the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FfnLayer, GluFfnLayer
+from .model import D_FFN_AXIS, FfnLayer
 from .numerics import Rng
 
 
@@ -156,32 +157,16 @@ def group_experts_random(
     ).validate()
 
 
-def apply_partition(layer, p: ExpertPartition, inverse: bool = False):
+def apply_partition(layer: FfnLayer, p: ExpertPartition, inverse: bool = False) -> FfnLayer:
     """Reorder neurons so each expert's slice is contiguous (pure permutation).
 
     With inverse=True the permutation is undone and the partition tag cleared;
     round-tripping restores the original weights bit for bit.
     """
     perm = np.argsort(p.permutation) if inverse else p.permutation
-    tag = None if inverse else p
-    if isinstance(layer, FfnLayer):
-        if layer.W1.shape[1] != perm.shape[0]:
-            raise ValueError(f"permutation length {perm.shape[0]} != d_ffn {layer.W1.shape[1]}")
-        return FfnLayer(
-            W1=np.ascontiguousarray(layer.W1[:, perm]),
-            b1=np.ascontiguousarray(layer.b1[perm]),
-            W2=np.ascontiguousarray(layer.W2[perm, :]),
-            b2=layer.b2.copy(),
-            activation=layer.activation,
-            partition=tag,
-        )
-    if isinstance(layer, GluFfnLayer):
-        if layer.W_gate.shape[1] != perm.shape[0]:
-            raise ValueError(f"permutation length {perm.shape[0]} != d_ffn {layer.W_gate.shape[1]}")
-        return GluFfnLayer(
-            W_gate=np.ascontiguousarray(layer.W_gate[:, perm]),
-            W_up=np.ascontiguousarray(layer.W_up[:, perm]),
-            W_down=np.ascontiguousarray(layer.W_down[perm, :]),
-            partition=tag,
-        )
-    raise TypeError(f"not an FFN layer: {type(layer).__name__}")
+    d_ffn = layer.weights["up"].shape[1]
+    if d_ffn != perm.shape[0]:
+        raise ValueError(f"permutation length {perm.shape[0]} != d_ffn {d_ffn}")
+    weights = {role: np.take(w, perm, axis=D_FFN_AXIS[role]) if role in D_FFN_AXIS else w.copy()
+               for role, w in layer.weights.items()}
+    return FfnLayer(weights, layer.activation, partition=None if inverse else p)

@@ -6,6 +6,10 @@ forward pass builds an autograd graph; under `autograd.no_grad()` the same
 code runs as plain numpy evaluation. The FFN is written once, as
 `ffn_hidden` then `ffn_out`: dense, soft-routed, masked and baseline FFNs
 differ only in the per-expert (or per-neuron) scale passed to `ffn_out`.
+
+`FFN_LAYOUTS` is the one place that knows how an FFN kind lays out its
+weights: it maps each weight role (up, gate, down, b1, b2) to the parameter
+suffix, in checkpoint order. Everything else reads roles, never the kind.
 """
 
 from __future__ import annotations
@@ -20,7 +24,13 @@ from . import numerics
 from .autograd import Tensor, grad_enabled, param
 from .numerics import F32, ShapeError
 
-FFN_KINDS = ("two_matmul", "swiglu")
+# weight role -> parameter suffix of block{i}.ffn, in checkpoint order
+FFN_LAYOUTS = {
+    "two_matmul": {"up": "W1", "b1": "b1", "down": "W2", "b2": "b2"},
+    "swiglu": {"gate": "Wgate", "up": "Wup", "down": "Wdown"},
+}
+# the axis of each role that runs over the d_ffn hidden units; b2 has none
+D_FFN_AXIS = {"up": 1, "gate": 1, "down": 0, "b1": 0}
 NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0
 
 
@@ -42,7 +52,7 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_ffn % self.expert_size != 0:
             raise ValueError(f"d_ffn {self.d_ffn} not divisible by expert_size {self.expert_size}")
-        if self.ffn_kind not in FFN_KINDS:
+        if self.ffn_kind not in FFN_LAYOUTS:
             raise ValueError(f"unknown ffn_kind {self.ffn_kind!r}")
         if self.activation not in numerics.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -59,22 +69,14 @@ class ModelConfig:
 
 @dataclass
 class FfnLayer:
-    """Two-matmul FFN weights (views into the parameter dict)."""
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    activation: str = "gelu_tanh"
+    """One block's FFN weights by role (views into the parameter dict).
+
+    With a `gate` the hidden layer is silu(x @ gate) * (x @ up), and
+    `activation` is silu; otherwise it is activation(x @ up + b1).
+    """
+    weights: dict            # role -> ndarray, in checkpoint order
+    activation: str
     partition: object = None  # ExpertPartition once permuted
-
-
-@dataclass
-class GluFfnLayer:
-    """Gated FFN weights; silu gate, no biases."""
-    W_gate: np.ndarray
-    W_up: np.ndarray
-    W_down: np.ndarray
-    partition: object = None
 
 
 class TransformerParams:
@@ -112,52 +114,33 @@ class TransformerParams:
             t.zero_grad()
 
 
-def ffn_param_names(cfg: ModelConfig, i: int) -> list[str]:
-    if cfg.ffn_kind == "two_matmul":
-        return [f"block{i}.ffn.W1", f"block{i}.ffn.b1", f"block{i}.ffn.W2", f"block{i}.ffn.b2"]
-    return [f"block{i}.ffn.Wgate", f"block{i}.ffn.Wup", f"block{i}.ffn.Wdown"]
+def ffn_param_names(cfg: ModelConfig, i: int) -> dict[str, str]:
+    """Role -> parameter name of block i's FFN weights, in checkpoint order."""
+    return {role: f"block{i}.ffn.{suffix}" for role, suffix in FFN_LAYOUTS[cfg.ffn_kind].items()}
 
 
-def get_ffn_layer(params: TransformerParams, i: int, partition=None):
-    cfg = params.config
-    if cfg.ffn_kind == "two_matmul":
-        return FfnLayer(
-            W1=params[f"block{i}.ffn.W1"].data,
-            b1=params[f"block{i}.ffn.b1"].data,
-            W2=params[f"block{i}.ffn.W2"].data,
-            b2=params[f"block{i}.ffn.b2"].data,
-            activation=cfg.activation,
-            partition=partition,
-        )
-    return GluFfnLayer(
-        W_gate=params[f"block{i}.ffn.Wgate"].data,
-        W_up=params[f"block{i}.ffn.Wup"].data,
-        W_down=params[f"block{i}.ffn.Wdown"].data,
-        partition=partition,
-    )
+def _ffn_tensors(params: TransformerParams, i: int) -> dict[str, Tensor]:
+    return {role: params[name] for role, name in ffn_param_names(params.config, i).items()}
 
 
-def set_ffn_layer(params: TransformerParams, i: int, layer) -> None:
-    cfg = params.config
-    if cfg.ffn_kind == "two_matmul":
-        params[f"block{i}.ffn.W1"].data = layer.W1
-        params[f"block{i}.ffn.b1"].data = layer.b1
-        params[f"block{i}.ffn.W2"].data = layer.W2
-        params[f"block{i}.ffn.b2"].data = layer.b2
-    else:
-        params[f"block{i}.ffn.Wgate"].data = layer.W_gate
-        params[f"block{i}.ffn.Wup"].data = layer.W_up
-        params[f"block{i}.ffn.Wdown"].data = layer.W_down
+def get_ffn_layer(params: TransformerParams, i: int, partition=None) -> FfnLayer:
+    weights = {role: t.data for role, t in _ffn_tensors(params, i).items()}
+    activation = "silu" if "gate" in weights else params.config.activation
+    return FfnLayer(weights, activation, partition)
+
+
+def set_ffn_layer(params: TransformerParams, i: int, layer: FfnLayer) -> None:
+    for role, t in _ffn_tensors(params, i).items():
+        t.data = layer.weights[role]
 
 
 def ffn_hidden(params: TransformerParams, i: int, x: Tensor) -> Tensor:
-    """Post-activation hidden layer of block i's FFN (gate * up for swiglu)."""
-    cfg = params.config
-    if cfg.ffn_kind == "two_matmul":
-        h = x.matmul(params[f"block{i}.ffn.W1"]) + params[f"block{i}.ffn.b1"]
-        return h.act(cfg.activation)
-    g = x.matmul(params[f"block{i}.ffn.Wgate"]).act("silu")
-    return g * x.matmul(params[f"block{i}.ffn.Wup"])
+    """Post-activation hidden layer of block i's FFN (silu(gate) * up with a gate)."""
+    w = _ffn_tensors(params, i)
+    if "gate" in w:
+        g = x.matmul(w["gate"]).act("silu")
+        return g * x.matmul(w["up"])
+    return (x.matmul(w["up"]) + w["b1"]).act(params.config.activation)
 
 
 def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor] = None) -> Tensor:
@@ -174,9 +157,15 @@ def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor
         if width % m != 0:
             raise ShapeError(f"d_ffn {width} not divisible into {m} scale columns")
         a = a * scale.repeat_cols(width // m)
-    if params.config.ffn_kind == "two_matmul":
-        return a.matmul(params[f"block{i}.ffn.W2"]) + params[f"block{i}.ffn.b2"]
-    return a.matmul(params[f"block{i}.ffn.Wdown"])
+    w = _ffn_tensors(params, i)
+    out = a.matmul(w["down"])
+    return out + w["b2"] if "b2" in w else out
+
+
+def ffn_flops_per_token(cfg: ModelConfig) -> int:
+    """Dense FFN FLOPs per token in one layer: 2 per weight of each d_model x d_ffn matrix."""
+    matrices = sum(1 for role in FFN_LAYOUTS[cfg.ffn_kind] if role in ("gate", "up", "down"))
+    return 2 * matrices * cfg.d_model * cfg.d_ffn
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -219,15 +208,13 @@ def init_params(cfg: ModelConfig, rng: numerics.Rng, dtype=F32) -> TransformerPa
         zeros(f"block{i}.attn.bo", d)
         ones(f"block{i}.ln2.g", d)
         zeros(f"block{i}.ln2.b", d)
-        if cfg.ffn_kind == "two_matmul":
-            normal(f"block{i}.ffn.W1", (d, f), 0.02)
-            zeros(f"block{i}.ffn.b1", f)
-            normal(f"block{i}.ffn.W2", (f, d), resid_std)
-            zeros(f"block{i}.ffn.b2", d)
-        else:
-            normal(f"block{i}.ffn.Wgate", (d, f), 0.02)
-            normal(f"block{i}.ffn.Wup", (d, f), 0.02)
-            normal(f"block{i}.ffn.Wdown", (f, d), resid_std)
+        for role, name in ffn_param_names(cfg, i).items():
+            if role == "down":
+                normal(name, (f, d), resid_std)
+            elif role in ("up", "gate"):
+                normal(name, (d, f), 0.02)
+            else:
+                zeros(name, f if role == "b1" else d)
     ones("ln_f.g", d)
     zeros("ln_f.b", d)
     if not cfg.tie_embeddings:

@@ -42,10 +42,6 @@ class RoutingDecision:
     mode: str            # soft | discrete
     tau: Optional[float] = None
 
-    @property
-    def selected_per_token(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
-
 
 def router_init(d_model: int, n_experts: int, rng: Rng, std: Optional[float] = None,
                 dtype=F32) -> RouterLayer:

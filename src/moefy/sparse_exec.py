@@ -1,8 +1,9 @@
 """Structured-sparsity execution: packed expert slabs, gather FFN, FLOPs, bench.
 
-Weights are stored expert-major: each expert's up-projection columns form one
-contiguous (d_model x expert_size) slab and its down-projection rows one
-contiguous (expert_size x d_model) slab, so selecting an expert loads whole
+Weights are stored expert-major: each expert's share of every role that runs
+over d_ffn (`model.D_FFN_AXIS`) forms one contiguous slab, (d_model x
+expert_size) for the `up` and `gate` columns, (expert_size x d_model) for the
+`down` rows and (expert_size,) for `b1`, so selecting an expert loads whole
 slabs instead of strided columns. The CPU kernel dispatches expert-major
 over one buffer of (expert, token) pairs: an up matmul per selected expert
 into its span, one activation over the whole buffer, then a down matmul per
@@ -21,22 +22,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numerics
-from .autograd import Tensor, no_grad, param
-from .model import (FfnLayer, GluFfnLayer, ModelConfig, TransformerParams, ffn_hidden, ffn_out,
-                    get_ffn_layer)
+from .autograd import Tensor, no_grad
+from .model import (D_FFN_AXIS, FfnLayer, ModelConfig, ffn_flops_per_token, ffn_hidden, ffn_out,
+                    get_ffn_layer, init_params)
 from .numerics import Rng, blas_threads
 
 
 @dataclass
 class PackedExpertWeights:
-    kind: str                      # two_matmul | swiglu
+    """A permuted layer's weights as expert slabs; each slab field is named by its role."""
     activation: str
     n_experts: int
     expert_size: int
     up: np.ndarray                 # (n, d_model, expert_size)
     down: np.ndarray               # (n, expert_size, d_model)
-    gate: Optional[np.ndarray] = None   # swiglu only, same layout as up
-    b1: Optional[np.ndarray] = None     # (n, expert_size), two_matmul only
+    gate: Optional[np.ndarray] = None   # same layout as up, gated layers only
+    b1: Optional[np.ndarray] = None     # (n, expert_size)
     b2: Optional[np.ndarray] = None     # (d_model,), shared, added once
 
     @property
@@ -44,45 +45,21 @@ class PackedExpertWeights:
         return self.up.shape[1]
 
 
-def _slab_up(w: np.ndarray, n: int, e: int) -> np.ndarray:
-    # (d, n*e) -> (n, d, e), each expert's columns contiguous
-    d = w.shape[0]
-    return np.ascontiguousarray(w.reshape(d, n, e).transpose(1, 0, 2))
+def _slab(w: np.ndarray, axis: int, n: int, e: int) -> np.ndarray:
+    # split the d_ffn axis into (n, e) and move n to the front, contiguous
+    split = w.reshape(w.shape[:axis] + (n, e) + w.shape[axis + 1:])
+    return np.ascontiguousarray(np.moveaxis(split, axis, 0))
 
 
-def _slab_down(w: np.ndarray, n: int, e: int) -> np.ndarray:
-    # (n*e, d) -> (n, e, d), each expert's rows contiguous
-    return np.ascontiguousarray(w.reshape(n, e, w.shape[1]))
-
-
-def pack(layer) -> PackedExpertWeights:
+def pack(layer: FfnLayer) -> PackedExpertWeights:
     """Pack a permuted layer into contiguous expert slabs (lossless)."""
     if layer.partition is None:
         raise ValueError("layer is not permuted; run apply_partition first")
-    p = layer.partition
-    n, e = p.n_experts, p.expert_size
-    if isinstance(layer, FfnLayer):
-        return PackedExpertWeights(
-            kind="two_matmul",
-            activation=layer.activation,
-            n_experts=n,
-            expert_size=e,
-            up=_slab_up(layer.W1, n, e),
-            down=_slab_down(layer.W2, n, e),
-            b1=np.ascontiguousarray(layer.b1.reshape(n, e)),
-            b2=layer.b2.copy(),
-        )
-    if isinstance(layer, GluFfnLayer):
-        return PackedExpertWeights(
-            kind="swiglu",
-            activation="silu",
-            n_experts=n,
-            expert_size=e,
-            up=_slab_up(layer.W_up, n, e),
-            gate=_slab_up(layer.W_gate, n, e),
-            down=_slab_down(layer.W_down, n, e),
-        )
-    raise TypeError(f"not an FFN layer: {type(layer).__name__}")
+    n, e = layer.partition.n_experts, layer.partition.expert_size
+    w = layer.weights
+    slabs = {role: _slab(w[role], axis, n, e) for role, axis in D_FFN_AXIS.items() if role in w}
+    b2 = w["b2"].copy() if "b2" in w else None
+    return PackedExpertWeights(layer.activation, n, e, b2=b2, **slabs)
 
 
 def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -113,7 +90,7 @@ def sparse_ffn_forward(
 
     selections[t] lists that token's expert ids, sorted ascending, unique.
     The selected (expert, token) pairs are laid out expert-major in one
-    hidden buffer. Each selected expert costs one up matmul (two for swiglu)
+    hidden buffer. Each selected expert costs one up matmul (two with a gate)
     into its span and one down matmul added into its tokens; the bias and
     the activation run once over the whole buffer. Experts run in ascending
     order, so every token sums its experts from zero in ascending order.
@@ -134,7 +111,7 @@ def sparse_ffn_forward(
 
     dtype = np.result_type(x, packed.up)
     up = np.empty((tok.size, packed.expert_size), dtype=dtype)
-    gate = np.empty_like(up) if packed.kind == "swiglu" else None
+    gate = np.empty_like(up) if packed.gate is not None else None
     for e, lo, hi in spans:
         xe = x if hi - lo == n_tok else x[tok[lo:hi]]
         np.matmul(xe, packed.up[e], out=up[lo:hi])
@@ -144,7 +121,7 @@ def sparse_ffn_forward(
         up += packed.b1[e_ids]
         h = numerics.activation(up, packed.activation)
     else:
-        h = numerics.activation(gate, "silu") * up
+        h = numerics.activation(gate, packed.activation) * up
 
     out = np.zeros((n_tok, packed.d_model), dtype=x.dtype)
     for e, lo, hi in spans:
@@ -169,13 +146,13 @@ class FlopsReport:
 def flops_per_token(cfg: ModelConfig, mean_selected) -> FlopsReport:
     """FFN FLOPs per token across all layers; one multiply-add counts as 2.
 
-    Dense two-matmul layer: 4 * d_model * d_ffn; gated layer: 6 * d_model *
-    d_ffn. Router: 2 * d_model * n_experts per layer. The sparse figure
-    scales the FFN term by the selected fraction and always pays the router.
+    Dense layer: `model.ffn_flops_per_token`. Router: 2 * d_model * n_experts
+    per layer. The sparse figure scales the FFN term by the selected fraction
+    and always pays the router.
     """
-    d, f, n, layers = cfg.d_model, cfg.d_ffn, cfg.n_experts, cfg.n_layers
-    per_layer_dense = (4 if cfg.ffn_kind == "two_matmul" else 6) * d * f
-    router = 2 * d * n
+    n, layers = cfg.n_experts, cfg.n_layers
+    per_layer_dense = ffn_flops_per_token(cfg)
+    router = 2 * cfg.d_model * n
     if np.isscalar(mean_selected):
         selected = [float(mean_selected)] * layers
     else:
@@ -238,6 +215,13 @@ def bench(
         raise ValueError("trials must be >= 30")
     if warmups < 5:
         raise ValueError("warmups must be >= 5")
+    for _, d_ffn in shapes:
+        if expert_size <= 0 or d_ffn % expert_size:
+            raise ValueError(f"expert_size must be a positive divisor of d_ffn {d_ffn}, "
+                             f"got {expert_size}")
+    for sparsity in sparsity_grid:
+        if not 0.0 <= sparsity < 1.0:
+            raise ValueError(f"sparsity grid values must be in [0, 1), got {sparsity}")
     rng = Rng(seed)
     rows = []
     warnings = []
@@ -245,15 +229,9 @@ def bench(
 
     for d_model, d_ffn in shapes:
         n = d_ffn // expert_size
-        wrng = rng.split(f"weights_{d_model}_{d_ffn}")
-        cfg = ModelConfig(d_model=d_model, n_heads=1, n_layers=1, d_ffn=d_ffn,
-                          activation=activation, expert_size=expert_size).validate()
-        params = TransformerParams(cfg, {
-            "block0.ffn.W1": param(wrng.normal((d_model, d_ffn), std=0.02)),
-            "block0.ffn.b1": param(np.zeros(d_ffn, dtype=np.float32)),
-            "block0.ffn.W2": param(wrng.normal((d_ffn, d_model), std=0.02)),
-            "block0.ffn.b2": param(np.zeros(d_model, dtype=np.float32)),
-        })
+        cfg = ModelConfig(vocab_size=1, d_model=d_model, n_heads=1, n_layers=1, d_ffn=d_ffn,
+                          max_seq_len=1, activation=activation, expert_size=expert_size)
+        params = init_params(cfg, rng.split(f"weights_{d_model}_{d_ffn}"))
         from .grouping import ExpertPartition  # synthetic identity partition
 
         ident = ExpertPartition(

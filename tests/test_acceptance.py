@@ -28,8 +28,6 @@ from moefy.grouping import (
 )
 from moefy.losses import LteHyperparams, aux_loss_graph
 from moefy.model import (
-    FfnLayer,
-    GluFfnLayer,
     ModelConfig,
     TransformerParams,
     forward_lm,
@@ -38,10 +36,12 @@ from moefy.model import (
     param_count,
     set_ffn_layer,
 )
-from moefy.numerics import F64, Rng, activation, finite_diff_grad
+from moefy.numerics import F64, Rng, finite_diff_grad
 from moefy.routing import router_init
 from moefy.sparse_exec import bench, flops_per_token, pack, sparse_ffn_forward
 from moefy.training import TrainHyper, TrainingState, run_stage1, run_stage2, run_training
+
+from ffn_blocks import expert_oracle, random_layer
 
 MODEL = dict(vocab_size=256, d_model=64, n_heads=4, n_layers=2, d_ffn=256,
              expert_size=8, max_seq_len=128)
@@ -88,7 +88,7 @@ class Runs:
         parts, routers = [], []
         for i in range(self.cfg.n_layers):
             layer = get_ffn_layer(params, i)
-            p = group_experts_kmeans(layer.W1.T, self.cfg.n_experts,
+            p = group_experts_kmeans(layer.weights["up"].T, self.cfg.n_experts,
                                      Rng(seed).split(f"g{i}"), layer_index=i)
             set_ffn_layer(params, i, apply_partition(layer, p))
             parts.append(p)
@@ -118,29 +118,9 @@ def runs(corpus):
 
 def random_packed(kind: str, dtype, seed: int, d=32, f=64, n=8):
     rng = Rng(seed)
-    if kind == "two_matmul":
-        layer = FfnLayer(rng.normal((d, f), std=0.3, dtype=dtype),
-                         rng.normal((f,), std=0.2, dtype=dtype),
-                         rng.normal((f, d), std=0.3, dtype=dtype),
-                         rng.normal((d,), std=0.2, dtype=dtype), "gelu_tanh")
-    else:
-        layer = GluFfnLayer(rng.normal((d, f), std=0.3, dtype=dtype),
-                            rng.normal((d, f), std=0.3, dtype=dtype),
-                            rng.normal((f, d), std=0.3, dtype=dtype))
+    layer = random_layer(rng, kind, d, f, std=0.3, bias_std=0.2, dtype=dtype)
     permuted = apply_partition(layer, group_experts_random(f, n, rng.split("p")))
     return permuted, pack(permuted)
-
-
-def dense_mask_oracle(layer, x, sel, e):
-    width = layer.W2.shape[0] if isinstance(layer, FfnLayer) else layer.W_down.shape[0]
-    scale = np.zeros(width, dtype=x.dtype)
-    for j in sel:
-        scale[j * e:(j + 1) * e] = 1.0
-    if isinstance(layer, FfnLayer):
-        a = activation(x @ layer.W1 + layer.b1, layer.activation)
-        return (a * scale) @ layer.W2 + layer.b2
-    a = activation(x @ layer.W_gate, "silu") * (x @ layer.W_up)
-    return (a * scale) @ layer.W_down
 
 
 def test_criterion_1_sparse_dense_equivalence():
@@ -155,7 +135,7 @@ def test_criterion_1_sparse_dense_equivalence():
                 sels = [np.sort(srng.choice(8, int(srng.integers(0, 9)))) for _ in range(3)]
                 y = sparse_ffn_forward(packed, sels, x)
                 for t in range(3):
-                    ref = dense_mask_oracle(layer, x[t:t + 1], sels[t], 8)
+                    ref = expert_oracle(layer, x[t:t + 1], sels[t], 8)
                     err = max(err, float(np.abs(y[t] - ref[0]).max()))
             worst[(kind, np.dtype(dtype).name)] = (err, tol)
     ok = all(err <= tol for err, tol in worst.values())

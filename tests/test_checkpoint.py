@@ -23,7 +23,7 @@ def build_bundle(seed=0, with_routers=True):
         partitions, routers = [], []
         for i in range(cfg.n_layers):
             layer = get_ffn_layer(params, i)
-            p = group_experts_kmeans(layer.W1.T, cfg.n_experts, Rng(seed).split(f"g{i}"),
+            p = group_experts_kmeans(layer.weights["up"].T, cfg.n_experts, Rng(seed).split(f"g{i}"),
                                      layer_index=i)
             set_ffn_layer(params, i, apply_partition(layer, p))
             partitions.append(p)

@@ -140,6 +140,69 @@ class TestConfigTakesEffect:
         assert f"{key} must be positive" in capsys.readouterr().err
 
 
+class TestModelKeysFromCheckpoint:
+    CKPT = {"moefy": "base.ckpt", "train-lte": "stage1.ckpt", "eval": "stage2.ckpt",
+            "report": "stage2.ckpt"}
+
+    def command(self, pipeline, tmp_path, name):
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        extra = ["--stage", "2", "--steps", "1"] if name == "train-lte" else []
+        return [name, "--checkpoint", str(pipeline["out"] / self.CKPT[name]), *extra, *args]
+
+    @pytest.mark.parametrize("name", CKPT)
+    @pytest.mark.parametrize("key,value", [("d_model", "96"), ("n_layers", "7"),
+                                           ("d_ffn", "1024")])
+    def test_differing_set_key_exit_2_names_key(self, pipeline, tmp_path, capsys, name, key,
+                                                value):
+        assert main([*self.command(pipeline, tmp_path, name), "--set", f"{key}={value}"]) == 2
+        assert f"{key}={value} differs from the checkpoint's" in capsys.readouterr().err
+
+    def test_config_file_keys_checked(self, pipeline, tmp_path, capsys):
+        cmd = self.command(pipeline, tmp_path, "eval")
+        conf = tmp_path / "run.conf"
+        conf.write_text("vocab_size = 256\nffn_kind = two_matmul\n")  # the checkpoint's own
+        assert main([*cmd, "--config", str(conf)]) == 0
+        conf.write_text("ffn_kind = swiglu\n")
+        assert main([*cmd, "--config", str(conf)]) == 2
+        assert "ffn_kind=swiglu differs" in capsys.readouterr().err
+
+    def test_moefy_takes_expert_size(self, pipeline, tmp_path):
+        cmd = self.command(pipeline, tmp_path, "moefy")
+        assert main([*cmd, "--set", "expert_size=8"]) == 0
+        assert load_checkpoint(str(tmp_path / "moefied.ckpt")).config.n_experts == 2
+
+
+class TestSwigluPipeline:
+    def test_every_command_exits_0_and_kmeans_reads_gate(self, pipeline, tmp_path):
+        from moefy.analysis import EVAL_METHODS
+        from moefy.grouping import group_experts_kmeans
+        from moefy.numerics import Rng
+
+        out = tmp_path / "swiglu"
+        args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+        args += ["--set", "ffn_kind=swiglu"]
+        assert main(["train-base", "--steps", "10", *args]) == 0
+        assert main(["moefy", "--checkpoint", str(out / "base.ckpt"), "--method", "kmeans",
+                     *args]) == 0
+        assert main(["train-lte", "--checkpoint", str(out / "moefied.ckpt"), "--stage", "1",
+                     "--steps", "4", "--eta", "1.0", *args]) == 0
+        assert main(["train-lte", "--checkpoint", str(out / "stage1.ckpt"), "--stage", "2",
+                     "--steps", "2", *args]) == 0
+        for method in EVAL_METHODS:
+            assert main(["eval", "--checkpoint", str(out / "stage2.ckpt"), "--method", method,
+                         *args]) == 0, method
+        assert main(["report", "--checkpoint", str(out / "stage2.ckpt"), *args]) == 0
+
+        base = load_checkpoint(str(out / "base.ckpt"))
+        got = load_checkpoint(str(out / "moefied.ckpt")).partitions[0]
+        gate, up = (group_experts_kmeans(base.params[f"block0.ffn.{w}"].data.T, 4,
+                                         Rng(3).split("group0"), layer_index=0)
+                    for w in ("Wgate", "Wup"))
+        assert np.array_equal(got.assignment, gate.assignment)
+        assert np.array_equal(got.permutation, gate.permutation)
+        assert not np.array_equal(got.assignment, up.assignment)  # the check tells them apart
+
+
 class TestPeriodicCheckpoints:
     def test_checkpoint_every_writes_step_files(self, pipeline, tmp_path):
         out = tmp_path / "periodic"
@@ -227,3 +290,15 @@ class TestBenchCli:
         assert rows[0].split("\t")[0] == "shape"
         assert {r.split("\t")[5] for r in rows[1:]} == {blas_threads()}
         assert len(rows) - 1 == 2 * 4 * 2  # grid x (2 shapes x 2 batch sizes) x 2 paths
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--expert-size", "0"], "expert_size"),
+        (["--expert-size", "-128"], "expert_size"),
+        (["--expert-size", "100"], "expert_size"),
+        (["--grid", "0,150"], "grid"),
+        (["--grid=-10"], "grid"),
+    ])
+    def test_bad_flag_exit_2_names_flag(self, tmp_path, capsys, flags, name):
+        assert main(["bench", "--out-dir", str(tmp_path), *flags]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "bench.tsv").exists()

@@ -8,21 +8,13 @@ from moefy.grouping import (
     group_experts_random,
     partition_sse,
 )
-from moefy.model import FfnLayer, GluFfnLayer
 from moefy.numerics import Rng
 
-from ffn_blocks import dense_ffn
+from ffn_blocks import KINDS, dense_ffn, random_layer as ffn_random_layer
 
 
 def random_layer(rng, d=6, f=12, kind="two_matmul", dtype=np.float32):
-    if kind == "two_matmul":
-        return FfnLayer(rng.normal((d, f), std=1.0, dtype=dtype),
-                        rng.normal((f,), std=1.0, dtype=dtype),
-                        rng.normal((f, d), std=1.0, dtype=dtype),
-                        rng.normal((d,), std=1.0, dtype=dtype), "gelu_tanh")
-    return GluFfnLayer(rng.normal((d, f), std=1.0, dtype=dtype),
-                       rng.normal((d, f), std=1.0, dtype=dtype),
-                       rng.normal((f, d), std=1.0, dtype=dtype))
+    return ffn_random_layer(rng, kind, d, f, std=1.0, dtype=dtype)
 
 
 class TestKmeans:
@@ -97,8 +89,8 @@ class TestApplyPartition:
         layer = random_layer(Rng(1))
         p = ExpertPartition(0, 3, 4, np.arange(12) // 4, np.arange(12), "random").validate()
         out = apply_partition(layer, p)
-        assert np.array_equal(out.W1, layer.W1)
-        assert np.array_equal(out.W2, layer.W2)
+        for role, w in layer.weights.items():
+            assert np.array_equal(out.weights[role], w)
         assert out.partition is p
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
@@ -114,16 +106,16 @@ class TestApplyPartition:
         layer = random_layer(Rng(5))
         p = group_experts_random(12, 4, Rng(6))
         back = apply_partition(apply_partition(layer, p), p, inverse=True)
-        assert np.array_equal(back.W1, layer.W1)
-        assert np.array_equal(back.b1, layer.b1)
-        assert np.array_equal(back.W2, layer.W2)
+        assert back.weights.keys() == layer.weights.keys()
+        for role, w in layer.weights.items():
+            assert np.array_equal(back.weights[role], w)
         assert back.partition is None
 
     def test_length_mismatch(self):
-        layer = random_layer(Rng(7))
         p = group_experts_random(8, 2, Rng(8))
-        with pytest.raises(ValueError):
-            apply_partition(layer, p)
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="permutation length 8 != d_ffn 12"):
+                apply_partition(random_layer(Rng(7), kind=kind), p)
 
     def test_contiguity_after_permutation(self):
         p = group_experts_kmeans(Rng(9).normal((24, 4), std=1.0), 4, Rng(10))

@@ -6,12 +6,11 @@ import pytest
 from moefy import routing
 from moefy.autograd import Tensor, no_grad, param
 from moefy.model import (
-    FfnLayer,
-    GluFfnLayer,
     ModelConfig,
     TransformerParams,
     ffn_hidden,
     ffn_out,
+    ffn_param_names,
     forward_lm,
     get_ffn_layer,
     init_params,
@@ -19,7 +18,7 @@ from moefy.model import (
 )
 from moefy.numerics import F64, Rng, ShapeError, activation, finite_diff_grad, sigmoid
 
-from ffn_blocks import dense_ffn, one_block
+from ffn_blocks import dense_ffn, ffn_layer, one_block, random_layer
 
 
 def toy_config(**kw):
@@ -78,82 +77,74 @@ class TestFfnOps:
         w1[:, :d] = np.eye(d)
         w2 = np.zeros((f, d), dtype=np.float32)
         w2[:d, :] = np.eye(d)
-        layer = FfnLayer(w1, np.zeros(f, np.float32), w2, np.zeros(d, np.float32), "relu")
+        layer = ffn_layer("two_matmul", w1, np.zeros(f, np.float32), w2, np.zeros(d, np.float32),
+                          activation="relu")
         x = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
         assert np.allclose(dense_ffn(layer, x), x)
 
     def test_zero_weights_bias_only(self):
         d, f = 4, 8
         c = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
-        layer = FfnLayer(np.zeros((d, f), np.float32), np.zeros(f, np.float32),
-                         np.zeros((f, d), np.float32), c, "gelu_tanh")
+        layer = ffn_layer("two_matmul", np.zeros((d, f), np.float32), np.zeros(f, np.float32),
+                          np.zeros((f, d), np.float32), c)
         y = dense_ffn(layer, Rng(0).normal((3, d), std=1.0))
         assert np.allclose(y, np.tile(c, (3, 1)))
 
     def test_matches_scalar_reference(self):
         rng = Rng(4)
         d, f = 5, 9
-        layer = FfnLayer(rng.normal((d, f), std=0.5), rng.normal((f,), std=0.5),
-                         rng.normal((f, d), std=0.5), rng.normal((d,), std=0.5), "gelu_tanh")
+        layer = random_layer(rng, "two_matmul", d, f, std=0.5)
+        w1, b1, w2, b2 = (layer.weights[r] for r in ("up", "b1", "down", "b2"))
         x = rng.normal((3, d), std=1.0)
         ref = np.zeros((3, d))
         for ti in range(3):
-            h = np.array([sum(float(x[ti, a]) * float(layer.W1[a, j]) for a in range(d))
-                          + float(layer.b1[j]) for j in range(f)])
+            h = np.array([sum(float(x[ti, a]) * float(w1[a, j]) for a in range(d))
+                          + float(b1[j]) for j in range(f)])
             act = activation(h, "gelu_tanh")
             for j in range(d):
-                ref[ti, j] = sum(float(act[a]) * float(layer.W2[a, j]) for a in range(f)) \
-                    + float(layer.b2[j])
+                ref[ti, j] = sum(float(act[a]) * float(w2[a, j]) for a in range(f)) \
+                    + float(b2[j])
         assert np.abs(dense_ffn(layer, x) - ref).max() < 1e-6
 
     def test_glu_zero_input(self):
         rng = Rng(6)
-        layer = GluFfnLayer(rng.normal((4, 8), std=1.0), rng.normal((4, 8), std=1.0),
-                            rng.normal((8, 4), std=1.0))
+        layer = random_layer(rng, "swiglu", 4, 8, std=1.0)
         assert np.allclose(dense_ffn(layer, np.zeros((2, 4), np.float32)), 0.0)
 
     def test_glu_zero_up_columns(self):
         rng = Rng(7)
-        layer = GluFfnLayer(rng.normal((4, 8), std=1.0), np.zeros((4, 8), np.float32),
-                            rng.normal((8, 4), std=1.0))
+        layer = ffn_layer("swiglu", rng.normal((4, 8), std=1.0), np.zeros((4, 8), np.float32),
+                          rng.normal((8, 4), std=1.0))
         x = rng.normal((3, 4), std=1.0)
         assert np.allclose(dense_ffn(layer, x), 0.0)
 
     def test_glu_matches_scalar_reference(self):
         rng = Rng(8)
         d, f = 4, 6
-        layer = GluFfnLayer(rng.normal((d, f), std=0.7), rng.normal((d, f), std=0.7),
-                            rng.normal((f, d), std=0.7))
+        layer = random_layer(rng, "swiglu", d, f, std=0.7)
+        w_gate, w_up, w_down = (layer.weights[r] for r in ("gate", "up", "down"))
         x = rng.normal((2, d), std=1.0)
         ref = np.zeros((2, d))
         for ti in range(2):
-            hg = np.array([sum(float(x[ti, a]) * float(layer.W_gate[a, j]) for a in range(d))
+            hg = np.array([sum(float(x[ti, a]) * float(w_gate[a, j]) for a in range(d))
                            for j in range(f)])
-            hu = np.array([sum(float(x[ti, a]) * float(layer.W_up[a, j]) for a in range(d))
+            hu = np.array([sum(float(x[ti, a]) * float(w_up[a, j]) for a in range(d))
                            for j in range(f)])
             prod = (hg * sigmoid(hg)) * hu
             for j in range(d):
-                ref[ti, j] = sum(float(prod[a]) * float(layer.W_down[a, j]) for a in range(f))
+                ref[ti, j] = sum(float(prod[a]) * float(w_down[a, j]) for a in range(f))
         assert np.abs(dense_ffn(layer, x) - ref).max() < 1e-6
 
     def test_shape_error(self):
-        layer = FfnLayer(np.zeros((3, 6), np.float32), np.zeros(6, np.float32),
-                         np.zeros((6, 3), np.float32), np.zeros(3, np.float32))
+        layer = ffn_layer("two_matmul", np.zeros((3, 6), np.float32), np.zeros(6, np.float32),
+                          np.zeros((6, 3), np.float32), np.zeros(3, np.float32))
         with pytest.raises(ShapeError):
             dense_ffn(layer, np.zeros((2, 4), np.float32))
 
 
 def random_block(kind, dtype, seed=40, d=6, f=12, expert_size=4):
     rng = Rng(seed)
-    if kind == "two_matmul":
-        layer = FfnLayer(rng.normal((d, f), std=0.6, dtype=dtype),
-                         rng.normal((f,), std=0.3, dtype=dtype),
-                         rng.normal((f, d), std=0.6, dtype=dtype),
-                         rng.normal((d,), std=0.3, dtype=dtype), "gelu_tanh")
-    else:
-        layer = GluFfnLayer(rng.normal((d, f), std=0.6, dtype=dtype),
-                            rng.normal((d, f), std=0.6, dtype=dtype),
-                            rng.normal((f, d), std=0.6, dtype=dtype))
+    layer = random_layer(rng, kind, d, f, std=0.6, bias_std=0.3, dtype=dtype)
     x = rng.split("x").normal((5, d), std=1.0, dtype=dtype)
     return one_block(layer, expert_size), x
 
@@ -211,7 +202,7 @@ class TestScaledFfn:
         ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x)), const).sum().backward()
         assert const.grad is None and not const.requires_grad
         # only expert 1's down-projection rows (hidden units 4..7) get gradient
-        down = params["block0.ffn.W2" if kind == "two_matmul" else "block0.ffn.Wdown"].grad
+        down = params[ffn_param_names(params.config, 0)["down"]].grad
         assert not down[:4].any() and not down[8:].any() and down[4:8].any()
 
     def test_scale_width_must_divide_d_ffn(self):
@@ -397,3 +388,22 @@ class TestParamCount:
         cfg = toy_config(**kw)
         params = init_params(cfg, Rng(1))
         assert params.element_count() == param_count(cfg)
+
+
+BLOCK0_PREFIX = ["wte", "wpe", "block0.ln1.g", "block0.ln1.b", "block0.attn.Wq", "block0.attn.Wk",
+                 "block0.attn.Wv", "block0.attn.bq", "block0.attn.bk", "block0.attn.bv",
+                 "block0.attn.Wo", "block0.attn.bo", "block0.ln2.g", "block0.ln2.b"]
+TAIL = ["ln_f.g", "ln_f.b", "head.W", "head.b"]
+
+
+class TestCheckpointOrder:
+    """init_params's insertion order is the checkpoint's tensor order."""
+
+    @pytest.mark.parametrize("kind,ffn", [
+        ("two_matmul", ["block0.ffn.W1", "block0.ffn.b1", "block0.ffn.W2", "block0.ffn.b2"]),
+        ("swiglu", ["block0.ffn.Wgate", "block0.ffn.Wup", "block0.ffn.Wdown"]),
+    ])
+    def test_init_names_pinned(self, kind, ffn):
+        params = init_params(toy_config(ffn_kind=kind, n_layers=1), Rng(0))
+        assert params.names() == BLOCK0_PREFIX + ffn + TAIL
+        assert list(ffn_param_names(params.config, 0).values()) == ffn

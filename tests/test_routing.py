@@ -6,7 +6,7 @@ import pytest
 from moefy import routing
 from moefy.autograd import Tensor, no_grad, param
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import FfnLayer, GluFfnLayer, get_ffn_layer
+from moefy.model import get_ffn_layer
 from moefy.numerics import Rng, activation
 from moefy.routing import (
     RouterLayer,
@@ -21,19 +21,14 @@ from moefy.routing import (
     soft_ffn_graph,
 )
 
-from ffn_blocks import one_block
+from ffn_blocks import ffn_layer, one_block, random_layer, scaled_ffn_oracle
 
 logit = lambda p: math.log(p / (1 - p))
 
 
 def make_layer(rng, d=6, f=16, kind="two_matmul", act="gelu_tanh", n_experts=4):
     """(one-block params with an expert-permuted random FFN, its partition)."""
-    if kind == "two_matmul":
-        layer = FfnLayer(rng.normal((d, f), std=0.8), rng.normal((f,), std=0.5),
-                         rng.normal((f, d), std=0.8), rng.normal((d,), std=0.5), act)
-    else:
-        layer = GluFfnLayer(rng.normal((d, f), std=0.8), rng.normal((d, f), std=0.8),
-                            rng.normal((f, d), std=0.8))
+    layer = random_layer(rng, kind, d, f, std=0.8, bias_std=0.5, activation=act)
     p = group_experts_random(f, n_experts, rng.split("part"))
     return one_block(apply_partition(layer, p), f // n_experts), p
 
@@ -49,13 +44,8 @@ def soft(params, router, x):
 
 
 def dense_mask_oracle(params, x, neuron_scale):
-    """Dense FFN with each intermediate neuron scaled; written independently."""
-    layer = get_ffn_layer(params, 0)
-    if isinstance(layer, FfnLayer):
-        a = activation(x @ layer.W1 + layer.b1, layer.activation)
-        return (a * neuron_scale) @ layer.W2 + layer.b2
-    a = activation(x @ layer.W_gate, "silu") * (x @ layer.W_up)
-    return (a * neuron_scale) @ layer.W_down
+    """Plain-numpy dense FFN of block 0 with each intermediate neuron scaled."""
+    return scaled_ffn_oracle(get_ffn_layer(params, 0), x, neuron_scale)
 
 
 class TestRouterScores:
@@ -258,10 +248,11 @@ class TestNoisyTopk:
 class TestMagnitudeSelect:
     def test_example_ranking(self):
         # swiglu intermediate ~ [3, -5, 0.1]: |-5| > |3| > |0.1|
-        params = one_block(GluFfnLayer(
-            W_gate=np.full((1, 3), 20.0),               # silu(20) ~= 20
-            W_up=np.array([[0.15, -0.25, 0.005]]),
-            W_down=np.eye(3, 1),
+        params = one_block(ffn_layer(
+            "swiglu",
+            np.full((1, 3), 20.0),               # gate: silu(20) ~= 20
+            np.array([[0.15, -0.25, 0.005]]),    # up
+            np.eye(3, 1),                        # down
         ), expert_size=1)
         _, mask = magnitude_select(params, 0, np.array([[1.0]]), keep_fraction=2 / 3)
         assert mask.tolist() == [[True, True, False]]
@@ -311,9 +302,10 @@ class TestGroundtruthTopk:
         # only expert 0's neurons can fire (relu kills the rest via -inf-ish bias)
         d, f, n = 3, 8, 4
         rng = Rng(27)
-        layer = FfnLayer(rng.normal((d, f), std=1.0), np.zeros(f, np.float32),
-                         rng.normal((f, d), std=1.0), rng.normal((d,), std=1.0), "relu")
-        layer.b1[2:] = -1e9
+        layer = ffn_layer("two_matmul", rng.normal((d, f), std=1.0), np.zeros(f, np.float32),
+                          rng.normal((f, d), std=1.0), rng.normal((d,), std=1.0),
+                          activation="relu")
+        layer.weights["b1"][2:] = -1e9
         params = one_block(layer, expert_size=f // n)
         x = np.abs(rng.normal((5, d), std=1.0))
         y, mask = groundtruth_topk_select(params, 0, x, k=1)
@@ -327,7 +319,7 @@ class TestGroundtruthTopk:
         x = rng.normal((6, 6), std=1.0)
         _, mask = groundtruth_topk_select(params, 0, x, k=2)
         layer = get_ffn_layer(params, 0)
-        inter = activation(x @ layer.W1 + layer.b1, layer.activation)
+        inter = activation(x @ layer.weights["up"] + layer.weights["b1"], layer.activation)
         for t in range(6):
             norms = [np.linalg.norm(inter[t, e * 4:(e + 1) * 4]) for e in range(4)]
             top2 = set(np.argsort([-v for v in norms], kind="stable")[:2])

@@ -3,7 +3,7 @@ import pytest
 
 from moefy import numerics
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import FfnLayer, GluFfnLayer, ModelConfig
+from moefy.model import ModelConfig, get_ffn_layer, init_params
 from moefy.numerics import Rng, activation
 from moefy.sparse_exec import (
     BENCH_COLUMNS,
@@ -14,34 +14,14 @@ from moefy.sparse_exec import (
     sparse_ffn_forward,
 )
 
-from ffn_blocks import dense_ffn
+from ffn_blocks import KINDS, dense_ffn, expert_oracle, random_layer
 
 
 def packed_layer(rng, d=8, f=24, n=6, kind="two_matmul", dtype=np.float32, act="gelu_tanh"):
     # init-scale weights keep outputs O(1) so absolute tolerances are meaningful
-    if kind == "two_matmul":
-        layer = FfnLayer(rng.normal((d, f), std=0.3, dtype=dtype),
-                         rng.normal((f,), std=0.2, dtype=dtype),
-                         rng.normal((f, d), std=0.3, dtype=dtype),
-                         rng.normal((d,), std=0.2, dtype=dtype), act)
-    else:
-        layer = GluFfnLayer(rng.normal((d, f), std=0.3, dtype=dtype),
-                            rng.normal((d, f), std=0.3, dtype=dtype),
-                            rng.normal((f, d), std=0.3, dtype=dtype))
+    layer = random_layer(rng, kind, d, f, std=0.3, bias_std=0.2, dtype=dtype, activation=act)
     permuted = apply_partition(layer, group_experts_random(f, n, rng.split("p")))
     return permuted, pack(permuted)
-
-
-def dense_mask_oracle(layer, x, expert_sel, expert_size):
-    scale = np.zeros(layer.W2.shape[0] if isinstance(layer, FfnLayer) else layer.W_down.shape[0],
-                     dtype=x.dtype)
-    for e in expert_sel:
-        scale[e * expert_size:(e + 1) * expert_size] = 1.0
-    if isinstance(layer, FfnLayer):
-        a = activation(x @ layer.W1 + layer.b1, layer.activation)
-        return (a * scale) @ layer.W2 + layer.b2
-    a = activation(x @ layer.W_gate, "silu") * (x @ layer.W_up)
-    return (a * scale) @ layer.W_down
 
 
 class TestPack:
@@ -49,32 +29,34 @@ class TestPack:
     def test_round_trip_bit_identical(self, kind):
         # every slab is its expert's dense columns / rows, bit for bit
         layer, packed = packed_layer(Rng(0), kind=kind)
-        e = packed.expert_size
+        w, e = layer.weights, packed.expert_size
         for x in range(packed.n_experts):
             cols = slice(x * e, (x + 1) * e)
+            assert np.array_equal(packed.up[x], w["up"][:, cols])
+            assert np.array_equal(packed.down[x], w["down"][cols])
             if kind == "two_matmul":
-                assert np.array_equal(packed.up[x], layer.W1[:, cols])
-                assert np.array_equal(packed.b1[x], layer.b1[cols])
-                assert np.array_equal(packed.down[x], layer.W2[cols])
+                assert np.array_equal(packed.b1[x], w["b1"][cols])
             else:
-                assert np.array_equal(packed.gate[x], layer.W_gate[:, cols])
-                assert np.array_equal(packed.up[x], layer.W_up[:, cols])
-                assert np.array_equal(packed.down[x], layer.W_down[cols])
+                assert np.array_equal(packed.gate[x], w["gate"][:, cols])
         if kind == "two_matmul":
-            assert np.array_equal(packed.b2, layer.b2)
+            assert np.array_equal(packed.b2, w["b2"])
+        else:
+            assert packed.b1 is None and packed.b2 is None
 
     def test_expert_zero_slice_is_leading_columns(self):
         layer, packed = packed_layer(Rng(1))
         e = packed.expert_size
-        assert np.array_equal(packed.up[0], layer.W1[:, :e])
-        assert np.array_equal(packed.down[0], layer.W2[:e, :])
+        assert np.array_equal(packed.up[0], layer.weights["up"][:, :e])
+        assert np.array_equal(packed.down[0], layer.weights["down"][:e, :])
 
     def test_requires_permuted_layer(self):
-        rng = Rng(2)
-        layer = FfnLayer(rng.normal((4, 8), std=1.0), rng.normal((8,), std=1.0),
-                         rng.normal((8, 4), std=1.0), rng.normal((4,), std=1.0))
-        with pytest.raises(ValueError):
-            pack(layer)
+        # an unpermuted view of either kind, straight from the parameters
+        for kind in KINDS:
+            cfg = ModelConfig(vocab_size=4, d_model=4, n_heads=1, n_layers=1, d_ffn=8,
+                              max_seq_len=2, expert_size=4, ffn_kind=kind)
+            layer = get_ffn_layer(init_params(cfg, Rng(2)), 0)
+            with pytest.raises(ValueError, match="not permuted"):
+                pack(layer)
 
 
 class TestSparseForward:
@@ -91,7 +73,7 @@ class TestSparseForward:
         layer, packed = packed_layer(Rng(5))
         x = Rng(6).normal((3, 8), std=1.0)
         y = sparse_ffn_forward(packed, [np.array([], dtype=np.int64)] * 3, x)
-        assert np.allclose(y, np.tile(layer.b2, (3, 1)))
+        assert np.allclose(y, np.tile(layer.weights["b2"], (3, 1)))
 
     def test_empty_selection_swiglu_zero(self):
         _, packed = packed_layer(Rng(7), kind="swiglu")
@@ -108,7 +90,7 @@ class TestSparseForward:
             sels = [np.sort(srng.choice(6, int(srng.integers(1, 6)))) for _ in range(4)]
             y = sparse_ffn_forward(packed, sels, x)
             for t in range(4):
-                ref = dense_mask_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
+                ref = expert_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
                 assert np.abs(y[t] - ref[0]).max() < 1e-5
 
     def test_unsorted_selection_rejected(self):
@@ -139,16 +121,8 @@ class TestSparseForward:
 def model_shape_layer(kind, dtype, d=128, f=512, n=32):
     """The trained model's FFN shape (expert_size 16) with fan-in scaled weights."""
     rng = Rng(20)
-    up_std, down_std = 1.0 / np.sqrt(d), 1.0 / np.sqrt(f)
-    if kind == "two_matmul":
-        layer = FfnLayer(rng.normal((d, f), std=up_std, dtype=dtype),
-                         rng.normal((f,), std=0.2, dtype=dtype),
-                         rng.normal((f, d), std=down_std, dtype=dtype),
-                         rng.normal((d,), std=0.2, dtype=dtype), "gelu_tanh")
-    else:
-        layer = GluFfnLayer(rng.normal((d, f), std=up_std, dtype=dtype),
-                            rng.normal((d, f), std=up_std, dtype=dtype),
-                            rng.normal((f, d), std=down_std, dtype=dtype))
+    layer = random_layer(rng, kind, d, f, std=1.0 / np.sqrt(d), bias_std=0.2,
+                         down_std=1.0 / np.sqrt(f), dtype=dtype)
     permuted = apply_partition(layer, group_experts_random(f, n, rng.split("p")))
     return permuted, pack(permuted)
 
@@ -173,7 +147,7 @@ class TestExpertMajorDispatch:
         y = sparse_ffn_forward(packed, sels, x)
         assert y.dtype == dtype
         for t, sel in enumerate(sels):
-            ref = dense_mask_oracle(layer, x[t:t + 1], sel, packed.expert_size)
+            ref = expert_oracle(layer, x[t:t + 1], sel, packed.expert_size)
             assert np.abs(y[t] - ref[0]).max() < tol, t
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
@@ -190,7 +164,7 @@ class TestExpertMajorDispatch:
         sels = [np.array([5]), np.array([1])]
         y = sparse_ffn_forward(packed, sels, x)
         for t in range(2):
-            ref = dense_mask_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
+            ref = expert_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
             assert np.abs(y[t] - ref[0]).max() < 1e-5
 
     @pytest.mark.parametrize("bad", [[3, 2], [4, 4], [32], [-1], [0, 31, 32]])
@@ -213,7 +187,7 @@ def expert_loop_oracle(packed, selections, x):
     for e in np.flatnonzero(mask.any(axis=0)):
         idx = np.flatnonzero(mask[:, e])
         xe = x[idx]
-        if packed.kind == "two_matmul":
+        if packed.gate is None:
             h = activation(xe @ packed.up[e] + packed.b1[e], packed.activation)
         else:
             h = activation(xe @ packed.gate[e], "silu") * (xe @ packed.up[e])
