@@ -5,8 +5,8 @@ neurons into equal-size experts (balanced k-means on gate-projection columns,
 or on up-projection columns when the FFN has no gate), attach sigmoid
 threshold routers, train routers and model jointly in soft mode under an
 efficiency + separability penalty, then freeze routers and adapt the model
-to discrete selection. A packed gather execution path turns
-the learned sparsity into measured latency wins on CPU.
+to discrete selection. A packed gather execution path runs only the
+selected experts; on CPU it does not yet beat the dense FFN on wall time.
 """
 
 from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint

@@ -17,7 +17,7 @@ import numpy as np
 from . import losses, routing, sparse_exec
 from .autograd import no_grad
 from .checkpoint import CheckpointBundle
-from .model import ffn_flops_per_token, forward_lm, get_ffn_layer
+from .model import forward_lm, get_ffn_layer
 from .numerics import Rng, blas_threads
 from .sparse_exec import FlopsReport
 
@@ -28,13 +28,24 @@ HIST_BINS = 64
 # window count.
 EVAL_CHUNK = 32
 
-EVAL_METHODS = ("dense", "lte", "dejavu", "moefication_gt", "random_router", "noisy_topk")
+# eval method -> the `evaluate` arguments it reads; they form its ledger settings
+METHOD_SETTINGS = {
+    "dense": (),
+    "lte": ("tau",),
+    "dejavu": ("keep_fraction",),
+    "moefication_gt": ("k",),
+    "random_router": ("k", "seed"),
+    "noisy_topk": ("k", "seed"),
+}
+EVAL_METHODS = tuple(METHOD_SETTINGS)
+# methods that run a router per token, so their FLOPs pay for it
+ROUTED = ("lte", "random_router", "noisy_topk")
 
 
 def val_windows(data: np.ndarray, seq_len: int, max_windows: int) -> list[np.ndarray]:
     """Deterministic non-overlapping windows from the held-out slice."""
     out = []
-    for s in range(0, data.shape[0] - seq_len - 1, seq_len):
+    for s in range(0, data.shape[0] - seq_len, seq_len):
         out.append(data[s : s + seq_len + 1].astype(np.int64))
         if len(out) >= max_windows:
             break
@@ -50,36 +61,36 @@ def _chunks(windows: list[np.ndarray]):
         yield w[:, :-1], w[:, 1:].reshape(-1)
 
 
-def _packed_layers(bundle: CheckpointBundle):
-    return [
-        sparse_exec.pack(get_ffn_layer(bundle.params, i, partition=bundle.partitions[i]))
-        for i in range(bundle.config.n_layers)
-    ]
+def _eval_pass(bundle: CheckpointBundle, windows: list[np.ndarray], **forward_kwargs):
+    """One no-grad forward_lm per chunk: (mean_ce, per-layer stacked scores, masks).
 
-
-def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: float):
-    """Discrete-mode eval: returns (mean_ce, per-layer stacked scores and masks)."""
-    cfg = bundle.config
-    packed = _packed_layers(bundle)
+    The scores and masks lists are empty when the forward pass makes no
+    RoutingDecisions (the dense FFN).
+    """
     ce_sum, tok = 0.0, 0
-    scores = [[] for _ in range(cfg.n_layers)]
-    masks = [[] for _ in range(cfg.n_layers)]
+    scores = [[] for _ in range(bundle.config.n_layers)]
+    masks = [[] for _ in range(bundle.config.n_layers)]
     with no_grad():
         for x, y in _chunks(windows):
-            res = forward_lm(
-                bundle.params, x, ffn_mode="moe_discrete", routers=bundle.routers,
-                tau=tau, partitions=bundle.partitions, packed=packed,
-            )
+            res = forward_lm(bundle.params, x, **forward_kwargs)
             ce_sum += losses.task_loss(res.logits.data, y) * y.shape[0]
             tok += y.shape[0]
-            for l, dec in enumerate(res.decisions):
+            for l, dec in enumerate(res.decisions or ()):
                 scores[l].append(dec.scores)
                 masks[l].append(dec.mask)
     return (
         ce_sum / tok,
-        [np.concatenate(s) for s in scores],
-        [np.concatenate(m) for m in masks],
+        [np.concatenate(s) for s in scores if s],
+        [np.concatenate(m) for m in masks if m],
     )
+
+
+def collect_decisions(bundle: CheckpointBundle, windows: list[np.ndarray], tau: float):
+    """Discrete-mode eval: returns (mean_ce, per-layer stacked scores and masks)."""
+    packed = [sparse_exec.pack(get_ffn_layer(bundle.params, i, partition=p))
+              for i, p in enumerate(bundle.partitions)]
+    return _eval_pass(bundle, windows, ffn_mode="moe_discrete", routers=bundle.routers,
+                      tau=tau, partitions=bundle.partitions, packed=packed)
 
 
 def union_sparsity(mask: np.ndarray) -> float:
@@ -166,75 +177,55 @@ class EvalMetrics:
     settings: dict = field(default_factory=dict)
 
 
+def _baseline_override(bundle: CheckpointBundle, method: str, k: int, keep_fraction: float,
+                       seed: int):
+    """The `forward_lm` ffn_override that runs a baseline method; None for dense."""
+    cfg, params = bundle.config, bundle.params
+    if method == "dense":
+        return None
+    if method == "dejavu":
+        return lambda i, x: routing.magnitude_select(params, i, x, keep_fraction)
+    if method == "moefication_gt":
+        return lambda i, x: routing.groundtruth_topk_select(params, i, x, k)
+    # frozen random routers, one per layer, drawn from the method's own seed label
+    label, fwd = {"random_router": ("rr", routing.random_topk_forward),
+                  "noisy_topk": ("topk", routing.noisy_topk_forward)}[method]
+    routers = [routing.router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"{label}{i}"),
+                                   std=1.0 / math.sqrt(cfg.d_model))
+               for i in range(cfg.n_layers)]
+    return lambda i, x: fwd(params, i, routers[i], x, k)
+
+
 def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
              tau: float = 0.5, k: int = 1, keep_fraction: float = 1.0,
              seed: int = 0) -> EvalMetrics:
-    """Validation perplexity + sparsity + FLOPs for one routing method."""
+    """Validation perplexity + sparsity + FLOPs for one routing method.
+
+    Sparsity and FLOPs come from the masks the method applied; a per-neuron
+    mask counts expert_size neurons as one expert. Dense applies none and
+    keeps every expert.
+    """
     cfg = bundle.config
-    n = cfg.n_experts
     if method not in EVAL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {EVAL_METHODS}")
-    if method in ("lte",) and bundle.routers is None:
+    if method == "lte" and bundle.routers is None:
         raise ValueError("method 'lte' needs a checkpoint with routers")
     if method in ("lte", "moefication_gt", "random_router", "noisy_topk") and bundle.partitions is None:
         raise ValueError(f"method {method!r} needs a moefied checkpoint")
 
     if method == "lte":
         mean_ce, _, masks = collect_decisions(bundle, windows, tau)
-        selected = [float(m.sum(axis=1).mean()) for m in masks]
-        flops = sparse_exec.flops_per_token(cfg, selected)
+    else:
+        override = _baseline_override(bundle, method, k, keep_fraction, seed)
+        mean_ce, _, masks = _eval_pass(bundle, windows, ffn_override=override)
+    if masks:
         sparsity = float(np.mean([1.0 - m.mean() for m in masks]))
-        return EvalMetrics("lte", losses.perplexity(mean_ce), mean_ce, sparsity, flops,
-                           settings={"tau": tau})
-
-    params = bundle.params
-    override = None
-    if method == "dejavu":
-        override = lambda i, x: routing.magnitude_select(params, i, x, keep_fraction)
-    elif method == "moefication_gt":
-        override = lambda i, x: routing.groundtruth_topk_select(params, i, x, k)
-    elif method == "random_router":
-        rrs = [routing.random_router_init(cfg.d_model, n, k, Rng(seed).split(f"rr{i}"))
-               for i in range(cfg.n_layers)]
-        override = lambda i, x: routing.random_topk_forward(params, i, rrs[i], x)
-    elif method == "noisy_topk":
-        srs = [routing.router_init(cfg.d_model, n, Rng(seed).split(f"topk{i}"),
-                                   std=1.0 / math.sqrt(cfg.d_model))
-               for i in range(cfg.n_layers)]
-        override = lambda i, x: routing.noisy_topk_forward(
-            params, i, srs[i], x, k, noise_std=0.0)
-
-    ce_sum, tok = 0.0, 0
-    with no_grad():
-        for x, y in _chunks(windows):
-            res = forward_lm(bundle.params, x, ffn_mode="dense", ffn_override=override)
-            ce_sum += losses.task_loss(res.logits.data, y) * y.shape[0]
-            tok += y.shape[0]
-    mean_ce = ce_sum / tok
-
-    per_layer_dense = ffn_flops_per_token(cfg)
-    router_total = 2.0 * cfg.d_model * n * cfg.n_layers
-    if method == "dense":
-        sparsity = 0.0
-        dense = float(per_layer_dense * cfg.n_layers)
-        flops = FlopsReport(dense, dense, 0.0, 0.0, [float(n)] * cfg.n_layers)
-        settings = {}
-    elif method == "dejavu":
-        sparsity = 1.0 - keep_fraction
-        dense = float(per_layer_dense * cfg.n_layers)
-        # exact-value oracle: no predictor/router cost charged (its best case)
-        flops = FlopsReport(dense, dense * keep_fraction, 0.0, 0.0,
-                            [keep_fraction * n] * cfg.n_layers)
-        settings = {"keep_fraction": keep_fraction}
-    elif method == "moefication_gt":
-        sparsity = 1.0 - k / n
-        dense = float(per_layer_dense * cfg.n_layers)
-        flops = FlopsReport(dense, dense * (k / n), 0.0, 0.0, [float(k)] * cfg.n_layers)
-        settings = {"k": k}
-    else:  # random_router, noisy_topk: real router cost applies
-        sparsity = 1.0 - k / n
-        flops = sparse_exec.flops_per_token(cfg, float(k))
-        settings = {"k": k, "seed": seed}
+        selected = [float(m.sum(axis=1).mean()) / (m.shape[1] // cfg.n_experts) for m in masks]
+    else:
+        sparsity, selected = 0.0, float(cfg.n_experts)
+    flops = sparse_exec.flops_per_token(cfg, selected, router=method in ROUTED)
+    args = {"tau": tau, "k": k, "keep_fraction": keep_fraction, "seed": seed}
+    settings = {name: args[name] for name in METHOD_SETTINGS[method]}
     return EvalMetrics(method, losses.perplexity(mean_ce), mean_ce, sparsity, flops, settings)
 
 

@@ -198,15 +198,18 @@ def cmd_train_lte(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # an unset flag keeps evaluate's default; a set one must be read by the method
+    given = {n: getattr(args, n) for n in ("k", "keep_fraction") if getattr(args, n) is not None}
+    for name in given:
+        if name not in analysis.METHOD_SETTINGS[args.method]:
+            raise ConfigError(f"--{name.replace('_', '-')} is not read by method {args.method!r}")
     cfg = _config(args, tau=args.tau)
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)
     _check_model_keys(args, cfg, bundle.config)
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)
-    metrics = analysis.evaluate(
-        bundle, windows, args.method, tau=cfg.tau, k=args.k,
-        keep_fraction=args.keep_fraction, seed=cfg.seed,
-    )
+    metrics = analysis.evaluate(bundle, windows, args.method, tau=cfg.tau, seed=cfg.seed,
+                                **given)
     tag = f"{Path(args.checkpoint).name}:{bundle.stage}"
     line = analysis.eval_record_line(metrics, corpus.sha256, tag)
     ledger = _out_dir(cfg) / "results.tsv"
@@ -298,8 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--method", choices=analysis.EVAL_METHODS, default="lte")
     p.add_argument("--tau", type=float)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--keep-fraction", dest="keep_fraction", type=float, default=1.0)
+    p.add_argument("--k", type=int,
+                   help="experts per token (moefication_gt, random_router, noisy_topk); default 1")
+    p.add_argument("--keep-fraction", dest="keep_fraction", type=float,
+                   help="share of hidden neurons kept per token (dejavu); default 1.0")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="dense vs gather FFN latency table")

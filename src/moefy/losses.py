@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor
-from .numerics import ShapeError
 
 
 @dataclass
@@ -49,14 +48,8 @@ class LossBreakdown:
 
 
 def task_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean next-token cross-entropy with a stable log-sum-exp."""
-    targets = np.asarray(targets)
-    if logits.shape[0] != targets.shape[0]:
-        raise ShapeError(f"{targets.shape[0]} targets for {logits.shape[0]} logit rows")
-    x = logits.astype(np.float64)
-    m = x.max(axis=1, keepdims=True)
-    lse = m.squeeze(1) + np.log(np.exp(x - m).sum(axis=1))
-    return float((lse - x[np.arange(x.shape[0]), targets]).mean())
+    """Mean next-token cross-entropy, in float64, through the graph's cross-entropy."""
+    return Tensor(logits.astype(np.float64)).cross_entropy_mean(targets).item()
 
 
 def perplexity(mean_ce: float) -> float:

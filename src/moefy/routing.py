@@ -8,7 +8,8 @@ learn), discrete mode a constant 0/1 mask. Without a graph, discrete mode
 runs the packed gather kernel instead. Baselines pick their own constant
 scale: noisy top-k softmax weights, per-neuron magnitude keep (exact-value
 stand-in for a trained predictor), ground-truth expert top-k, and frozen
-random routers.
+random routers. Every baseline returns a RoutingDecision whose mask is the
+selection it applied, so eval measures all methods from their masks.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class RouterLayer:
 
 @dataclass
 class RoutingDecision:
-    scores: np.ndarray   # (T, n_experts), each strictly in (0, 1)
-    mask: np.ndarray     # (T, n_experts) bool
+    scores: np.ndarray   # (T, m): router scores in (0, 1), or the values a baseline ranked
+    mask: np.ndarray     # (T, m) bool, the selection applied; m = n_experts, or d_ffn per neuron
     mode: str            # soft | discrete
     tau: Optional[float] = None
 
@@ -107,81 +108,66 @@ def discrete_ffn_graph(params: TransformerParams, i: int, router: RouterLayer, x
 
 def _topk_rows(values: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest entries per row; ties keep lower index."""
+    if not 1 <= k <= values.shape[1]:
+        raise ValueError(f"k={k} out of range [1, {values.shape[1]}]")
     order = np.argsort(-values, axis=1, kind="stable")[:, :k]
     mask = np.zeros(values.shape, dtype=bool)
     np.put_along_axis(mask, order, True, axis=1)
     return mask
 
 
+def _baseline_out(params: TransformerParams, i: int, a: Tensor, scale: np.ndarray,
+                  scores: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, RoutingDecision]:
+    """Down-project hidden `a` under a baseline's constant scale; the decision keeps its mask."""
+    y = ffn_out(params, i, a, Tensor(scale.astype(a.dtype))).data
+    return y, RoutingDecision(scores=scores, mask=mask, mode="discrete")
+
+
 def noisy_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x: np.ndarray,
-                       k: int, noise_std: float = 0.0,
-                       rng: Optional[Rng] = None) -> tuple[np.ndarray, RoutingDecision]:
-    """Top-k softmax routing; Gaussian logit noise during training only."""
-    n = router.n_experts
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
+                       k: int) -> tuple[np.ndarray, RoutingDecision]:
+    """Top-k softmax routing; the selected experts are scaled by their softmax weights.
+
+    Noisy top-k adds logit noise only while its router trains; this baseline's
+    router is never trained, so it runs noise-free.
+    """
     logits = numerics.matmul(x, router.Wg.data)
-    if noise_std > 0:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
-        logits = logits + rng.normal(logits.shape, std=noise_std, dtype=logits.dtype)
     mask = _topk_rows(logits, k)
     kept = np.where(mask, logits, -np.inf)
     m = kept.max(axis=1, keepdims=True)
     expw = np.exp(kept - m)
     weights = expw / expw.sum(axis=1, keepdims=True)
-    a = ffn_hidden(params, i, Tensor(x))
-    y = ffn_out(params, i, a, Tensor(weights.astype(a.dtype))).data
-    return y, RoutingDecision(scores=weights, mask=mask, mode="discrete")
+    return _baseline_out(params, i, ffn_hidden(params, i, Tensor(x)), weights, weights, mask)
 
 
 def magnitude_select(params: TransformerParams, i: int, x: np.ndarray,
-                     keep_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the largest-|value| hidden neurons per token, zero the rest.
+                     keep_fraction: float) -> tuple[np.ndarray, RoutingDecision]:
+    """Keep the ceil(keep_fraction * d_ffn) largest-|value| hidden neurons per token.
 
     Exact-value oracle: the true activations stand in for a trained predictor,
-    giving this baseline its best case. Returns (output, neuron mask).
+    giving this baseline its best case. The decision's mask and scores are
+    per neuron, (T, d_ffn).
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     a = ffn_hidden(params, i, Tensor(x))
-    n_keep = math.ceil(keep_fraction * a.shape[1])
-    mask = _topk_rows(np.abs(a.data), n_keep)
-    return ffn_out(params, i, a, Tensor(mask.astype(a.dtype))).data, mask
+    mag = np.abs(a.data)
+    mask = _topk_rows(mag, math.ceil(keep_fraction * a.shape[1]))
+    return _baseline_out(params, i, a, mask, mag, mask)
 
 
 def groundtruth_topk_select(params: TransformerParams, i: int, x: np.ndarray,
-                            k: int) -> tuple[np.ndarray, np.ndarray]:
+                            k: int) -> tuple[np.ndarray, RoutingDecision]:
     """Score experts by the L2 norm of their true hidden slice, keep top-k."""
     cfg = params.config
-    n = cfg.n_experts
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
     a = ffn_hidden(params, i, Tensor(x))
-    norms = np.sqrt((a.data * a.data).reshape(a.shape[0], n, cfg.expert_size).sum(axis=2))
+    norms = np.sqrt((a.data * a.data).reshape(-1, cfg.n_experts, cfg.expert_size).sum(axis=2))
     mask = _topk_rows(norms, k)
-    return ffn_out(params, i, a, Tensor(mask.astype(a.dtype))).data, mask
+    return _baseline_out(params, i, a, mask, norms, mask)
 
 
-@dataclass
-class RandomTopKRouter:
-    router: RouterLayer
-    k: int
-
-
-def random_router_init(d_model: int, n_experts: int, k: int, rng: Rng) -> RandomTopKRouter:
-    """Frozen random router; selection is top-k scores per token."""
-    if not 1 <= k <= n_experts:
-        raise ValueError(f"k={k} out of range [1, {n_experts}]")
-    r = router_init(d_model, n_experts, rng, std=1.0 / math.sqrt(d_model))
-    r.frozen = True
-    return RandomTopKRouter(router=r, k=k)
-
-
-def random_topk_forward(params: TransformerParams, i: int, rr: RandomTopKRouter,
-                        x: np.ndarray) -> tuple[np.ndarray, RoutingDecision]:
-    scores = router_scores(rr.router, x)
-    mask = _topk_rows(scores, rr.k)
-    a = ffn_hidden(params, i, Tensor(x))
-    y = ffn_out(params, i, a, Tensor(mask.astype(a.dtype))).data
-    return y, RoutingDecision(scores=scores, mask=mask, mode="discrete")
+def random_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x: np.ndarray,
+                        k: int) -> tuple[np.ndarray, RoutingDecision]:
+    """Top-k experts by the sigmoid scores of a frozen random router."""
+    scores = router_scores(router, x)
+    mask = _topk_rows(scores, k)
+    return _baseline_out(params, i, ffn_hidden(params, i, Tensor(x)), mask, scores, mask)

@@ -143,16 +143,16 @@ class FlopsReport:
     mean_selected_per_layer: list = field(default_factory=list)
 
 
-def flops_per_token(cfg: ModelConfig, mean_selected) -> FlopsReport:
+def flops_per_token(cfg: ModelConfig, mean_selected, router: bool = True) -> FlopsReport:
     """FFN FLOPs per token across all layers; one multiply-add counts as 2.
 
     Dense layer: `model.ffn_flops_per_token`. Router: 2 * d_model * n_experts
-    per layer. The sparse figure scales the FFN term by the selected fraction
-    and always pays the router.
+    per layer, charged only with `router`. The sparse figure scales the FFN
+    term by the selected fraction of experts and adds the router.
     """
     n, layers = cfg.n_experts, cfg.n_layers
     per_layer_dense = ffn_flops_per_token(cfg)
-    router = 2 * cfg.d_model * n
+    per_layer_router = 2 * cfg.d_model * n if router else 0
     if np.isscalar(mean_selected):
         selected = [float(mean_selected)] * layers
     else:
@@ -160,12 +160,12 @@ def flops_per_token(cfg: ModelConfig, mean_selected) -> FlopsReport:
         if len(selected) != layers:
             raise ValueError(f"{len(selected)} selection means for {layers} layers")
     dense = per_layer_dense * layers
-    sparse = sum(per_layer_dense * (k / n) for k in selected) + router * layers
+    sparse = sum(per_layer_dense * (k / n) for k in selected) + per_layer_router * layers
     return FlopsReport(
         dense_flops_per_token=float(dense),
         sparse_flops_per_token=float(sparse),
-        router_flops_per_token=float(router * layers),
-        router_share_of_ffn=router / per_layer_dense,
+        router_flops_per_token=float(per_layer_router * layers),
+        router_share_of_ffn=per_layer_router / per_layer_dense,
         mean_selected_per_layer=selected,
     )
 

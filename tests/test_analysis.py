@@ -26,6 +26,7 @@ from moefy.grouping import apply_partition, group_experts_random
 from moefy.model import ModelConfig, forward_lm, get_ffn_layer, init_params, set_ffn_layer
 from moefy.numerics import Rng
 from moefy.routing import RouterLayer, magnitude_select, router_init
+from moefy.sparse_exec import flops_per_token
 
 logit = lambda p: math.log(p / (1 - p))
 
@@ -231,3 +232,66 @@ class TestEvaluate:
         assert np.array_equal(w[0], data[:65].astype(np.int64))
         with pytest.raises(ValueError):
             val_windows(np.arange(3, dtype=np.uint8), 64, 2)
+
+    @pytest.mark.parametrize("n_bytes,n_windows", [(64, 0), (65, 1), (128, 1), (129, 2)])
+    def test_val_windows_keeps_a_window_ending_at_the_slice_end(self, n_bytes, n_windows):
+        # a window is seq_len inputs plus one target: 65 bytes for seq_len 64
+        data = np.arange(n_bytes, dtype=np.uint8)
+        if n_windows == 0:
+            with pytest.raises(ValueError):
+                val_windows(data, 64, 8)
+            return
+        w = val_windows(data, 64, 8)
+        assert len(w) == n_windows
+        last = 64 * (n_windows - 1)
+        assert np.array_equal(w[-1], data[last:last + 65].astype(np.int64))
+
+
+class TestEvalFromAppliedMasks:
+    """Every method's sparsity and FLOPs are measured from the masks its forward pass applied."""
+
+    @staticmethod
+    def spied_evaluate(monkeypatch, bundle, wins, method, **kw):
+        calls = []
+        real = analysis.forward_lm
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((kwargs, res.decisions))
+            return res
+
+        monkeypatch.setattr(analysis, "forward_lm", spy)
+        return analysis.evaluate(bundle, wins, method, **kw), calls
+
+    @pytest.mark.parametrize("method", analysis.EVAL_METHODS)
+    def test_sparsity_and_flops_match_applied_masks(self, monkeypatch, method):
+        bundle = build_bundle(seed=24)
+        cfg = bundle.config
+        wins = windows_from(25, n=3)
+        m, calls = self.spied_evaluate(monkeypatch, bundle, wins, method, tau=0.5, k=2,
+                                       keep_fraction=0.3)
+        assert len(calls) == 1  # one chunk
+        kwargs, decisions = calls[0]
+        if method == "dense":
+            assert decisions is None and kwargs.get("ffn_override") is None
+            masks = [np.ones((1, cfg.n_experts), dtype=bool)] * cfg.n_layers
+        else:
+            if method != "lte":
+                assert kwargs["ffn_override"] is not None
+            assert len(decisions) == cfg.n_layers
+            masks = [d.mask for d in decisions]
+        assert m.mean_sparsity == float(np.mean([1.0 - mk.mean() for mk in masks]))
+        expert_size = {cfg.n_experts: 1, cfg.d_ffn: cfg.expert_size}
+        selected = [float(mk.sum(axis=1).mean()) / expert_size[mk.shape[1]] for mk in masks]
+        expect = flops_per_token(cfg, selected, router=method in analysis.ROUTED)
+        assert m.flops == expect
+
+    def test_dejavu_reports_the_fraction_it_kept(self):
+        # d_ffn 8 at keep_fraction 0.3 keeps ceil(2.4) = 3 neurons per token
+        bundle = build_bundle(seed=26)
+        cfg = bundle.config
+        m = evaluate(bundle, windows_from(27), "dejavu", keep_fraction=0.3)
+        assert m.mean_sparsity == 1.0 - 3 / 8
+        assert m.flops.mean_selected_per_layer == [3 / cfg.expert_size] * cfg.n_layers
+        assert m.flops.sparse_flops_per_token == m.flops.dense_flops_per_token * 3 / 8
+        assert m.flops.router_flops_per_token == 0.0

@@ -74,6 +74,20 @@ class TestPipeline:
         dv_ppl = float(records[3].split("\t")[3])
         assert abs(dense_ppl - dv_ppl) / dense_ppl < 1e-5
 
+    @pytest.mark.parametrize("method,flag", [
+        ("lte", ["--k", "4"]),
+        ("dense", ["--keep-fraction", "0.5"]),
+        ("dejavu", ["--k", "2"]),
+        ("moefication_gt", ["--keep-fraction", "0.5"]),
+    ])
+    def test_eval_rejects_flag_the_method_never_reads(self, pipeline, tmp_path, capsys,
+                                                      method, flag):
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        assert main(["eval", "--checkpoint", str(pipeline["out"] / "stage2.ckpt"),
+                     "--method", method, *flag, *args]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "results.tsv").exists()
+
     def test_report_outputs(self, pipeline):
         out, args = pipeline["out"], pipeline["args"]
         assert main(["report", "--checkpoint", str(out / "stage2.ckpt"), *args]) == 0

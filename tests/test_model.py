@@ -377,6 +377,35 @@ class TestBatchedForward:
             forward_lm(params, np.zeros((2, 2, 2), dtype=np.int64))
 
 
+def test_discrete_call_args1_carries_layer_index(monkeypatch):
+    # the benchmark's per-layer kept-fraction trace keys each
+    # moe_forward_discrete call by args[1].layer_index
+    from moefy.grouping import apply_partition, group_experts_random
+    from moefy.model import set_ffn_layer
+
+    cfg = toy_config(n_layers=3)
+    params = init_params(cfg, Rng(63))
+    partitions, routers = [], []
+    for i in range(cfg.n_layers):
+        p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(63).split(f"g{i}"), layer_index=i)
+        set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+        partitions.append(p)
+        routers.append(routing.router_init(cfg.d_model, cfg.n_experts, Rng(63).split(f"r{i}")))
+    seen = []
+    real = routing.moe_forward_discrete
+
+    def spy(*args, **kwargs):
+        seen.append(args[1].layer_index)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "moe_forward_discrete", spy)
+    tokens = Rng(64).integers(0, cfg.vocab_size, size=(2, 5))
+    with no_grad():
+        forward_lm(params, tokens, ffn_mode="moe_discrete", routers=routers,
+                   partitions=partitions)
+    assert seen == list(range(cfg.n_layers))
+
+
 class TestParamCount:
     @pytest.mark.parametrize("kw", [
         {},

@@ -14,7 +14,6 @@ from moefy.routing import (
     magnitude_select,
     moe_forward_discrete,
     noisy_topk_forward,
-    random_router_init,
     random_topk_forward,
     router_init,
     router_scores,
@@ -227,17 +226,6 @@ class TestNoisyTopk:
         _, dec = noisy_topk_forward(params, 0, r, rng.normal((9, 6), std=1.0), k=2)
         assert np.abs(dec.scores.sum(axis=1) - 1.0).max() < 1e-6
 
-    def test_noise_needs_rng_and_changes_logits(self):
-        rng = Rng(20)
-        params, part = make_layer(rng)
-        r = router_init(6, 4, rng.split("r"), std=1.0)
-        x = rng.normal((4, 6), std=1.0)
-        with pytest.raises(ValueError):
-            noisy_topk_forward(params, 0, r, x, k=2, noise_std=0.1)
-        _, d1 = noisy_topk_forward(params, 0, r, x, k=2, noise_std=0.1, rng=Rng(1))
-        _, d2 = noisy_topk_forward(params, 0, r, x, k=2, noise_std=0.1, rng=Rng(1))
-        assert np.array_equal(d1.scores, d2.scores)
-
     def test_k_out_of_range(self):
         params, part = make_layer(Rng(21))
         r = router_init(6, 4, Rng(22))
@@ -254,15 +242,15 @@ class TestMagnitudeSelect:
             np.array([[0.15, -0.25, 0.005]]),    # up
             np.eye(3, 1),                        # down
         ), expert_size=1)
-        _, mask = magnitude_select(params, 0, np.array([[1.0]]), keep_fraction=2 / 3)
-        assert mask.tolist() == [[True, True, False]]
+        _, dec = magnitude_select(params, 0, np.array([[1.0]]), keep_fraction=2 / 3)
+        assert dec.mask.tolist() == [[True, True, False]]
 
     def test_keep_all_is_dense(self):
         rng = Rng(23)
         params, _ = make_layer(rng)
         x = rng.normal((5, 6), std=1.0)
-        y, mask = magnitude_select(params, 0, x, keep_fraction=1.0)
-        assert mask.all()
+        y, dec = magnitude_select(params, 0, x, keep_fraction=1.0)
+        assert dec.mask.all()
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert np.abs(y - dense).max() < 1e-6
 
@@ -293,9 +281,9 @@ class TestGroundtruthTopk:
         rng = Rng(26)
         params, part = make_layer(rng)
         x = rng.normal((4, 6), std=1.0)
-        y, mask = groundtruth_topk_select(params, 0, x, k=4)
+        y, dec = groundtruth_topk_select(params, 0, x, k=4)
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
-        assert mask.all()
+        assert dec.mask.all()
         assert np.abs(y - dense).max() < 1e-6
 
     def test_single_hot_expert_k1_exact(self):
@@ -308,22 +296,27 @@ class TestGroundtruthTopk:
         layer.weights["b1"][2:] = -1e9
         params = one_block(layer, expert_size=f // n)
         x = np.abs(rng.normal((5, d), std=1.0))
-        y, mask = groundtruth_topk_select(params, 0, x, k=1)
+        y, dec = groundtruth_topk_select(params, 0, x, k=1)
         dense = dense_mask_oracle(params, x, np.ones(f, dtype=x.dtype))
-        assert (mask[:, 0]).all()
+        assert (dec.mask[:, 0]).all()
         assert np.abs(y - dense).max() < 1e-5
 
     def test_matches_bruteforce_norms(self):
         rng = Rng(28)
         params, part = make_layer(rng)
         x = rng.normal((6, 6), std=1.0)
-        _, mask = groundtruth_topk_select(params, 0, x, k=2)
+        _, dec = groundtruth_topk_select(params, 0, x, k=2)
         layer = get_ffn_layer(params, 0)
         inter = activation(x @ layer.weights["up"] + layer.weights["b1"], layer.activation)
         for t in range(6):
             norms = [np.linalg.norm(inter[t, e * 4:(e + 1) * 4]) for e in range(4)]
             top2 = set(np.argsort([-v for v in norms], kind="stable")[:2])
-            assert set(np.flatnonzero(mask[t])) == top2
+            assert set(np.flatnonzero(dec.mask[t])) == top2
+
+
+def random_router(d, n, rng):
+    """The random_router baseline's frozen router, as eval draws it."""
+    return router_init(d, n, rng, std=1.0 / math.sqrt(d))
 
 
 class TestRandomRouter:
@@ -331,19 +324,22 @@ class TestRandomRouter:
         rng = Rng(29)
         params, part = make_layer(rng)
         x = rng.normal((5, 6), std=1.0)
-        rr1 = random_router_init(6, 4, 2, Rng(77))
-        rr2 = random_router_init(6, 4, 2, Rng(77))
-        _, d1 = random_topk_forward(params, 0, rr1, x)
-        _, d2 = random_topk_forward(params, 0, rr2, x)
+        _, d1 = random_topk_forward(params, 0, random_router(6, 4, Rng(77)), x, 2)
+        _, d2 = random_topk_forward(params, 0, random_router(6, 4, Rng(77)), x, 2)
         assert np.array_equal(d1.mask, d2.mask)
 
     def test_k_equals_n_dense(self):
         rng = Rng(30)
         params, part = make_layer(rng)
         x = rng.normal((4, 6), std=1.0)
-        y, _ = random_topk_forward(params, 0, random_router_init(6, 4, 4, Rng(1)), x)
+        y, _ = random_topk_forward(params, 0, random_router(6, 4, Rng(1)), x, 4)
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert np.abs(y - dense).max() < 1e-6
+
+    def test_k_out_of_range(self):
+        params, _ = make_layer(Rng(31))
+        with pytest.raises(ValueError):
+            random_topk_forward(params, 0, random_router(6, 4, Rng(32)), np.zeros((1, 6)), 5)
 
     def test_selection_frequency_near_uniform(self):
         # Expert marginals are uniform over router draws (column symmetry), so
@@ -351,10 +347,33 @@ class TestRandomRouter:
         d, n, k, n_routers, tokens = 16, 8, 2, 24, 500
         freqs = np.zeros((n_routers, n))
         for s in range(n_routers):
-            rr = random_router_init(d, n, k, Rng(9000 + s))
             x = Rng(500 + s).normal((tokens, d), std=1.0)
-            scores = router_scores(rr.router, x)
+            scores = router_scores(random_router(d, n, Rng(9000 + s)), x)
             freqs[s] = routing._topk_rows(scores, k).mean(axis=0)
         mean = freqs.mean(axis=0)
         sem = freqs.std(axis=0, ddof=1) / math.sqrt(n_routers)
         assert np.abs(mean - k / n).max() <= (3 * sem).max() + 1e-9
+
+
+BASELINES = {
+    "dejavu": lambda p, x: magnitude_select(p, 0, x, keep_fraction=0.3),
+    "moefication_gt": lambda p, x: groundtruth_topk_select(p, 0, x, k=2),
+    "random_router": lambda p, x: random_topk_forward(p, 0, random_router(6, 4, Rng(33)), x, 2),
+    "noisy_topk": lambda p, x: noisy_topk_forward(p, 0, random_router(6, 4, Rng(33)), x, 2),
+}
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_baseline_decision_is_the_applied_selection(name):
+    # eval measures every method from its decision's mask, so the mask must be
+    # exactly what scaled the FFN: 0/1, or softmax weights nonzero only on it
+    rng = Rng(34)
+    params, _ = make_layer(rng)
+    x = rng.normal((7, 6), std=1.0)
+    y, dec = BASELINES[name](params, x)
+    assert dec.mask.dtype == bool and dec.mask.shape == dec.scores.shape
+    assert dec.mask.shape == (7, 16 if name == "dejavu" else 4)
+    scale = dec.scores if name == "noisy_topk" else dec.mask.astype(x.dtype)
+    assert np.array_equal(scale != 0, dec.mask)
+    cols = np.repeat(scale, 16 // scale.shape[1], axis=1)
+    assert np.abs(y - dense_mask_oracle(params, x, cols)).max() < 1e-5
