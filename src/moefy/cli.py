@@ -3,6 +3,9 @@
 One subcommand per process; every subcommand is deterministic given
 (config, seed, inputs). Flags mirror config keys through repeatable
 --set key=value options, with precedence flag > config file > default.
+Model, optimizer and router settings are built from the RunConfig with
+config.section; a flag that the chosen stage or eval method never reads
+exits 2 rather than being ignored.
 Exit codes: 0 success, 2 config error, 3 runtime numeric failure.
 """
 
@@ -25,43 +28,12 @@ from .config import (
     load_corpus,
     make_synthetic_corpus,
     parse_config_file,
+    section,
 )
 from .losses import LteHyperparams
 from .model import ModelConfig, get_ffn_layer, init_params, set_ffn_layer
 from .numerics import NumericError, Rng, blas_threads
 from .training import TrainHyper, TrainingState
-
-
-def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=cfg.vocab_size,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        n_layers=cfg.n_layers,
-        d_ffn=cfg.d_ffn,
-        max_seq_len=cfg.max_seq_len,
-        ffn_kind=cfg.ffn_kind,
-        activation=cfg.activation,
-        expert_size=cfg.expert_size,
-        tie_embeddings=cfg.tie_embeddings,
-    ).validate()
-
-
-def _hyper(cfg: RunConfig, total_steps: int) -> TrainHyper:
-    return TrainHyper(
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        seq_len=cfg.seq_len,
-        warmup_ratio=cfg.warmup_ratio,
-        weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm,
-        total_steps=total_steps,
-    )
-
-
-def _aux(cfg: RunConfig) -> LteHyperparams:
-    return LteHyperparams(eta=cfg.eta, lam=cfg.lam, tau=cfg.tau,
-                          denom_guard=cfg.denom_guard).validate()
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -108,9 +80,10 @@ def cmd_train_base(args) -> int:
     corpus = load_corpus(cfg.corpus)
     out = _out_dir(cfg)
     rng = Rng(cfg.seed)
-    params = init_params(model_config(cfg), rng.split("init"))
+    params = init_params(section(ModelConfig, cfg), rng.split("init"))
     state = TrainingState(
-        params=params, hyper=_hyper(cfg, cfg.base_steps), rng=rng.split("base_batches"),
+        params=params, hyper=section(TrainHyper, cfg, total_steps=cfg.base_steps),
+        rng=rng.split("base_batches"),
         stage="base")
     bundle = CheckpointBundle(
         config=params.config, params=params, stage="base",
@@ -165,6 +138,10 @@ def cmd_moefy(args) -> int:
 
 
 def cmd_train_lte(args) -> int:
+    # stage 2 trains on the task loss alone, so the router-objective weights are stage 1's
+    for name in ("eta", "lam"):
+        if args.stage == 2 and getattr(args, name) is not None:
+            raise ConfigError(f"--{name} is a stage-1 flag; stage 2 trains on the task loss alone")
     cfg = _config(args, eta=args.eta, lam=args.lam)
     steps = args.steps if args.steps is not None else (
         cfg.stage1_steps if args.stage == 1 else cfg.stage2_steps)
@@ -177,9 +154,9 @@ def cmd_train_lte(args) -> int:
     corpus = load_corpus(cfg.corpus)
     out = _out_dir(cfg)
     state = TrainingState(
-        params=bundle.params, hyper=_hyper(cfg, steps),
+        params=bundle.params, hyper=section(TrainHyper, cfg, total_steps=steps),
         rng=Rng(cfg.seed).split(f"stage{args.stage}_batches"),
-        routers=bundle.routers, aux=_aux(cfg),
+        routers=bundle.routers, aux=section(LteHyperparams, cfg),
     )
     bundle.stage = f"stage{args.stage}"
     run = training.run_stage1 if args.stage == 1 else training.run_stage2
@@ -187,9 +164,10 @@ def cmd_train_lte(args) -> int:
         checkpoint_every=cfg.checkpoint_every,
         checkpoint_fn=lambda s: save_checkpoint(
             str(out / f"stage{args.stage}_step{s:06d}.ckpt"), bundle))
-    bundle.meta = dict(bundle.meta, **{
-        f"stage{args.stage}_steps": steps, "eta": cfg.eta, "lam": cfg.lam,
-        "tau": cfg.tau, "seed": cfg.seed, "threads": blas_threads(),
+    objective = {"eta": cfg.eta, "lam": cfg.lam} if args.stage == 1 else {}
+    bundle.meta = dict(bundle.meta, **objective, **{
+        f"stage{args.stage}_steps": steps, "tau": cfg.tau, "seed": cfg.seed,
+        "threads": blas_threads(),
     })
     ckpt = out / f"stage{args.stage}.ckpt"
     save_checkpoint(str(ckpt), bundle)
@@ -199,10 +177,10 @@ def cmd_train_lte(args) -> int:
 
 def cmd_eval(args) -> int:
     # an unset flag keeps evaluate's default; a set one must be read by the method
-    given = {n: getattr(args, n) for n in ("k", "keep_fraction") if getattr(args, n) is not None}
-    for name in given:
-        if name not in analysis.METHOD_SETTINGS[args.method]:
+    for name in ("k", "keep_fraction", "tau"):
+        if getattr(args, name) is not None and name not in analysis.METHOD_SETTINGS[args.method]:
             raise ConfigError(f"--{name.replace('_', '-')} is not read by method {args.method!r}")
+    given = {n: getattr(args, n) for n in ("k", "keep_fraction") if getattr(args, n) is not None}
     cfg = _config(args, tau=args.tau)
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)

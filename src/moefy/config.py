@@ -1,4 +1,11 @@
-"""Run configuration (flat key=value files) and corpus handling."""
+"""Run configuration (flat key=value files) and corpus handling.
+
+`RunConfig` holds every key of a run. The model shape, the optimizer and the
+router objective are also settings classes of their own (`ModelConfig`,
+`TrainHyper`, `LteHyperparams`); `section` builds one from the `RunConfig`
+fields that share its field names, and each model or router key is checked
+once, by the `validate` of the class that owns it.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .losses import LteHyperparams
+from .model import ModelConfig
 from .numerics import Rng
 
 
@@ -53,7 +62,13 @@ class RunConfig:
 
     @classmethod
     def key_types(cls) -> dict[str, type]:
-        return {f.name: f.type if isinstance(f.type, type) else type(f.default) for f in fields(cls)}
+        return {f.name: type(f.default) for f in fields(cls)}
+
+
+def section(cls, cfg: RunConfig, **extra):
+    """Settings class `cls` built from the `cfg` fields that share its field names."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)}
+    return cls(**shared, **extra)
 
 
 def _coerce(key: str, raw: str, typ: type):
@@ -107,19 +122,16 @@ def build_config(file_path: Optional[str] = None, overrides: Optional[dict] = No
 
 
 def validate_config(cfg: RunConfig) -> None:
-    for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "expert_size",
-                "max_seq_len", "batch_size", "seq_len", "eval_windows"):
+    """Model and router keys are checked by their owning classes; run-level keys here."""
+    try:
+        section(ModelConfig, cfg).validate()
+        section(LteHyperparams, cfg).validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for key in ("batch_size", "seq_len", "eval_windows"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
-    if cfg.d_model % cfg.n_heads != 0:
-        raise ConfigError("d_model must be divisible by n_heads")
-    if cfg.d_ffn % cfg.expert_size != 0:
-        raise ConfigError("d_ffn must be divisible by expert_size")
-    if not 0.0 < cfg.tau < 1.0:
-        raise ConfigError("tau must be in (0, 1)")
-    if cfg.eta < 0 or cfg.lam < 0:
-        raise ConfigError("eta and lam must be >= 0")
-    if cfg.seq_len + 1 > cfg.max_seq_len + 1:
+    if cfg.seq_len > cfg.max_seq_len:
         raise ConfigError("seq_len must be <= max_seq_len")
     if cfg.group_method not in ("kmeans", "random"):
         raise ConfigError(f"unknown group_method {cfg.group_method!r}")

@@ -48,6 +48,10 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def validate(self) -> "ModelConfig":
+        for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "expert_size",
+                    "max_seq_len"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_ffn % self.expert_size != 0:

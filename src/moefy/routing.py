@@ -29,7 +29,6 @@ from .numerics import F32, Rng, ShapeError
 @dataclass
 class RouterLayer:
     Wg: Tensor                      # (d_model, n_experts), one column per expert
-    frozen: bool = False
 
     @property
     def n_experts(self) -> int:
@@ -40,8 +39,6 @@ class RouterLayer:
 class RoutingDecision:
     scores: np.ndarray   # (T, m): router scores in (0, 1), or the values a baseline ranked
     mask: np.ndarray     # (T, m) bool, the selection applied; m = n_experts, or d_ffn per neuron
-    mode: str            # soft | discrete
-    tau: Optional[float] = None
 
 
 def router_init(d_model: int, n_experts: int, rng: Rng, std: Optional[float] = None,
@@ -76,7 +73,7 @@ def moe_forward_discrete(layer, partition, router: RouterLayer, x: np.ndarray,
     ends = np.cumsum(mask.sum(axis=1)).tolist()
     selections = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
     y = sparse_exec.sparse_ffn_forward(packed, selections, x)
-    return y, RoutingDecision(scores=scores, mask=mask, mode="discrete", tau=tau)
+    return y, RoutingDecision(scores=scores, mask=mask)
 
 
 def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,
@@ -84,7 +81,7 @@ def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,
     """Every expert runs, scaled by its score; returns (ffn_out, score_tensor, decision)."""
     g = xf.matmul(router.Wg).sigmoid()
     out = ffn_out(params, i, ffn_hidden(params, i, xf), g)
-    dec = RoutingDecision(scores=g.data.copy(), mask=np.ones_like(g.data, dtype=bool), mode="soft")
+    dec = RoutingDecision(scores=g.data.copy(), mask=np.ones_like(g.data, dtype=bool))
     return out, g, dec
 
 
@@ -100,7 +97,7 @@ def discrete_ffn_graph(params: TransformerParams, i: int, router: RouterLayer, x
     mask = scores > tau
     a = ffn_hidden(params, i, xf)
     out = ffn_out(params, i, a, Tensor(mask.astype(a.dtype)))
-    return out, RoutingDecision(scores=scores, mask=mask, mode="discrete", tau=tau)
+    return out, RoutingDecision(scores=scores, mask=mask)
 
 
 # --- baselines -----------------------------------------------------------------
@@ -120,7 +117,7 @@ def _baseline_out(params: TransformerParams, i: int, a: Tensor, scale: np.ndarra
                   scores: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, RoutingDecision]:
     """Down-project hidden `a` under a baseline's constant scale; the decision keeps its mask."""
     y = ffn_out(params, i, a, Tensor(scale.astype(a.dtype))).data
-    return y, RoutingDecision(scores=scores, mask=mask, mode="discrete")
+    return y, RoutingDecision(scores=scores, mask=mask)
 
 
 def noisy_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x: np.ndarray,

@@ -58,8 +58,7 @@ class TrainingState:
         out = dict(self.params.tensors)
         if self.routers is not None and self.stage == "stage1":
             for i, r in enumerate(self.routers):
-                if not r.frozen:
-                    out[f"router.{i}.Wg"] = r.Wg
+                out[f"router.{i}.Wg"] = r.Wg
         return out
 
     def zero_grads(self) -> None:
@@ -224,6 +223,4 @@ def run_stage2(state: TrainingState, data: np.ndarray, steps: int,
     if state.routers is None:
         raise ValueError("stage 2 requires routers")
     state.stage = "stage2"
-    for r in state.routers:
-        r.frozen = True
     return run_training(state, data, steps, log_path, checkpoint_every, checkpoint_fn)

@@ -79,6 +79,7 @@ class TestPipeline:
         ("dense", ["--keep-fraction", "0.5"]),
         ("dejavu", ["--k", "2"]),
         ("moefication_gt", ["--keep-fraction", "0.5"]),
+        ("dense", ["--tau", "0.3"]),
     ])
     def test_eval_rejects_flag_the_method_never_reads(self, pipeline, tmp_path, capsys,
                                                       method, flag):
@@ -254,6 +255,25 @@ class TestErrors:
                      "--steps", "1", *args])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ("--eta", "--lam"))
+    def test_stage2_rejects_objective_flags(self, pipeline, tmp_path, capsys, flag):
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        assert main(["train-lte", "--checkpoint", str(pipeline["out"] / "stage1.ckpt"),
+                     "--stage", "2", "--steps", "1", flag, "0.3", *args]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "stage2.ckpt").exists()
+
+    def test_stage2_meta_keeps_stage1_objective(self, pipeline, tmp_path):
+        out = tmp_path / "eta"
+        args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+        assert main(["train-lte", "--checkpoint", str(pipeline["out"] / "moefied.ckpt"),
+                     "--stage", "1", "--steps", "1", "--eta", "0.3", *args]) == 0
+        assert main(["train-lte", "--checkpoint", str(out / "stage1.ckpt"), "--stage", "2",
+                     "--steps", "1", *args]) == 0
+        s1, s2 = (load_checkpoint(str(out / f"stage{n}.ckpt")).meta for n in (1, 2))
+        assert s1["eta"] == 0.3
+        assert (s2["eta"], s2["lam"]) == (s1["eta"], s1["lam"])
+
     def test_unknown_config_key_exit_2(self, pipeline):
         args = pipeline["args"] + ["--set", "nonsense=1"]
         assert main(["train-base", "--steps", "1", *args]) == 2
@@ -270,21 +290,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(bad) in err and "reshape" not in err
 
-    def test_manifest_missing_key_exit_2(self, pipeline, tmp_path, capsys):
+    @staticmethod
+    def rewrite_manifest(src, dst, edit):
+        """Copy checkpoint `src` to `dst` with `edit` applied to its JSON manifest."""
         import json
         import struct
 
-        out, args = pipeline["out"], pipeline["args"]
-        raw = (out / "stage2.ckpt").read_bytes()
+        raw = src.read_bytes()
         (mlen,) = struct.unpack("<Q", raw[4:12])
         manifest = json.loads(raw[12:12 + mlen].decode())
-        del manifest["stage"]
+        edit(manifest)
         mbytes = json.dumps(manifest).encode()
+        dst.write_bytes(raw[:4] + struct.pack("<Q", len(mbytes)) + mbytes + raw[12 + mlen:])
+
+    def test_manifest_missing_key_exit_2(self, pipeline, tmp_path, capsys):
+        out, args = pipeline["out"], pipeline["args"]
         bad = tmp_path / "nostage.ckpt"
-        bad.write_bytes(raw[:4] + struct.pack("<Q", len(mbytes)) + mbytes + raw[12 + mlen:])
+        self.rewrite_manifest(out / "stage2.ckpt", bad, lambda m: m.pop("stage"))
         assert main(["eval", "--checkpoint", str(bad), "--method", "lte", *args]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "stage" in err
+
+    @pytest.mark.parametrize("key", ("n_heads", "expert_size"))
+    def test_manifest_zero_size_exit_2(self, pipeline, tmp_path, capsys, key):
+        out, args = pipeline["out"], pipeline["args"]
+        bad = tmp_path / f"zero_{key}.ckpt"
+        self.rewrite_manifest(out / "stage2.ckpt", bad, lambda m: m["config"].update({key: 0}))
+        assert main(["eval", "--checkpoint", str(bad), "--method", "lte", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"{key} must be positive" in err
 
     def test_bad_method_checkpoint_combo(self, pipeline):
         out, args = pipeline["out"], pipeline["args"]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 from moefy.config import (
     ConfigError,
     RunConfig,
@@ -9,6 +11,9 @@ from moefy.config import (
     make_synthetic_corpus,
     parse_config_file,
 )
+from moefy.losses import LteHyperparams
+from moefy.model import ModelConfig
+from moefy.training import TrainHyper
 
 
 class TestConfigFile:
@@ -60,6 +65,19 @@ class TestConfigFile:
             build_config(None, {"tau": 1.5})
         with pytest.raises(ConfigError):
             build_config(None, {"eta": -2.0})
+
+    def test_validation_denom_guard(self):
+        with pytest.raises(ConfigError, match="denom_guard"):
+            build_config(None, {"denom_guard": 0.0})
+
+    @pytest.mark.parametrize("cls", (ModelConfig, TrainHyper, LteHyperparams))
+    def test_shared_keys_share_defaults(self, cls):
+        # a key declared both in RunConfig and in its settings class has one default
+        run = RunConfig()
+        shared = [f for f in fields(cls) if f.name in RunConfig.key_types()]
+        assert shared
+        for f in shared:
+            assert getattr(run, f.name) == f.default, f.name
 
     def test_defaults_complete(self):
         cfg = build_config(None, None)

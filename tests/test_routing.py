@@ -160,7 +160,7 @@ class TestSoft:
         y, dec = soft(params, r, x)
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=np.float32))
         assert np.abs(y - dense).max() < 1e-5
-        assert dec.mask.all() and dec.mode == "soft"
+        assert dec.mask.all()
 
     def test_scores_zero_gives_shared_bias(self):
         rng = Rng(13)
