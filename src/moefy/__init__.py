@@ -17,7 +17,7 @@ from .model import ModelConfig, TransformerParams, forward_lm, init_params
 from .numerics import Rng
 from .routing import RouterLayer, RoutingDecision, router_init
 from .sparse_exec import FlopsReport, PackedExpertWeights, bench, flops_per_token, pack, sparse_ffn_forward
-from .training import TrainHyper, TrainingState, run_stage1, run_stage2
+from .training import TrainHyper, TrainingState, run_training
 
 __all__ = [
     "CheckpointBundle",
@@ -47,8 +47,7 @@ __all__ = [
     "make_synthetic_corpus",
     "pack",
     "router_init",
-    "run_stage1",
-    "run_stage2",
+    "run_training",
     "save_checkpoint",
     "sparse_ffn_forward",
 ]

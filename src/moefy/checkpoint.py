@@ -108,7 +108,11 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
 
 
 def load_checkpoint(path: str) -> CheckpointBundle:
-    """Read a checkpoint; a truncated or malformed file raises ValueError naming it."""
+    """Read a checkpoint; a truncated or malformed file raises ValueError naming it.
+
+    Partitions and routers, when present, must number n_layers and fit the
+    model config.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -121,30 +125,35 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         blob = fh.read()
     try:
         manifest = json.loads(mbytes.decode())
-        return _bundle_from(manifest, blob, path)
+        return _bundle_from(manifest, blob)
     except KeyError as exc:
         raise ValueError(f"{path}: manifest is missing key {exc}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: unreadable manifest ({exc})") from None
+    except (TypeError, IndexError) as exc:
+        # a manifest value of the wrong type or length
+        raise ValueError(f"{path}: malformed manifest ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _bundle_from(manifest: dict, blob: bytes, path: str) -> CheckpointBundle:
+def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
     try:
         cfg = ModelConfig(**manifest["config"]).validate()
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad model config ({exc})") from None
+        raise ValueError(f"bad model config ({exc})") from None
     entries = manifest["tensors"]
     expected = sum(e["nbytes"] for e in entries)
     if len(blob) != expected:
-        raise ValueError(f"{path}: tensor data is {len(blob)} bytes, manifest lists {expected}")
+        raise ValueError(f"tensor data is {len(blob)} bytes, manifest lists {expected}")
     tensors: dict[str, np.ndarray] = {}
     a = 0
     for entry in entries:
         if entry["offset"] != a:
-            raise ValueError(f"{path}: tensor {entry['name']} starts at byte {entry['offset']}, "
+            raise ValueError(f"tensor {entry['name']} starts at byte {entry['offset']}, "
                              f"expected {a}")
         if entry["nbytes"] != 4 * math.prod(entry["shape"]):
-            raise ValueError(f"{path}: tensor {entry['name']} has {entry['nbytes']} bytes "
+            raise ValueError(f"tensor {entry['name']} has {entry['nbytes']} bytes "
                              f"for shape {entry['shape']}")
         b = a + entry["nbytes"]
         arr = np.frombuffer(blob[a:b], dtype="<f4").reshape(entry["shape"]).copy()
@@ -163,6 +172,7 @@ def _bundle_from(manifest: dict, blob: bytes, path: str) -> CheckpointBundle:
     partitions = None
     if manifest["partitions"] is not None:
         partitions = [_partition_from_json(d) for d in manifest["partitions"]]
+    _check_routing(cfg, partitions, routers)
     return CheckpointBundle(
         config=cfg,
         params=params,
@@ -171,3 +181,18 @@ def _bundle_from(manifest: dict, blob: bytes, path: str) -> CheckpointBundle:
         stage=manifest["stage"],
         meta=manifest.get("meta", {}),
     )
+
+
+def _check_routing(cfg: ModelConfig, partitions, routers) -> None:
+    """Partitions and routers, when present, give one per layer and fit the model config."""
+    for what, items in (("partitions", partitions), ("routers", routers)):
+        if items is not None and len(items) != cfg.n_layers:
+            raise ValueError(f"{len(items)} {what} for n_layers={cfg.n_layers}")
+    for i, p in enumerate(partitions or ()):
+        if (p.n_experts, p.expert_size) != (cfg.n_experts, cfg.expert_size):
+            raise ValueError(f"partition {i} has {p.n_experts} experts of {p.expert_size}, "
+                             f"the config {cfg.n_experts} of {cfg.expert_size}")
+    for i, r in enumerate(routers or ()):
+        if r.Wg.data.shape != (cfg.d_model, cfg.n_experts):
+            raise ValueError(f"router {i} Wg has shape {r.Wg.data.shape}, expected "
+                             f"{(cfg.d_model, cfg.n_experts)}")

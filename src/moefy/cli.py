@@ -5,7 +5,9 @@ One subcommand per process; every subcommand is deterministic given
 --set key=value options, with precedence flag > config file > default.
 Model, optimizer and router settings are built from the RunConfig with
 config.section; a flag that the chosen stage or eval method never reads
-exits 2 rather than being ignored.
+exits 2 rather than being ignored, and so does a key whose value comes from
+the loaded checkpoint but is given differently. train-base and train-lte
+share one driver that runs a stage of training.STAGES.
 Exit codes: 0 success, 2 config error, 3 runtime numeric failure.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,46 +67,63 @@ def _config(args, **extra) -> RunConfig:
     return build_config(args.config, overrides)
 
 
-def _check_model_keys(args, cfg: RunConfig, mc: ModelConfig, allow: tuple = ()) -> None:
-    """Model keys come from the checkpoint: a differing --set or config-file value is an error."""
+def _check_checkpoint_keys(args, cfg: RunConfig, bundle: CheckpointBundle, allow: tuple = (),
+                           meta_keys: tuple = ()) -> None:
+    """Keys that come from the checkpoint: a differing --set or config-file value is an error.
+
+    The model keys (less `allow`) come from the checkpoint's config, and
+    `meta_keys` from its meta.
+    """
     given = set(_set_overrides(args)) | set(parse_config_file(args.config) if args.config else ())
-    for f in fields(ModelConfig):
-        key = f.name
-        if key in given and key not in allow and getattr(cfg, key) != getattr(mc, key):
+    fixed = {k: v for k, v in asdict(bundle.config).items() if k not in allow}
+    fixed.update((k, bundle.meta[k]) for k in meta_keys if k in bundle.meta)
+    for key, value in fixed.items():
+        if key in given and getattr(cfg, key) != value:
             raise ConfigError(f"{key}={getattr(cfg, key)} differs from the checkpoint's "
-                              f"{key}={getattr(mc, key)}; model keys come from the checkpoint")
+                              f"{key}={value}; this key comes from the checkpoint")
 
 
-def cmd_train_base(args) -> int:
-    cfg = _config(args, base_steps=args.steps)
+def _train(cfg: RunConfig, bundle: CheckpointBundle, stage: str, meta: dict) -> int:
+    """Run `stage` on the bundle's model for cfg.{stage}_steps steps.
+
+    Writes train_{stage}.log, {stage}_step######.ckpt every checkpoint_every
+    steps, and {stage}.ckpt. The bundle takes its stage tag and `meta` before
+    training, so the periodic checkpoints carry them too.
+    """
     corpus = load_corpus(cfg.corpus)
     out = _out_dir(cfg)
-    rng = Rng(cfg.seed)
-    params = init_params(section(ModelConfig, cfg), rng.split("init"))
+    steps = getattr(cfg, f"{stage}_steps")
     state = TrainingState(
-        params=params, hyper=section(TrainHyper, cfg, total_steps=cfg.base_steps),
-        rng=rng.split("base_batches"),
-        stage="base")
-    bundle = CheckpointBundle(
-        config=params.config, params=params, stage="base",
-        meta={"seed": cfg.seed, "steps": cfg.base_steps, "corpus": corpus.sha256,
-              "threads": blas_threads()},
+        params=bundle.params, hyper=section(TrainHyper, cfg, total_steps=steps),
+        rng=Rng(cfg.seed).split(f"{stage}_batches"), stage=stage, routers=bundle.routers,
+        aux=section(LteHyperparams, cfg),
     )
+    bundle.stage = stage
+    # the corpus hash is the base run's: a later stage keeps the one it inherits
+    bundle.meta = {"corpus": corpus.sha256, **bundle.meta, **meta, "seed": cfg.seed,
+                   "threads": blas_threads()}
     training.run_training(
-        state, corpus.train, cfg.base_steps, log_path=str(out / "train_base.log"),
+        state, corpus.train, steps, log_path=str(out / f"train_{stage}.log"),
         checkpoint_every=cfg.checkpoint_every,
-        checkpoint_fn=lambda s: save_checkpoint(str(out / f"base_step{s:06d}.ckpt"), bundle),
+        checkpoint_fn=lambda s: save_checkpoint(str(out / f"{stage}_step{s:06d}.ckpt"), bundle),
     )
-    ckpt = out / "base.ckpt"
+    ckpt = out / f"{stage}.ckpt"
     save_checkpoint(str(ckpt), bundle)
     print(f"wrote {ckpt}")
     return 0
 
 
+def cmd_train_base(args) -> int:
+    cfg = _config(args, base_steps=args.steps)
+    params = init_params(section(ModelConfig, cfg), Rng(cfg.seed).split("init"))
+    bundle = CheckpointBundle(config=params.config, params=params)
+    return _train(cfg, bundle, "base", {"steps": cfg.base_steps})
+
+
 def cmd_moefy(args) -> int:
     cfg = _config(args, expert_size=args.expert_size, group_method=args.method)
     bundle = load_checkpoint(args.checkpoint)
-    _check_model_keys(args, cfg, bundle.config, allow=("expert_size",))
+    _check_checkpoint_keys(args, cfg, bundle, allow=("expert_size",))
     if bundle.stage != "base":
         raise ConfigError(f"moefy needs a dense base checkpoint, got stage {bundle.stage!r}")
     mc = bundle.config
@@ -138,41 +157,22 @@ def cmd_moefy(args) -> int:
 
 
 def cmd_train_lte(args) -> int:
-    # stage 2 trains on the task loss alone, so the router-objective weights are stage 1's
+    stage = f"stage{args.stage}"
+    spec = training.STAGES[stage]
     for name in ("eta", "lam"):
-        if args.stage == 2 and getattr(args, name) is not None:
-            raise ConfigError(f"--{name} is a stage-1 flag; stage 2 trains on the task loss alone")
-    cfg = _config(args, eta=args.eta, lam=args.lam)
-    steps = args.steps if args.steps is not None else (
-        cfg.stage1_steps if args.stage == 1 else cfg.stage2_steps)
+        if not spec.objective and getattr(args, name) is not None:
+            raise ConfigError(f"--{name} weighs the router objective; "
+                              f"{stage} trains on the task loss alone")
+    cfg = _config(args, eta=args.eta, lam=args.lam, **{f"{stage}_steps": args.steps})
     bundle = load_checkpoint(args.checkpoint)
-    _check_model_keys(args, cfg, bundle.config)
-    need = "moefied" if args.stage == 1 else "stage1"
-    if bundle.stage != need:
-        raise ConfigError(
-            f"stage {args.stage} needs a {need!r} checkpoint, got {bundle.stage!r}")
-    corpus = load_corpus(cfg.corpus)
-    out = _out_dir(cfg)
-    state = TrainingState(
-        params=bundle.params, hyper=section(TrainHyper, cfg, total_steps=steps),
-        rng=Rng(cfg.seed).split(f"stage{args.stage}_batches"),
-        routers=bundle.routers, aux=section(LteHyperparams, cfg),
-    )
-    bundle.stage = f"stage{args.stage}"
-    run = training.run_stage1 if args.stage == 1 else training.run_stage2
-    run(state, corpus.train, steps, log_path=str(out / f"train_stage{args.stage}.log"),
-        checkpoint_every=cfg.checkpoint_every,
-        checkpoint_fn=lambda s: save_checkpoint(
-            str(out / f"stage{args.stage}_step{s:06d}.ckpt"), bundle))
-    objective = {"eta": cfg.eta, "lam": cfg.lam} if args.stage == 1 else {}
-    bundle.meta = dict(bundle.meta, **objective, **{
-        f"stage{args.stage}_steps": steps, "tau": cfg.tau, "seed": cfg.seed,
-        "threads": blas_threads(),
-    })
-    ckpt = out / f"stage{args.stage}.ckpt"
-    save_checkpoint(str(ckpt), bundle)
-    print(f"wrote {ckpt}")
-    return 0
+    # a stage without the objective keeps the one its checkpoint was trained under
+    _check_checkpoint_keys(args, cfg, bundle,
+                           meta_keys=() if spec.objective else ("eta", "lam"))
+    if bundle.stage != spec.needs:
+        raise ConfigError(f"{stage} needs a {spec.needs!r} checkpoint, got {bundle.stage!r}")
+    objective = {"eta": cfg.eta, "lam": cfg.lam} if spec.objective else {}
+    return _train(cfg, bundle, stage,
+                  {**objective, f"{stage}_steps": getattr(cfg, f"{stage}_steps"), "tau": cfg.tau})
 
 
 def cmd_eval(args) -> int:
@@ -184,7 +184,7 @@ def cmd_eval(args) -> int:
     cfg = _config(args, tau=args.tau)
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)
-    _check_model_keys(args, cfg, bundle.config)
+    _check_checkpoint_keys(args, cfg, bundle)
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)
     metrics = analysis.evaluate(bundle, windows, args.method, tau=cfg.tau, seed=cfg.seed,
                                 **given)
@@ -219,7 +219,7 @@ def cmd_report(args) -> int:
     cfg = _config(args, tau=args.tau)
     corpus = load_corpus(cfg.corpus)
     bundle = load_checkpoint(args.checkpoint)
-    _check_model_keys(args, cfg, bundle.config)
+    _check_checkpoint_keys(args, cfg, bundle)
     if bundle.routers is None or bundle.partitions is None:
         raise ConfigError("report needs a moefied checkpoint with routers")
     windows = analysis.val_windows(corpus.val, cfg.seq_len, cfg.eval_windows)

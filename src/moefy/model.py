@@ -113,10 +113,6 @@ class TransformerParams:
             self.config, {k: param(t.data.copy()) for k, t in self.tensors.items()}
         )
 
-    def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
 
 def ffn_param_names(cfg: ModelConfig, i: int) -> dict[str, str]:
     """Role -> parameter name of block i's FFN weights, in checkpoint order."""

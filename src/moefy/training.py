@@ -1,19 +1,22 @@
-"""Gradient computation, AdamW, and the staged fine-tuning pipeline.
+"""Gradient computation, AdamW, and the one training loop of every stage.
 
+`STAGES` says what each stage does. The dense base trains the model alone.
 Stage 1 trains routers and model jointly in soft mode under the combined
 objective. Stage 2 freezes the routers, switches to discrete selection, and
-fine-tunes the model alone so it adapts to the hard masks.
+fine-tunes the model alone so it adapts to the hard masks. `run_training`
+runs any of them.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .autograd import Tensor, no_grad
+from .autograd import Tensor
 from .losses import LossBreakdown, LteHyperparams, aux_loss_graph
 from .model import TransformerParams, forward_lm
 from .numerics import NumericError, Rng
@@ -22,6 +25,20 @@ from .routing import RouterLayer
 GradientSet = dict[str, np.ndarray]
 
 LOG_COLUMNS = ("step", "task", "efficiency", "separability", "total", "sparsity", "grad_norm")
+
+
+@dataclass(frozen=True)
+class Stage:
+    ffn_mode: str            # forward_lm's FFN mode
+    needs: Optional[str]     # stage tag of the checkpoint the stage starts from
+    objective: bool          # train the routers under task + eta*eff + lam*sep
+
+
+STAGES = {
+    "base": Stage("dense", None, False),
+    "stage1": Stage("moe_soft", "moefied", True),
+    "stage2": Stage("moe_discrete", "stage1", False),
+}
 
 
 @dataclass
@@ -47,25 +64,23 @@ class TrainingState:
     params: TransformerParams
     hyper: TrainHyper
     rng: Rng
-    stage: str = "base"  # base | stage1 | stage2
+    stage: str = "base"  # a key of STAGES
     routers: Optional[list[RouterLayer]] = None
-    aux: Optional[LteHyperparams] = None
+    aux: LteHyperparams = field(default_factory=LteHyperparams)
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def trainable(self) -> dict[str, Tensor]:
+        """The model's tensors, plus the routers where the stage trains the objective."""
+        stage = STAGES[self.stage]
+        if stage.ffn_mode != "dense" and self.routers is None:
+            raise ValueError(f"{self.stage} requires routers")
         out = dict(self.params.tensors)
-        if self.routers is not None and self.stage == "stage1":
+        if stage.objective:
             for i, r in enumerate(self.routers):
                 out[f"router.{i}.Wg"] = r.Wg
         return out
-
-    def zero_grads(self) -> None:
-        self.params.zero_grads()
-        if self.routers is not None:
-            for r in self.routers:
-                r.Wg.zero_grad()
 
 
 def collect_gradients(loss: Tensor, trainable: dict[str, Tensor]) -> GradientSet:
@@ -110,66 +125,55 @@ def optimizer_step(state: TrainingState, grads: GradientSet) -> None:
 
 
 def sample_batch(data: np.ndarray, rng: Rng, batch_size: int, seq_len: int):
-    """Random (inputs, shifted targets) byte windows."""
+    """Random byte windows as (inputs, shifted targets), each a (B, T) int64 array."""
     if data.shape[0] < seq_len + 2:
         raise ValueError(f"corpus of {data.shape[0]} bytes too small for seq_len {seq_len}")
     starts = rng.integers(0, data.shape[0] - seq_len - 1, size=batch_size)
-    xs = [data[s : s + seq_len].astype(np.int64) for s in starts]
-    ys = [data[s + 1 : s + seq_len + 1].astype(np.int64) for s in starts]
-    return list(zip(xs, ys))
+    windows = data[starts[:, None] + np.arange(seq_len + 1)].astype(np.int64)
+    return windows[:, :-1], windows[:, 1:]
 
 
 def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
     """One optimization step; returns the loss breakdown and monitored sparsity.
 
-    The batch's (input, target) sequences share a length and run as one
-    stacked (B, T) forward pass; the task loss is the mean cross-entropy over
-    all B*T targets. Monitored sparsity is the fraction of expert scores at or
-    below tau (the complement of discrete selection), averaged over layers;
-    0.0 in dense mode.
+    The batch's (B, T) inputs run as one forward pass in the stage's FFN mode;
+    the task loss is the mean cross-entropy over all B*T targets. A routed
+    stage reports the efficiency and separability terms, and adds them to the
+    total only where the stage trains the router objective. Monitored
+    sparsity is the fraction of expert scores at or below tau (the complement
+    of discrete selection), averaged over layers; 0.0 in dense mode.
     """
     state.step += 1
-    state.zero_grads()
-    mode = {"base": "dense", "stage1": "moe_soft", "stage2": "moe_discrete"}[state.stage]
-    tau = state.aux.tau if state.aux is not None else 0.5
+    stage = STAGES[state.stage]
+    trainable = state.trainable()
+    for t in trainable.values():
+        t.zero_grad()
+    hp = state.aux
 
-    xs = np.stack([x for x, _ in batch])
-    ys = np.stack([y for _, y in batch])
-    res = forward_lm(state.params, xs, ffn_mode=mode, routers=state.routers, tau=tau)
+    xs, ys = batch
+    res = forward_lm(state.params, xs, ffn_mode=stage.ffn_mode, routers=state.routers,
+                     tau=hp.tau)
     task = res.logits.cross_entropy_mean(ys.reshape(-1))
-    scores: list[Tensor] = []
-    below = []
+    total, scores = task, []
+    eff = sep = sparsity = 0.0
     if res.decisions is not None:
+        # discrete-mode scores are numpy constants, so their aux terms build no graph
         scores = (res.score_graph if res.score_graph is not None
                   else [Tensor(dec.scores) for dec in res.decisions])
-        below = [float((dec.scores <= tau).mean()) for dec in res.decisions]
-
-    hp = state.aux if state.aux is not None else LteHyperparams()
-    if state.stage == "stage1":
         eff_t, sep_t = aux_loss_graph([[g] for g in scores], hp)
-        total = task + eff_t * hp.eta + sep_t * hp.lam
-        breakdown = LossBreakdown(
-            task=task.item(),
-            efficiency=eff_t.item(),
-            separability=sep_t.item(),
-            total=total.item(),
-            mean_score_per_layer=[float(g.data.mean()) for g in scores],
-        )
-    else:
-        total = task
-        eff = sep = 0.0
-        if scores:
-            with no_grad():
-                eff_t, sep_t = aux_loss_graph([[g] for g in scores], hp)
-            eff, sep = eff_t.item(), sep_t.item()
-        breakdown = LossBreakdown(
-            task=task.item(), efficiency=eff, separability=sep, total=task.item()
-        )
+        if stage.objective:
+            total = task + eff_t * hp.eta + sep_t * hp.lam
+        eff, sep = eff_t.item(), sep_t.item()
+        sparsity = float(np.mean([float((dec.scores <= hp.tau).mean())
+                                  for dec in res.decisions]))
+    breakdown = LossBreakdown(
+        task=task.item(), efficiency=eff, separability=sep, total=total.item(),
+        mean_score_per_layer=[float(g.data.mean()) for g in scores],
+    )
 
-    grads = collect_gradients(total, state.trainable())
+    grads = collect_gradients(total, trainable)
     breakdown.grad_norm = clip_gradients(grads, state.hyper.clip_norm)
     optimizer_step(state, grads)
-    sparsity = float(np.mean(below)) if below else 0.0
     return breakdown, sparsity
 
 
@@ -184,15 +188,15 @@ def format_log_row(step: int, bd: LossBreakdown, sparsity: float) -> str:
 def run_training(state: TrainingState, data: np.ndarray, steps: int,
                  log_path: Optional[str] = None, checkpoint_every: int = 0,
                  checkpoint_fn=None) -> list[tuple[int, LossBreakdown, float]]:
-    """Drive `steps` optimization steps; appends one log record per step.
+    """Drive `steps` optimization steps of `state.stage`; logs one record per step.
 
+    The log at `log_path` is written fresh: a header, then this run's rows.
     checkpoint_fn(step) is invoked every `checkpoint_every` steps when both
     are given (the caller owns the serialization format and path).
     """
     rows = []
-    fh = open(log_path, "a") if log_path else None
-    try:
-        if fh is not None and fh.tell() == 0:
+    with open(log_path, "w") if log_path else nullcontext() as fh:
+        if fh is not None:
             fh.write("\t".join(LOG_COLUMNS) + "\n")
         for _ in range(steps):
             batch = sample_batch(data, state.rng, state.hyper.batch_size, state.hyper.seq_len)
@@ -202,25 +206,4 @@ def run_training(state: TrainingState, data: np.ndarray, steps: int,
                 fh.write(format_log_row(state.step, bd, sparsity) + "\n")
             if checkpoint_every and checkpoint_fn and state.step % checkpoint_every == 0:
                 checkpoint_fn(state.step)
-    finally:
-        if fh is not None:
-            fh.close()
     return rows
-
-
-def run_stage1(state: TrainingState, data: np.ndarray, steps: int,
-               log_path: Optional[str] = None, checkpoint_every: int = 0,
-               checkpoint_fn=None):
-    if state.routers is None or state.aux is None:
-        raise ValueError("stage 1 requires routers and aux-loss hyperparams")
-    state.stage = "stage1"
-    return run_training(state, data, steps, log_path, checkpoint_every, checkpoint_fn)
-
-
-def run_stage2(state: TrainingState, data: np.ndarray, steps: int,
-               log_path: Optional[str] = None, checkpoint_every: int = 0,
-               checkpoint_fn=None):
-    if state.routers is None:
-        raise ValueError("stage 2 requires routers")
-    state.stage = "stage2"
-    return run_training(state, data, steps, log_path, checkpoint_every, checkpoint_fn)

@@ -39,7 +39,7 @@ from moefy.model import (
 from moefy.numerics import F64, Rng, finite_diff_grad
 from moefy.routing import router_init
 from moefy.sparse_exec import bench, flops_per_token, pack, sparse_ffn_forward
-from moefy.training import TrainHyper, TrainingState, run_stage1, run_stage2, run_training
+from moefy.training import TrainHyper, TrainingState, run_training
 
 from ffn_blocks import expert_oracle, random_layer
 
@@ -103,7 +103,7 @@ class Runs:
 
     def stage1(self, seed: int, eta: float, lam: float, steps: int = S1_STEPS):
         st, parts = self.moefied_state(seed, eta, lam, steps)
-        rows = run_stage1(st, self.corpus.train, steps)
+        rows = run_training(st, self.corpus.train, steps)
         return st, parts, rows
 
     def bundle(self, st: TrainingState, parts: list) -> CheckpointBundle:
@@ -279,7 +279,8 @@ def test_criterion_9_stage2_contracts(runs):
         st, parts, _ = runs.stage1(seed=seed, eta=1.0, lam=0.5, steps=300)
         ce1, _, _ = collect_decisions(runs.bundle(st, parts), wins, 0.5)
         before = [r.Wg.data.tobytes() for r in st.routers]
-        rows2 = run_stage2(st, runs.corpus.train, S2_STEPS)
+        st.stage = "stage2"
+        rows2 = run_training(st, runs.corpus.train, S2_STEPS)
         after = [r.Wg.data.tobytes() for r in st.routers]
         frozen_ok &= before == after
         train_ok &= rows2[-1][1].task < rows2[0][1].task

@@ -168,6 +168,27 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*bogus"):
             load_checkpoint(str(path))
 
+    @staticmethod
+    def set_router_shape(m, shape):
+        next(t for t in m["tensors"] if t["name"] == "router.0.Wg")["shape"] = shape
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["tensors"][0].update(shape="abc"), "malformed manifest"),
+        (lambda m: m["partitions"].__setitem__(1, None), "malformed manifest"),
+        (lambda m: m.update(partitions=m["partitions"][:1]), "1 partitions for n_layers=2"),
+        (lambda m: m["partitions"][0]["permutation"].__setitem__(
+            0, m["partitions"][0]["permutation"][1]), "permutation is not a bijection"),
+        (lambda m: m["config"].update(expert_size=2), "partition 0 has 2 experts of 4"),
+        (lambda m: TestCorruptFiles.set_router_shape(m, [2, 8]), r"router 0 Wg has shape \(2, 8\)"),
+    ], ids=["shape_not_a_list", "null_partition", "short_partition_list",
+            "permutation_not_bijective", "partition_disagrees_with_config",
+            "router_disagrees_with_config"])
+    def test_malformed_routing_names_file(self, tmp_path, edit, message):
+        path = self.saved(tmp_path)
+        rewrite_manifest(path, edit)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+            load_checkpoint(str(path))
+
 
 class TestAtomicSave:
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):

@@ -228,6 +228,28 @@ class TestPeriodicCheckpoints:
             assert ck.exists()
             assert load_checkpoint(str(ck)).stage == "base"
 
+    def test_stage_checkpoints_carry_the_runs_meta(self, pipeline, tmp_path):
+        out = tmp_path / "periodic"
+        args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+        assert main(["train-lte", "--checkpoint", str(pipeline["out"] / "moefied.ckpt"),
+                     "--stage", "1", "--steps", "3", "--eta", "0.3", "--set", "lam=0.25",
+                     "--set", "checkpoint_every=2", *args]) == 0
+        step = load_checkpoint(str(out / "stage1_step000002.ckpt"))
+        assert step.stage == "stage1"
+        assert (step.meta["eta"], step.meta["lam"], step.meta["stage1_steps"]) == (0.3, 0.25, 3)
+        assert step.meta == load_checkpoint(str(out / "stage1.ckpt")).meta
+
+
+class TestLogs:
+    def test_rerun_into_one_dir_leaves_one_log(self, pipeline, tmp_path):
+        out = tmp_path / "twice"
+        args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
+        for _ in range(2):
+            assert main(["train-base", "--steps", "3", *args]) == 0
+        header, *rows = (out / "train_base.log").read_text().splitlines()
+        assert header.startswith("step\t")
+        assert [r.split("\t")[0] for r in rows] == ["1", "2", "3"]
+
 
 class TestTrainBaseZeroSteps:
     def test_zero_steps_checkpoint_equals_init(self, pipeline, tmp_path):
@@ -263,16 +285,22 @@ class TestErrors:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "stage2.ckpt").exists()
 
-    def test_stage2_meta_keeps_stage1_objective(self, pipeline, tmp_path):
+    def test_stage2_meta_keeps_stage1_objective(self, pipeline, tmp_path, capsys):
         out = tmp_path / "eta"
         args = [a if a != str(pipeline["out"]) else str(out) for a in pipeline["args"]]
         assert main(["train-lte", "--checkpoint", str(pipeline["out"] / "moefied.ckpt"),
                      "--stage", "1", "--steps", "1", "--eta", "0.3", *args]) == 0
-        assert main(["train-lte", "--checkpoint", str(out / "stage1.ckpt"), "--stage", "2",
-                     "--steps", "1", *args]) == 0
+        stage2 = ["train-lte", "--checkpoint", str(out / "stage1.ckpt"), "--stage", "2",
+                  "--steps", "1", *args]
+        # stage 2 keeps the objective its stage 1 recorded: a differing key is an error
+        assert main([*stage2, "--set", "eta=5"]) == 2
+        assert "eta=5.0 differs from the checkpoint's eta=0.3" in capsys.readouterr().err
+        assert not (out / "stage2.ckpt").exists()
+        assert main(stage2) == 0
         s1, s2 = (load_checkpoint(str(out / f"stage{n}.ckpt")).meta for n in (1, 2))
         assert s1["eta"] == 0.3
         assert (s2["eta"], s2["lam"]) == (s1["eta"], s1["lam"])
+        assert main([*stage2, "--set", "eta=0.3", "--set", "lam=0.5"]) == 0
 
     def test_unknown_config_key_exit_2(self, pipeline):
         args = pipeline["args"] + ["--set", "nonsense=1"]

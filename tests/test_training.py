@@ -16,8 +16,6 @@ from moefy.training import (
     collect_gradients,
     format_log_row,
     optimizer_step,
-    run_stage1,
-    run_stage2,
     run_training,
     sample_batch,
     train_step,
@@ -236,10 +234,13 @@ def make_state(corpus, seed=0, stage="base", steps=50, eta=1.0, lam=0.5, **cfg_k
 class TestRuns:
     def test_sample_batch_shapes_and_shift(self):
         data = np.arange(100, dtype=np.uint8)
-        batch = sample_batch(data, Rng(0), 3, 10)
-        for x, y in batch:
-            assert x.shape == (10,) and y.shape == (10,)
-            assert np.array_equal(x[1:], y[:-1])
+        xs, ys = sample_batch(data, Rng(0), 3, 10)
+        assert xs.shape == ys.shape == (3, 10) and xs.dtype == ys.dtype == np.int64
+        assert np.array_equal(xs[:, 1:], ys[:, :-1])
+        # the same draws as one window per start
+        starts = Rng(0).integers(0, 100 - 10 - 1, size=3)
+        assert np.array_equal(xs, [data[s:s + 10] for s in starts])
+        assert np.array_equal(ys, [data[s + 1:s + 11] for s in starts])
 
     def test_deterministic_logs(self, small_corpus):
         rows_a = run_training(make_state(small_corpus, seed=5), small_corpus.train, 6)
@@ -257,13 +258,14 @@ class TestRuns:
 
     def test_stage1_requires_routers(self, small_corpus):
         st = make_state(small_corpus, seed=7)
-        with pytest.raises(ValueError):
-            run_stage1(st, small_corpus.train, 2)
+        st.stage = "stage1"
+        with pytest.raises(ValueError, match="stage1 requires routers"):
+            run_training(st, small_corpus.train, 2)
 
     def test_stage2_router_bytes_frozen(self, small_corpus):
         st = make_state(small_corpus, seed=8, stage="stage2", steps=8)
         before = [r.Wg.data.tobytes() for r in st.routers]
-        run_stage2(st, small_corpus.train, 8)
+        run_training(st, small_corpus.train, 8)
         after = [r.Wg.data.tobytes() for r in st.routers]
         assert before == after
 
@@ -273,21 +275,21 @@ class TestRuns:
         st = make_state(small_corpus, seed=9, steps=4)
         st.routers, partitions = moefy_params(st.params, seed=9)
         st.stage = "stage2"
-        run_stage2(st, small_corpus.train, 4)
-        batch = sample_batch(small_corpus.train, Rng(99), 2, 32)
+        run_training(st, small_corpus.train, 4)
+        xs, _ = sample_batch(small_corpus.train, Rng(99), 2, 32)
         traces = []
         for _ in range(3):
             with no_grad():
                 masks = [forward_lm(st.params, x, "moe_discrete", routers=st.routers,
                                     partitions=partitions).decisions[0].mask
-                         for x, _ in batch]
+                         for x in xs]
             traces.append(np.concatenate([m.ravel() for m in masks]))
         assert np.array_equal(traces[0], traces[1])
         assert np.array_equal(traces[0], traces[2])
 
     def test_stage1_eta_large_pushes_scores_down(self, small_corpus):
         st = make_state(small_corpus, seed=10, stage="stage1", steps=40, eta=10.0)
-        rows = run_stage1(st, small_corpus.train, 40)
+        rows = run_training(st, small_corpus.train, 40)
         first_scores = rows[0][1].mean_score_per_layer[0]
         last_scores = rows[-1][1].mean_score_per_layer[0]
         assert abs(first_scores - 0.5) < 0.05  # init near 0.5
@@ -297,7 +299,7 @@ class TestRuns:
         dense = make_state(small_corpus, seed=11, steps=150)
         rows_d = run_training(dense, small_corpus.train, 150)
         soft = make_state(small_corpus, seed=11, stage="stage1", steps=150, eta=0.0, lam=0.0)
-        rows_s = run_stage1(soft, small_corpus.train, 150)
+        rows_s = run_training(soft, small_corpus.train, 150)
         final_d = np.mean([r[1].task for r in rows_d[-10:]])
         final_s = np.mean([r[1].task for r in rows_s[-10:]])
         assert abs(final_s - final_d) / final_d < 0.10
@@ -314,8 +316,8 @@ class TestRuns:
         tau, hp = st.aux.tau, st.aux
         # the per-sequence formulas, with the graph-mode FFN train_step runs
         runs = [forward_lm(st.params, x, ffn_mode=mode, routers=st.routers, tau=tau)
-                for x, _ in batch]
-        task = np.mean([r.logits.cross_entropy_mean(y).item() for r, (_, y) in zip(runs, batch)])
+                for x in batch[0]]
+        task = np.mean([r.logits.cross_entropy_mean(y).item() for r, y in zip(runs, batch[1])])
         below, layers = [], []
         if stage != "base":
             layers = [[param(r.decisions[l].scores) for r in runs]
@@ -349,10 +351,10 @@ class TestRuns:
 
         monkeypatch.setattr(training, "clip_gradients", recording)
         st = make_state(small_corpus, seed=16, stage="stage1", steps=9)
-        st.stage = "base"
-        paths = [tmp_path / f"{p}.log" for p in ("base", "stage1", "stage2")]
-        for run, path in zip((run_training, run_stage1, run_stage2), paths):
-            rows = run(st, small_corpus.train, 3, log_path=str(path))
+        paths = [tmp_path / f"{p}.log" for p in training.STAGES]
+        for stage, path in zip(training.STAGES, paths):
+            st.stage = stage
+            rows = run_training(st, small_corpus.train, 3, log_path=str(path))
             assert [bd.grad_norm for _, bd, _ in rows] == norms[-3:]
         assert len(norms) == 9 and all(v > 0 for v in norms)
         logged = []
@@ -365,6 +367,6 @@ class TestRuns:
 
     def test_monitored_sparsity_bounds(self, small_corpus):
         st = make_state(small_corpus, seed=12, stage="stage1", steps=3)
-        rows = run_stage1(st, small_corpus.train, 3)
+        rows = run_training(st, small_corpus.train, 3)
         for _, _, sparsity in rows:
             assert 0.0 <= sparsity <= 1.0
