@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A small tape: each op records its parents and a closure that scatters the
-output gradient back to them. The op set is exactly what the language model,
-the routed FFN paths, and the three loss terms need - nothing speculative.
+output gradient back to them. The op set is what the program records (the
+language model, the routed FFN paths and the three loss terms), plus `sum`,
+which the float64 gradient checks reduce with.
 
 Gradients are exact. A constant Tensor (one that does not require grad)
 receives none: that is how discrete expert selection enters the graph in
@@ -133,12 +134,6 @@ class Tensor:
                 other._accum(_unbroadcast(g, other.data.shape))
         return self._make(self.data + other.data, (self, other), back)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._make(-self.data, (self,), lambda g: self._accum(-g))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return self._make(self.data * other, (self,), lambda g: self._accum(g * other))
@@ -151,9 +146,6 @@ class Tensor:
                 other._accum(_unbroadcast(g * self.data, other.data.shape))
         return self._make(self.data * other.data, (self, other), back)
 
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def matmul(self, other: "Tensor") -> "Tensor":
         """2-D or stacked (..., m, k) @ (..., k, n) product via numerics.matmul."""
         data = numerics.matmul(self.data, other.data)
@@ -163,9 +155,6 @@ class Tensor:
             if other.requires_grad:
                 other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g))
         return self._make(data, (self, other), back)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
 
     def transpose(self) -> "Tensor":
         """Swap the last two axes."""

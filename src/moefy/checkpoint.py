@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .grouping import ExpertPartition
-from .model import ModelConfig, TransformerParams
+from .model import ModelConfig, TransformerParams, param_shapes
 from .routing import RouterLayer
 from .autograd import param
 
@@ -110,8 +110,9 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Read a checkpoint; a truncated or malformed file raises ValueError naming it.
 
-    Partitions and routers, when present, must number n_layers and fit the
-    model config.
+    The model tensors must carry the names and shapes of
+    `model.param_shapes` for the manifest's config; partitions and routers,
+    when present, must number n_layers and fit the model config.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -168,6 +169,7 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
     if router_names:
         routers = [RouterLayer(Wg=param(tensors.pop(n))) for n in router_names]
 
+    _check_model_tensors(cfg, tensors)
     params = TransformerParams(cfg, {n: param(a) for n, a in tensors.items()})
     partitions = None
     if manifest["partitions"] is not None:
@@ -181,6 +183,20 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
         stage=manifest["stage"],
         meta=manifest.get("meta", {}),
     )
+
+
+def _check_model_tensors(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> None:
+    """The model tensors match `param_shapes(cfg)`: no name missing or extra, no shape off."""
+    shapes = param_shapes(cfg)
+    problems = {
+        "missing": [n for n in shapes if n not in tensors],
+        "unexpected": [n for n in tensors if n not in shapes],
+        "misshapen": [f"{n} {list(a.shape)} (config: {list(shapes[n])})"
+                      for n, a in tensors.items() if n in shapes and a.shape != shapes[n]],
+    }
+    found = [f"{what} {', '.join(names)}" for what, names in problems.items() if names]
+    if found:
+        raise ValueError(f"model tensors do not fit the config: {'; '.join(found)}")
 
 
 def _check_routing(cfg: ModelConfig, partitions, routers) -> None:

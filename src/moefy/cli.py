@@ -312,7 +312,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
+        # a bad input path is a config error; other OS errors (a failed write) are not
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

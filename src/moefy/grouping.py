@@ -16,6 +16,8 @@ import numpy as np
 from .model import D_FFN_AXIS, FfnLayer
 from .numerics import Rng
 
+KMEANS_MAX_ITERS = 50
+
 
 @dataclass
 class ExpertPartition:
@@ -85,24 +87,21 @@ def group_experts_kmeans(
     features: np.ndarray,
     n_experts: int,
     rng: Rng,
-    max_iters: int = 50,
     layer_index: int = 0,
 ) -> ExpertPartition:
     """Capacity-constrained k-means: exactly d_ffn / n_experts neurons per expert.
 
     Centroids start at n_experts distinct sampled neurons; each iteration
     greedily assigns by ascending squared distance under the capacity, then
-    recomputes centroids. Stops when the assignment repeats, the iteration
-    cap hits, or a greedy step would raise the objective (keeps SSE history
-    non-increasing).
+    recomputes centroids. Stops when the assignment repeats, after
+    KMEANS_MAX_ITERS iterations, or when a greedy step would raise the
+    objective (keeps SSE history non-increasing).
     """
     features = np.asarray(features, dtype=np.float64)
     d_ffn = features.shape[0]
     if d_ffn % n_experts != 0:
         raise ValueError(f"n_experts {n_experts} does not divide d_ffn {d_ffn}")
     capacity = d_ffn // n_experts
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
 
     seeds = rng.choice(d_ffn, n_experts, replace=False)
     centroids = features[np.sort(seeds)].copy()
@@ -111,7 +110,7 @@ def group_experts_kmeans(
     history: list[float] = []
 
     sq_feat = (features * features).sum(axis=1, keepdims=True)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dist = sq_feat - 2.0 * features @ centroids.T + (centroids * centroids).sum(axis=1)
         np.maximum(dist, 0.0, out=dist)
         assignment = _greedy_balanced_assign(dist, capacity)
@@ -157,16 +156,16 @@ def group_experts_random(
     ).validate()
 
 
-def apply_partition(layer: FfnLayer, p: ExpertPartition, inverse: bool = False) -> FfnLayer:
+def apply_partition(layer: FfnLayer, p: ExpertPartition) -> FfnLayer:
     """Reorder neurons so each expert's slice is contiguous (pure permutation).
 
-    With inverse=True the permutation is undone and the partition tag cleared;
-    round-tripping restores the original weights bit for bit.
+    Every role with a d_ffn axis is reordered by `p.permutation`; the others
+    are copied. The result carries `p` as its partition.
     """
-    perm = np.argsort(p.permutation) if inverse else p.permutation
+    perm = p.permutation
     d_ffn = layer.weights["up"].shape[1]
     if d_ffn != perm.shape[0]:
         raise ValueError(f"permutation length {perm.shape[0]} != d_ffn {d_ffn}")
     weights = {role: np.take(w, perm, axis=D_FFN_AXIS[role]) if role in D_FFN_AXIS else w.copy()
                for role, w in layer.weights.items()}
-    return FfnLayer(weights, layer.activation, partition=None if inverse else p)
+    return FfnLayer(weights, layer.activation, partition=p)

@@ -56,28 +56,21 @@ def perplexity(mean_ce: float) -> float:
     return float(np.exp(mean_ce))
 
 
-def aux_loss_graph(per_layer_scores: list[list[Tensor]],
+def aux_loss_graph(per_layer_scores: list[Tensor],
                    hp: LteHyperparams) -> tuple[Tensor, Tensor]:
     """(efficiency, separability) as graph nodes.
 
-    per_layer_scores[l] holds layer l's score tensors, each with the same
-    number of rows (training passes one (B*T, n_experts) tensor per layer),
-    so the token-mean is the mean of per-tensor means; layers are averaged
-    with equal weight.
+    per_layer_scores[l] is layer l's (B*T, n_experts) score tensor; each term
+    is the mean over its entries, and layers are averaged with equal weight.
     """
-    if not per_layer_scores or not per_layer_scores[0]:
+    if not per_layer_scores:
         raise ValueError("no score tensors")
     inv_l = 1.0 / len(per_layer_scores)
     eff = None
     sep = None
-    for layer_scores in per_layer_scores:
-        inv_b = 1.0 / len(layer_scores)
-        for g in layer_scores:
-            e_term = g.square().mean() * (inv_l * inv_b)
-            s_term = (
-                (g + (-hp.tau)).square().clamp_min(hp.denom_guard).reciprocal().mean()
-                * (inv_l * inv_b)
-            )
-            eff = e_term if eff is None else eff + e_term
-            sep = s_term if sep is None else sep + s_term
+    for g in per_layer_scores:
+        e_term = g.square().mean() * inv_l
+        s_term = (g + (-hp.tau)).square().clamp_min(hp.denom_guard).reciprocal().mean() * inv_l
+        eff = e_term if eff is None else eff + e_term
+        sep = s_term if sep is None else sep + s_term
     return eff, sep

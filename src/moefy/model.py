@@ -108,11 +108,6 @@ class TransformerParams:
             {k: param(t.data.astype(dtype)) for k, t in self.tensors.items()},
         )
 
-    def copy(self) -> "TransformerParams":
-        return TransformerParams(
-            self.config, {k: param(t.data.copy()) for k, t in self.tensors.items()}
-        )
-
 
 def ffn_param_names(cfg: ModelConfig, i: int) -> dict[str, str]:
     """Role -> parameter name of block i's FFN weights, in checkpoint order."""
@@ -179,47 +174,44 @@ def param_count(cfg: ModelConfig) -> int:
     return v * d + s * d + cfg.n_layers * per_block + 2 * d + head
 
 
-def init_params(cfg: ModelConfig, rng: numerics.Rng, dtype=F32) -> TransformerParams:
-    """GPT2-style init: normal(0, 0.02), zero biases, scaled residual projections."""
-    cfg.validate()
-    d, f = cfg.d_model, cfg.d_ffn
-    resid_std = 0.02 / math.sqrt(2 * cfg.n_layers)
-    t: dict[str, Tensor] = {}
-
-    def normal(name, shape, std):
-        t[name] = param(rng.split(name).normal(shape, std=std, dtype=dtype))
-
-    def zeros(name, shape):
-        t[name] = param(np.zeros(shape, dtype=dtype))
-
-    def ones(name, shape):
-        t[name] = param(np.ones(shape, dtype=dtype))
-
-    normal("wte", (cfg.vocab_size, d), 0.02)
-    normal("wpe", (cfg.max_seq_len, d), 0.02)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """Name -> shape of every model parameter, in checkpoint order."""
+    d, f, v = cfg.d_model, cfg.d_ffn, cfg.vocab_size
+    role_shapes = {"up": (d, f), "gate": (d, f), "down": (f, d), "b1": (f,), "b2": (d,)}
+    shapes = {"wte": (v, d), "wpe": (cfg.max_seq_len, d)}
     for i in range(cfg.n_layers):
-        ones(f"block{i}.ln1.g", d)
-        zeros(f"block{i}.ln1.b", d)
-        for w in ("Wq", "Wk", "Wv"):
-            normal(f"block{i}.attn.{w}", (d, d), 0.02)
-        for b in ("bq", "bk", "bv"):
-            zeros(f"block{i}.attn.{b}", d)
-        normal(f"block{i}.attn.Wo", (d, d), resid_std)
-        zeros(f"block{i}.attn.bo", d)
-        ones(f"block{i}.ln2.g", d)
-        zeros(f"block{i}.ln2.b", d)
-        for role, name in ffn_param_names(cfg, i).items():
-            if role == "down":
-                normal(name, (f, d), resid_std)
-            elif role in ("up", "gate"):
-                normal(name, (d, f), 0.02)
-            else:
-                zeros(name, f if role == "b1" else d)
-    ones("ln_f.g", d)
-    zeros("ln_f.b", d)
+        blk = f"block{i}"
+        shapes.update({f"{blk}.ln1.g": (d,), f"{blk}.ln1.b": (d,)})
+        shapes.update({f"{blk}.attn.{w}": (d, d) for w in ("Wq", "Wk", "Wv")})
+        shapes.update({f"{blk}.attn.{b}": (d,) for b in ("bq", "bk", "bv")})
+        shapes.update({f"{blk}.attn.Wo": (d, d), f"{blk}.attn.bo": (d,),
+                       f"{blk}.ln2.g": (d,), f"{blk}.ln2.b": (d,)})
+        shapes.update({name: role_shapes[role] for role, name in ffn_param_names(cfg, i).items()})
+    shapes.update({"ln_f.g": (d,), "ln_f.b": (d,)})
     if not cfg.tie_embeddings:
-        normal("head.W", (d, cfg.vocab_size), 0.02)
-    zeros("head.b", cfg.vocab_size)
+        shapes["head.W"] = (d, v)
+    shapes["head.b"] = (v,)
+    return shapes
+
+
+def init_params(cfg: ModelConfig, rng: numerics.Rng) -> TransformerParams:
+    """GPT2-style float32 init of the `param_shapes` table.
+
+    Layer-norm gains are ones and every other 1-D tensor is a zero bias.
+    Matrices draw normal(0, 0.02) from `rng.split(name)`; the residual
+    projections (attn.Wo and the FFN's down role) use 0.02 / sqrt(2 * n_layers).
+    """
+    cfg.validate()
+    resid_std = 0.02 / math.sqrt(2 * cfg.n_layers)
+    resid = {n for i in range(cfg.n_layers)
+             for n in (f"block{i}.attn.Wo", ffn_param_names(cfg, i)["down"])}
+    t: dict[str, Tensor] = {}
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) > 1:
+            std = resid_std if name in resid else 0.02
+            t[name] = param(rng.split(name).normal(shape, std=std, dtype=F32))
+        else:
+            t[name] = param((np.ones if name.endswith(".g") else np.zeros)(shape, dtype=F32))
 
     p = TransformerParams(cfg, t)
     assert p.element_count() == param_count(cfg)

@@ -127,8 +127,6 @@ class Rng:
     randomness in any order without perturbing each other.
     """
 
-    algorithm = "philox4x64"
-
     def __init__(self, seed: int):
         self.seed = int(seed) & (2**64 - 1)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))

@@ -172,6 +172,7 @@ def flops_per_token(cfg: ModelConfig, mean_selected, router: bool = True) -> Flo
 
 # --- benchmark harness -------------------------------------------------------
 
+BENCH_ACTIVATION = "relu"  # activation of the synthetic bench layers
 BENCH_COLUMNS = ("shape", "path", "sparsity", "median_ns", "iqr_ns", "threads", "trials")
 
 
@@ -203,7 +204,6 @@ def bench(
     trials: int = 30,
     warmups: int = 5,
     seed: int = 0,
-    activation: str = "relu",
 ) -> BenchReport:
     """Median/IQR wall time per FFN call, dense path vs gather path.
 
@@ -230,7 +230,7 @@ def bench(
     for d_model, d_ffn in shapes:
         n = d_ffn // expert_size
         cfg = ModelConfig(vocab_size=1, d_model=d_model, n_heads=1, n_layers=1, d_ffn=d_ffn,
-                          max_seq_len=1, activation=activation, expert_size=expert_size)
+                          max_seq_len=1, activation=BENCH_ACTIVATION, expert_size=expert_size)
         params = init_params(cfg, rng.split(f"weights_{d_model}_{d_ffn}"))
         from .grouping import ExpertPartition  # synthetic identity partition
 
@@ -273,7 +273,7 @@ def bench(
                             trials=trials,
                         )
                     )
-    meta = dict(expert_size=expert_size, seed=seed, activation=activation, warmups=warmups)
+    meta = dict(expert_size=expert_size, seed=seed, activation=BENCH_ACTIVATION, warmups=warmups)
     return BenchReport(rows=rows, warnings=warnings, meta=meta)
 
 

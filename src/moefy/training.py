@@ -24,6 +24,9 @@ from .routing import RouterLayer
 
 GradientSet = dict[str, np.ndarray]
 
+# AdamW moment decay rates and denominator floor
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 LOG_COLUMNS = ("step", "task", "efficiency", "separability", "total", "sparsity", "grad_norm")
 
 
@@ -49,9 +52,6 @@ class TrainHyper:
     warmup_ratio: float = 0.06
     weight_decay: float = 0.0
     clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     total_steps: int = 1000
 
     @property
@@ -109,16 +109,16 @@ def optimizer_step(state: TrainingState, grads: GradientSet) -> None:
     h = state.hyper
     t = state.step
     lr_t = h.lr * min(1.0, t / h.warmup_steps)
-    bc1 = 1.0 - h.beta1**t
-    bc2 = 1.0 - h.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     trainable = state.trainable()
     for name, g in grads.items():
         p = trainable[name].data
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m += (1.0 - h.beta1) * (g - m)
-        v += (1.0 - h.beta2) * (g * g - v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + h.eps)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= (lr_t * update).astype(p.dtype)
         if h.weight_decay > 0:
             p -= (lr_t * h.weight_decay) * p
@@ -160,7 +160,7 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
         # discrete-mode scores are numpy constants, so their aux terms build no graph
         scores = (res.score_graph if res.score_graph is not None
                   else [Tensor(dec.scores) for dec in res.decisions])
-        eff_t, sep_t = aux_loss_graph([[g] for g in scores], hp)
+        eff_t, sep_t = aux_loss_graph(scores, hp)
         if stage.objective:
             total = task + eff_t * hp.eta + sep_t * hp.lam
         eff, sep = eff_t.item(), sep_t.item()

@@ -147,7 +147,7 @@ def test_criterion_1_sparse_dense_equivalence():
 def toy_stage1_loss(params, routers, tokens, targets, hp):
     res = forward_lm(params, tokens, ffn_mode="moe_soft", routers=routers)
     task = res.logits.cross_entropy_mean(targets)
-    eff, sep = aux_loss_graph([[g] for g in res.score_graph], hp)
+    eff, sep = aux_loss_graph(res.score_graph, hp)
     return task + eff * hp.eta + sep * hp.lam
 
 

@@ -116,6 +116,27 @@ def rewrite_manifest(path, edit):
     path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + raw[12 + mlen:])
 
 
+def drop_tensor(path, name):
+    """Remove tensor `name` from the checkpoint at `path`: manifest entry and blob bytes."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[4:12])
+    manifest = json.loads(raw[12:12 + mlen].decode())
+    blob = raw[12 + mlen:]
+    entry = next(t for t in manifest["tensors"] if t["name"] == name)
+    manifest["tensors"].remove(entry)
+    for t in manifest["tensors"]:
+        if t["offset"] > entry["offset"]:
+            t["offset"] -= entry["nbytes"]
+    blob = blob[:entry["offset"]] + blob[entry["offset"] + entry["nbytes"]:]
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + blob)
+
+
+def edit_entry(tensor, **fields):
+    """A manifest edit that updates the table entry of `tensor`."""
+    return lambda m: next(t for t in m["tensors"] if t["name"] == tensor).update(fields)
+
+
 class TestCorruptFiles:
     def saved(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -187,6 +208,25 @@ class TestCorruptFiles:
         path = self.saved(tmp_path)
         rewrite_manifest(path, edit)
         with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("defect,message", [
+        (lambda p: drop_tensor(p, "block0.ffn.b2"), "missing block0.ffn.b2$"),
+        (lambda p: rewrite_manifest(p, edit_entry("block0.attn.Wq", name="block0.attn.Wx")),
+         "missing block0.attn.Wq; unexpected block0.attn.Wx$"),
+        (lambda p: rewrite_manifest(p, edit_entry("head.b", name="head.bias")),
+         "missing head.b; unexpected head.bias$"),
+        (lambda p: rewrite_manifest(p, edit_entry("wte", shape=[8, 19])),
+         re.escape("misshapen wte [8, 19] (config: [19, 8])")),
+        (lambda p: rewrite_manifest(p, edit_entry("head.W", shape=[19, 8])),
+         re.escape("misshapen head.W [19, 8] (config: [8, 19])")),
+    ], ids=["dropped_tensor", "renamed_weight", "renamed_head_bias", "wte_transposed",
+            "head_transposed"])
+    def test_model_tensors_must_fit_config(self, tmp_path, defect, message):
+        path = self.saved(tmp_path)
+        defect(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + ": model tensors do not fit the config: .*" + message):
             load_checkpoint(str(path))
 
 

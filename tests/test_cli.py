@@ -310,6 +310,16 @@ class TestErrors:
         assert main(["train-base", "--corpus", "/nonexistent.txt",
                      "--out-dir", str(pipeline["out"])]) == 2
 
+    def test_directory_corpus_exit_2(self, pipeline, tmp_path, capsys):
+        assert main(["train-base", "--corpus", str(tmp_path),
+                     "--out-dir", str(pipeline["out"])]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_directory_checkpoint_exit_2(self, pipeline, tmp_path, capsys):
+        args = pipeline["args"]
+        assert main(["eval", "--checkpoint", str(tmp_path), "--method", "lte", *args]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_truncated_checkpoint_exit_2_names_file(self, pipeline, tmp_path, capsys):
         out, args = pipeline["out"], pipeline["args"]
         bad = tmp_path / "cut.ckpt"

@@ -8,6 +8,7 @@ from moefy.grouping import (
     group_experts_random,
     partition_sse,
 )
+from moefy.model import D_FFN_AXIS
 from moefy.numerics import Rng
 
 from ffn_blocks import KINDS, dense_ffn, random_layer as ffn_random_layer
@@ -105,11 +106,14 @@ class TestApplyPartition:
     def test_round_trip_bit_identical(self):
         layer = random_layer(Rng(5))
         p = group_experts_random(12, 4, Rng(6))
-        back = apply_partition(apply_partition(layer, p), p, inverse=True)
-        assert back.weights.keys() == layer.weights.keys()
+        permuted = apply_partition(layer, p)
+        assert permuted.weights.keys() == layer.weights.keys()
+        undo = np.argsort(p.permutation)
         for role, w in layer.weights.items():
-            assert np.array_equal(back.weights[role], w)
-        assert back.partition is None
+            back = permuted.weights[role]
+            if role in D_FFN_AXIS:
+                back = np.take(back, undo, axis=D_FFN_AXIS[role])
+            assert np.array_equal(back, w)
 
     def test_length_mismatch(self):
         p = group_experts_random(8, 2, Rng(8))

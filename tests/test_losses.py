@@ -12,7 +12,7 @@ def aux_values(score_mats, tau=0.5, guard=1e-3):
     """(efficiency, separability) floats, one sequence per layer."""
     hp = LteHyperparams(tau=tau, denom_guard=guard)
     with no_grad():
-        eff, sep = aux_loss_graph([[Tensor(g)] for g in score_mats], hp)
+        eff, sep = aux_loss_graph([Tensor(g) for g in score_mats], hp)
     return eff.item(), sep.item()
 
 
@@ -117,7 +117,7 @@ class TestStage1Loss:
         mats = [np.clip(rng.normal((6, 4), std=0.2, dtype=np.float64) + 0.5, 0.01, 0.99)
                 for _ in range(3)]
         hp = LteHyperparams(eta=2.0, lam=0.7)
-        eff_t, sep_t = aux_loss_graph([[param(m)] for m in mats], hp)
+        eff_t, sep_t = aux_loss_graph([param(m) for m in mats], hp)
         total = eff_t * hp.eta + sep_t * hp.lam + 1.25
         eff, sep, expected = stage1_total(1.25, mats, hp)
         assert abs(total.item() - expected) < 1e-6
@@ -146,21 +146,21 @@ class TestGraphGradients:
         g0 = np.clip(g0, 0.02, 0.98)
 
         def eff_fn(flat):
-            eff, _ = aux_loss_graph([[param(flat.reshape(g0.shape))]], hp)
+            eff, _ = aux_loss_graph([param(flat.reshape(g0.shape))], hp)
             return float(eff.data)
 
         def sep_fn(flat):
-            _, sep = aux_loss_graph([[param(flat.reshape(g0.shape))]], hp)
+            _, sep = aux_loss_graph([param(flat.reshape(g0.shape))], hp)
             return float(sep.data)
 
         t = param(g0.copy())
-        eff, sep = aux_loss_graph([[t]], hp)
+        eff, sep = aux_loss_graph([t], hp)
         eff.backward()
         fd = finite_diff_grad(eff_fn, g0.ravel(), eps=1e-6)
         np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-4, atol=1e-9)
 
         t2 = param(g0.copy())
-        _, sep2 = aux_loss_graph([[t2]], hp)
+        _, sep2 = aux_loss_graph([t2], hp)
         sep2.backward()
         fd2 = finite_diff_grad(sep_fn, g0.ravel(), eps=1e-6)
         np.testing.assert_allclose(t2.grad.ravel(), fd2, rtol=1e-4, atol=1e-7)
@@ -169,7 +169,7 @@ class TestGraphGradients:
         hp = LteHyperparams(tau=0.5, denom_guard=1e-4)
         for g0, sign in ((0.62, 1.0), (0.38, -1.0)):
             t = param(np.full((1, 1), g0))
-            _, sep = aux_loss_graph([[t]], hp)
+            _, sep = aux_loss_graph([t], hp)
             sep.backward()
             # descending the loss moves the score further from tau
             assert -t.grad[0, 0] * sign > 0
@@ -179,8 +179,8 @@ class TestGraphGradients:
         hp = LteHyperparams(eta=1.0, lam=0.5)
         mats = [[np.clip(Rng(3 + l).split(str(b)).normal((4, 3), std=0.2, dtype=np.float64)
                          + 0.5, 0.01, 0.99) for b in range(2)] for l in range(2)]
-        eff, sep = aux_loss_graph([[param(m) for m in layer] for layer in mats], hp)
         flat = [np.concatenate(layer) for layer in mats]
+        eff, sep = aux_loss_graph([param(g) for g in flat], hp)
         ref_eff = np.mean([np.mean(np.square(g)) for g in flat])
         ref_sep = np.mean([np.mean(1.0 / np.maximum(np.square(g - hp.tau), hp.denom_guard))
                            for g in flat])

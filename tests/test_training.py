@@ -44,7 +44,7 @@ def moefy_params(params, seed=0, router_std=None):
 def stage1_total(params, routers, tokens, targets, hp):
     res = forward_lm(params, tokens, ffn_mode="moe_soft", routers=routers)
     task = res.logits.cross_entropy_mean(targets)
-    eff, sep = aux_loss_graph([[g] for g in res.score_graph], hp)
+    eff, sep = aux_loss_graph(res.score_graph, hp)
     return task + eff * hp.eta + sep * hp.lam
 
 
@@ -320,11 +320,12 @@ class TestRuns:
         task = np.mean([r.logits.cross_entropy_mean(y).item() for r, y in zip(runs, batch[1])])
         below, layers = [], []
         if stage != "base":
-            layers = [[param(r.decisions[l].scores) for r in runs]
+            layers = [[r.decisions[l].scores for r in runs]
                       for l in range(st.params.config.n_layers)]
             below = [float((d.scores <= tau).mean()) for r in runs for d in r.decisions]
             with no_grad():
-                eff, sep = (t.item() for t in aux_loss_graph(layers, hp))
+                scores = [param(np.concatenate(layer)) for layer in layers]
+                eff, sep = (t.item() for t in aux_loss_graph(scores, hp))
 
         bd, sparsity = train_step(st, batch)
         assert abs(bd.task - task) < 1e-12
@@ -336,7 +337,7 @@ class TestRuns:
         if stage == "stage1":
             assert abs(bd.total - (task + hp.eta * eff + hp.lam * sep)) < 1e-12
             for l, layer in enumerate(layers):
-                mean = np.mean([g.data.mean() for g in layer])
+                mean = np.mean([g.mean() for g in layer])
                 assert abs(bd.mean_score_per_layer[l] - mean) < 1e-12
         else:
             assert bd.total == bd.task
