@@ -177,23 +177,23 @@ class EvalMetrics:
     settings: dict = field(default_factory=dict)
 
 
-def _baseline_override(bundle: CheckpointBundle, method: str, k: int, keep_fraction: float,
-                       seed: int):
-    """The `forward_lm` ffn_override that runs a baseline method; None for dense."""
-    cfg, params = bundle.config, bundle.params
+def _baseline_scale(bundle: CheckpointBundle, method: str, k: int, keep_fraction: float,
+                    seed: int):
+    """The `forward_lm` ffn_scale selector of a baseline method; None for dense."""
+    cfg = bundle.config
     if method == "dense":
         return None
     if method == "dejavu":
-        return lambda i, x: routing.magnitude_select(params, i, x, keep_fraction)
+        return lambda i, x, a: routing.magnitude_select(a, keep_fraction)
     if method == "moefication_gt":
-        return lambda i, x: routing.groundtruth_topk_select(params, i, x, k)
+        return lambda i, x, a: routing.groundtruth_topk_select(a, cfg.n_experts, k)
     # frozen random routers, one per layer, drawn from the method's own seed label
-    label, fwd = {"random_router": ("rr", routing.random_topk_forward),
-                  "noisy_topk": ("topk", routing.noisy_topk_forward)}[method]
+    label, select = {"random_router": ("rr", routing.random_topk_select),
+                     "noisy_topk": ("topk", routing.noisy_topk_select)}[method]
     routers = [routing.router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"{label}{i}"),
                                    std=1.0 / math.sqrt(cfg.d_model))
                for i in range(cfg.n_layers)]
-    return lambda i, x: fwd(params, i, routers[i], x, k)
+    return lambda i, x, a: select(routers[i], x, k)
 
 
 def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
@@ -216,8 +216,8 @@ def evaluate(bundle: CheckpointBundle, windows: list[np.ndarray], method: str,
     if method == "lte":
         mean_ce, _, masks = collect_decisions(bundle, windows, tau)
     else:
-        override = _baseline_override(bundle, method, k, keep_fraction, seed)
-        mean_ce, _, masks = _eval_pass(bundle, windows, ffn_override=override)
+        scale = _baseline_scale(bundle, method, k, keep_fraction, seed)
+        mean_ce, _, masks = _eval_pass(bundle, windows, ffn_scale=scale)
     if masks:
         sparsity = float(np.mean([1.0 - m.mean() for m in masks]))
         selected = [float(m.sum(axis=1).mean()) / (m.shape[1] // cfg.n_experts) for m in masks]
@@ -283,11 +283,6 @@ def format_report(r: SparsityReport) -> str:
         for b in range(HIST_BINS):
             lines.append(f"{l}\t{b}\t{int(r.histograms[l, b])}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(r: SparsityReport, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_report(r))
 
 
 # --- minimal SVG plotter ---------------------------------------------------------

@@ -112,7 +112,8 @@ def load_checkpoint(path: str) -> CheckpointBundle:
 
     The model tensors must carry the names and shapes of
     `model.param_shapes` for the manifest's config; partitions and routers,
-    when present, must number n_layers and fit the model config.
+    when present, must number n_layers and fit the model config, and
+    partition i must carry layer_index i.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -200,11 +201,13 @@ def _check_model_tensors(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> No
 
 
 def _check_routing(cfg: ModelConfig, partitions, routers) -> None:
-    """Partitions and routers, when present, give one per layer and fit the model config."""
+    """Partitions and routers, if any: one per layer, fitting cfg; partition i has layer_index i."""
     for what, items in (("partitions", partitions), ("routers", routers)):
         if items is not None and len(items) != cfg.n_layers:
             raise ValueError(f"{len(items)} {what} for n_layers={cfg.n_layers}")
     for i, p in enumerate(partitions or ()):
+        if p.layer_index != i:
+            raise ValueError(f"partition {i} has layer_index {p.layer_index}")
         if (p.n_experts, p.expert_size) != (cfg.n_experts, cfg.expert_size):
             raise ValueError(f"partition {i} has {p.n_experts} experts of {p.expert_size}, "
                              f"the config {cfg.n_experts} of {cfg.expert_size}")

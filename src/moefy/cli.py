@@ -208,7 +208,7 @@ def cmd_bench(args) -> int:
         warmups=args.warmups, seed=cfg.seed,
     )
     out = _out_dir(cfg) / "bench.tsv"
-    sparse_exec.write_bench_report(report, str(out))
+    out.write_text(sparse_exec.format_bench_report(report))
     print(f"wrote {out} ({len(report.rows)} rows)")
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -226,7 +226,7 @@ def cmd_report(args) -> int:
     report = analysis.layer_sparsity_report(bundle, windows, cfg.tau,
                                             corpus_hash=corpus.sha256)
     out = _out_dir(cfg)
-    analysis.write_report(report, str(out / "report.txt"))
+    (out / "report.txt").write_text(analysis.format_report(report))
     (out / "sparsity_per_layer.svg").write_text(analysis.render_sparsity_svg(report))
     (out / "score_histogram.svg").write_text(analysis.render_histogram_svg(report))
     print(f"wrote {out / 'report.txt'} (overall sparsity {report.overall_sparsity:.4f})")

@@ -105,7 +105,6 @@ def group_experts_kmeans(
 
     seeds = rng.choice(d_ffn, n_experts, replace=False)
     centroids = features[np.sort(seeds)].copy()
-    prev_assignment = None
     best_assignment = None
     history: list[float] = []
 
@@ -114,14 +113,13 @@ def group_experts_kmeans(
         dist = sq_feat - 2.0 * features @ centroids.T + (centroids * centroids).sum(axis=1)
         np.maximum(dist, 0.0, out=dist)
         assignment = _greedy_balanced_assign(dist, capacity)
-        if prev_assignment is not None and (assignment == prev_assignment).all():
+        if best_assignment is not None and (assignment == best_assignment).all():
             break
         sse = partition_sse(features, assignment, n_experts)
         if history and sse > history[-1] + 1e-12 * max(1.0, history[-1]):
             break  # greedy step would regress; keep the best assignment
         history.append(sse)
         best_assignment = assignment
-        prev_assignment = assignment
         for e in range(n_experts):
             centroids[e] = features[assignment == e].mean(axis=0)
 

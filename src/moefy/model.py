@@ -93,9 +93,6 @@ class TransformerParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def names(self) -> list[str]:
         return list(self.tensors)
 
@@ -255,12 +252,12 @@ def forward_lm(
     tau: float = 0.5,
     partitions: Optional[list] = None,
     packed: Optional[list] = None,
-    ffn_override: Optional[Callable[[int, np.ndarray], tuple]] = None,
+    ffn_scale: Optional[Callable[[int, np.ndarray, np.ndarray], tuple]] = None,
 ) -> ForwardResult:
     """Forward pass over one sequence (T,) or a batch of equal-length ones (B, T).
 
     Activations are (B*T, d) rows, batch-major, so every row-wise layer (the
-    layer norms, the FFN, routers, the gather path, `ffn_override` and the
+    layer norms, the FFN, routers, the gather path, `ffn_scale` and the
     loss) sees the whole batch in one call; only attention regroups rows into
     (B, H, T, head_dim). Logits and RoutingDecisions have B*T rows.
 
@@ -268,6 +265,10 @@ def forward_lm(
     to the routing module and return per-layer RoutingDecisions. moe_discrete
     uses the packed gather path when the graph is not being recorded, and a
     masked-dense graph (mask held constant) when it is.
+
+    ffn_scale(i, x, a) -> (scale, decision), dense mode only, is how the eval
+    baselines run: it picks a constant scale for block i's FFN from the
+    numpy input `x` and hidden layer `a`.
     """
     from . import routing  # deferred: routing builds on this module's types
 
@@ -280,14 +281,16 @@ def forward_lm(
         raise ShapeError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
     if ffn_mode not in ("dense", "moe_soft", "moe_discrete"):
         raise ValueError(f"unknown ffn_mode {ffn_mode!r}")
-    if ffn_mode != "dense" and routers is None and ffn_override is None:
+    if ffn_scale is not None and ffn_mode != "dense":
+        raise ValueError(f"ffn_scale needs ffn_mode 'dense', got {ffn_mode!r}")
+    if ffn_mode != "dense" and routers is None:
         raise ValueError(f"{ffn_mode} requires routers")
 
     dtype = params["wte"].data.dtype
     x = params["wte"].rows(tokens.reshape(-1)) + params["wpe"].rows(np.tile(np.arange(t), b))
     mask_add = Tensor(causal_mask(t, dtype=dtype))
 
-    decisions = [] if (ffn_mode != "dense" or ffn_override) else None
+    decisions = [] if (ffn_mode != "dense" or ffn_scale) else None
     score_graph = [] if ffn_mode == "moe_soft" else None
 
     for i in range(cfg.n_layers):
@@ -295,12 +298,13 @@ def forward_lm(
         x = x + _attention(params, i, xn, mask_add, b, t)
         xf = x.layernorm(params[f"block{i}.ln2.g"], params[f"block{i}.ln2.b"])
 
-        if ffn_override is not None:
-            out_np, dec = ffn_override(i, xf.data)
-            f = Tensor(out_np)
-            decisions.append(dec)
-        elif ffn_mode == "dense":
-            f = ffn_out(params, i, ffn_hidden(params, i, xf))
+        if ffn_mode == "dense":
+            a, scale = ffn_hidden(params, i, xf), None
+            if ffn_scale is not None:
+                s, dec = ffn_scale(i, xf.data, a.data)
+                scale = Tensor(s.astype(a.dtype))
+                decisions.append(dec)
+            f = ffn_out(params, i, a, scale)
         elif ffn_mode == "moe_soft":
             f, g, dec = routing.soft_ffn_graph(params, i, routers[i], xf)
             decisions.append(dec)

@@ -5,11 +5,12 @@ through a sigmoid, thresholded at tau for discrete selection. Routing only
 chooses the per-expert scale that `model.ffn_out` applies to the FFN hidden
 layer: soft mode passes the scores (differentiable; used while the routers
 learn), discrete mode a constant 0/1 mask. Without a graph, discrete mode
-runs the packed gather kernel instead. Baselines pick their own constant
-scale: noisy top-k softmax weights, per-neuron magnitude keep (exact-value
-stand-in for a trained predictor), ground-truth expert top-k, and frozen
-random routers. Every baseline returns a RoutingDecision whose mask is the
-selection it applied, so eval measures all methods from their masks.
+runs the packed gather kernel instead. Baselines only pick a constant scale
+for `forward_lm` to apply: noisy top-k softmax weights and frozen random
+routers rank the block input, per-neuron magnitude keep (exact-value stand-in
+for a trained predictor) and ground-truth expert top-k the hidden layer. Each
+returns (scale, RoutingDecision) whose mask is the selection it applied, so
+eval measures all methods from their masks.
 """
 
 from __future__ import annotations
@@ -113,16 +114,9 @@ def _topk_rows(values: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _baseline_out(params: TransformerParams, i: int, a: Tensor, scale: np.ndarray,
-                  scores: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, RoutingDecision]:
-    """Down-project hidden `a` under a baseline's constant scale; the decision keeps its mask."""
-    y = ffn_out(params, i, a, Tensor(scale.astype(a.dtype))).data
-    return y, RoutingDecision(scores=scores, mask=mask)
-
-
-def noisy_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x: np.ndarray,
-                       k: int) -> tuple[np.ndarray, RoutingDecision]:
-    """Top-k softmax routing; the selected experts are scaled by their softmax weights.
+def noisy_topk_select(router: RouterLayer, x: np.ndarray,
+                      k: int) -> tuple[np.ndarray, RoutingDecision]:
+    """Top-k softmax routing; the scale is the selected experts' softmax weights.
 
     Noisy top-k adds logit noise only while its router trains; this baseline's
     router is never trained, so it runs noise-free.
@@ -133,38 +127,34 @@ def noisy_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x
     m = kept.max(axis=1, keepdims=True)
     expw = np.exp(kept - m)
     weights = expw / expw.sum(axis=1, keepdims=True)
-    return _baseline_out(params, i, ffn_hidden(params, i, Tensor(x)), weights, weights, mask)
+    return weights, RoutingDecision(scores=weights, mask=mask)
 
 
-def magnitude_select(params: TransformerParams, i: int, x: np.ndarray,
-                     keep_fraction: float) -> tuple[np.ndarray, RoutingDecision]:
+def magnitude_select(a: np.ndarray, keep_fraction: float) -> tuple[np.ndarray, RoutingDecision]:
     """Keep the ceil(keep_fraction * d_ffn) largest-|value| hidden neurons per token.
 
-    Exact-value oracle: the true activations stand in for a trained predictor,
-    giving this baseline its best case. The decision's mask and scores are
-    per neuron, (T, d_ffn).
+    Exact-value oracle: the true activations `a` stand in for a trained
+    predictor, giving this baseline its best case. The scale, mask and scores
+    are per neuron, (T, d_ffn).
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    a = ffn_hidden(params, i, Tensor(x))
-    mag = np.abs(a.data)
+    mag = np.abs(a)
     mask = _topk_rows(mag, math.ceil(keep_fraction * a.shape[1]))
-    return _baseline_out(params, i, a, mask, mag, mask)
+    return mask, RoutingDecision(scores=mag, mask=mask)
 
 
-def groundtruth_topk_select(params: TransformerParams, i: int, x: np.ndarray,
+def groundtruth_topk_select(a: np.ndarray, n_experts: int,
                             k: int) -> tuple[np.ndarray, RoutingDecision]:
-    """Score experts by the L2 norm of their true hidden slice, keep top-k."""
-    cfg = params.config
-    a = ffn_hidden(params, i, Tensor(x))
-    norms = np.sqrt((a.data * a.data).reshape(-1, cfg.n_experts, cfg.expert_size).sum(axis=2))
+    """Score experts by the L2 norm of their slice of the true hidden `a`, keep top-k."""
+    norms = np.sqrt((a * a).reshape(a.shape[0], n_experts, -1).sum(axis=2))
     mask = _topk_rows(norms, k)
-    return _baseline_out(params, i, a, mask, norms, mask)
+    return mask, RoutingDecision(scores=norms, mask=mask)
 
 
-def random_topk_forward(params: TransformerParams, i: int, router: RouterLayer, x: np.ndarray,
-                        k: int) -> tuple[np.ndarray, RoutingDecision]:
+def random_topk_select(router: RouterLayer, x: np.ndarray,
+                       k: int) -> tuple[np.ndarray, RoutingDecision]:
     """Top-k experts by the sigmoid scores of a frozen random router."""
     scores = router_scores(router, x)
     mask = _topk_rows(scores, k)
-    return _baseline_out(params, i, ffn_hidden(params, i, Tensor(x)), mask, scores, mask)
+    return mask, RoutingDecision(scores=scores, mask=mask)

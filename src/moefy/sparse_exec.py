@@ -23,6 +23,7 @@ import numpy as np
 
 from . import numerics
 from .autograd import Tensor, no_grad
+from .grouping import ExpertPartition
 from .model import (D_FFN_AXIS, FfnLayer, ModelConfig, ffn_flops_per_token, ffn_hidden, ffn_out,
                     get_ffn_layer, init_params)
 from .numerics import Rng, blas_threads
@@ -232,9 +233,7 @@ def bench(
         cfg = ModelConfig(vocab_size=1, d_model=d_model, n_heads=1, n_layers=1, d_ffn=d_ffn,
                           max_seq_len=1, activation=BENCH_ACTIVATION, expert_size=expert_size)
         params = init_params(cfg, rng.split(f"weights_{d_model}_{d_ffn}"))
-        from .grouping import ExpertPartition  # synthetic identity partition
-
-        ident = ExpertPartition(
+        ident = ExpertPartition(  # synthetic identity partition
             layer_index=0,
             n_experts=n,
             expert_size=expert_size,
@@ -284,8 +283,3 @@ def format_bench_report(report: BenchReport) -> str:
     for row in report.rows:
         lines.append("\t".join(str(row[c]) for c in BENCH_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def write_bench_report(report: BenchReport, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_bench_report(report))

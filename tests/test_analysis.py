@@ -216,11 +216,11 @@ class TestEvaluate:
             assert np.array_equal(masks[l], ref_mask)
             assert 0 < ref_mask.mean() < 1
         assert abs(evaluate(bundle, wins, "lte").mean_ce - ref_ce) < 1e-12
-        dejavu = lambda i, x: magnitude_select(bundle.params, i, x, 0.5)
-        for method, override in (("dense", None), ("dejavu", dejavu)):
+        dejavu = lambda i, x, a: magnitude_select(a, 0.5)
+        for method, scale in (("dense", None), ("dejavu", dejavu)):
             with no_grad():
                 ref = np.mean([task_loss(forward_lm(bundle.params, w[:-1],
-                                                    ffn_override=override).logits.data, w[1:])
+                                                    ffn_scale=scale).logits.data, w[1:])
                                for w in wins])
             got = evaluate(bundle, wins, method, keep_fraction=0.5).mean_ce
             assert abs(got - ref) < 1e-12
@@ -273,11 +273,11 @@ class TestEvalFromAppliedMasks:
         assert len(calls) == 1  # one chunk
         kwargs, decisions = calls[0]
         if method == "dense":
-            assert decisions is None and kwargs.get("ffn_override") is None
+            assert decisions is None and kwargs.get("ffn_scale") is None
             masks = [np.ones((1, cfg.n_experts), dtype=bool)] * cfg.n_layers
         else:
             if method != "lte":
-                assert kwargs["ffn_override"] is not None
+                assert kwargs["ffn_scale"] is not None
             assert len(decisions) == cfg.n_layers
             masks = [d.mask for d in decisions]
         assert m.mean_sparsity == float(np.mean([1.0 - mk.mean() for mk in masks]))

@@ -201,9 +201,11 @@ class TestCorruptFiles:
             0, m["partitions"][0]["permutation"][1]), "permutation is not a bijection"),
         (lambda m: m["config"].update(expert_size=2), "partition 0 has 2 experts of 4"),
         (lambda m: TestCorruptFiles.set_router_shape(m, [2, 8]), r"router 0 Wg has shape \(2, 8\)"),
+        (lambda m: m["partitions"][1].update(layer_index=0), "partition 1 has layer_index 0"),
+        (lambda m: m["partitions"].reverse(), "partition 0 has layer_index 1"),
     ], ids=["shape_not_a_list", "null_partition", "short_partition_list",
             "permutation_not_bijective", "partition_disagrees_with_config",
-            "router_disagrees_with_config"])
+            "router_disagrees_with_config", "partition_relabelled", "partitions_swapped"])
     def test_malformed_routing_names_file(self, tmp_path, edit, message):
         path = self.saved(tmp_path)
         rewrite_manifest(path, edit)

@@ -346,7 +346,7 @@ class TestBatchedForward:
     def run(params, routers, partitions, tokens, mode):
         kw = dict(ffn_mode=BATCH_MODES[mode], routers=routers, partitions=partitions)
         if mode == "override":
-            kw["ffn_override"] = lambda i, x: routing.magnitude_select(params, i, x, 0.5)
+            kw["ffn_scale"] = lambda i, x, a: routing.magnitude_select(a, 0.5)
         if mode == "moe_discrete_gather":
             with no_grad():
                 res = forward_lm(params, tokens, **kw)
@@ -375,6 +375,34 @@ class TestBatchedForward:
         params = init_params(toy_config(), Rng(62))
         with pytest.raises(ShapeError):
             forward_lm(params, np.zeros((2, 2, 2), dtype=np.int64))
+
+
+class TestFfnScale:
+    """A baseline's ffn_scale selector runs through forward_lm's dense FFN line."""
+
+    @pytest.mark.parametrize("mode", ["moe_soft", "moe_discrete"])
+    def test_needs_dense_mode(self, mode):
+        params, routers, partitions = moefied_f64("two_matmul")
+        ones = lambda i, x, a: (np.ones_like(a), None)
+        with pytest.raises(ValueError, match="ffn_scale"):
+            forward_lm(params, np.zeros(3, dtype=np.int64), ffn_mode=mode, routers=routers,
+                       partitions=partitions, ffn_scale=ones)
+
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    def test_all_ones_scale_is_dense_bitwise(self, kind):
+        params, _, _ = moefied_f64(kind)
+        tokens = Rng(65).integers(0, params.config.vocab_size, size=(2, 6))
+        seen = []
+
+        def ones(i, x, a):
+            seen.append(i)
+            return np.ones((a.shape[0], params.config.n_experts)), f"decision {i}"
+
+        res = forward_lm(params, tokens, ffn_scale=ones)
+        dense = forward_lm(params, tokens, ffn_mode="dense")
+        assert np.array_equal(res.logits.data, dense.logits.data)
+        assert seen == list(range(params.config.n_layers))
+        assert res.decisions == [f"decision {i}" for i in seen]
 
 
 def test_discrete_call_args1_carries_layer_index(monkeypatch):

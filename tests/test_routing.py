@@ -6,15 +6,15 @@ import pytest
 from moefy import routing
 from moefy.autograd import Tensor, no_grad, param
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import get_ffn_layer
+from moefy.model import ffn_hidden, ffn_out, get_ffn_layer
 from moefy.numerics import Rng, activation
 from moefy.routing import (
     RouterLayer,
     groundtruth_topk_select,
     magnitude_select,
     moe_forward_discrete,
-    noisy_topk_forward,
-    random_topk_forward,
+    noisy_topk_select,
+    random_topk_select,
     router_init,
     router_scores,
     soft_ffn_graph,
@@ -45,6 +45,19 @@ def soft(params, router, x):
 def dense_mask_oracle(params, x, neuron_scale):
     """Plain-numpy dense FFN of block 0 with each intermediate neuron scaled."""
     return scaled_ffn_oracle(get_ffn_layer(params, 0), x, neuron_scale)
+
+
+def hidden(params, x):
+    """Block 0's FFN hidden layer, what the hidden-ranking baselines rank."""
+    with no_grad():
+        return ffn_hidden(params, 0, Tensor(x)).data
+
+
+def scaled_out(params, x, scale):
+    """Block 0's FFN under a baseline's scale, as forward_lm applies it."""
+    with no_grad():
+        a = ffn_hidden(params, 0, Tensor(x))
+        return ffn_out(params, 0, a, Tensor(scale.astype(a.dtype))).data
 
 
 class TestRouterScores:
@@ -193,19 +206,18 @@ class TestSoft:
 
 class TestNoisyTopk:
     def test_hand_softmax_logits_210(self):
-        params, part = make_layer(Rng(16), d=1, f=12, n_experts=3)
         r = RouterLayer(Wg=param(np.array([[2.0, 1.0, 0.0]])))
-        y, dec = noisy_topk_forward(params, 0, r, np.array([[1.0]]), k=2)
+        scale, dec = noisy_topk_select(r, np.array([[1.0]]), k=2)
         e = math.e
-        assert np.allclose(dec.scores[0], [e / (e + 1), 1 / (e + 1), 0.0], atol=1e-12)
+        assert np.allclose(scale[0], [e / (e + 1), 1 / (e + 1), 0.0], atol=1e-12)
+        assert np.array_equal(dec.scores, scale)
         assert dec.mask.tolist() == [[True, True, False]]
 
     def test_k_equals_n_is_full_softmax(self):
         rng = Rng(17)
-        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.0)
         x = rng.normal((5, 6), std=1.0)
-        _, dec = noisy_topk_forward(params, 0, r, x, k=4)
+        _, dec = noisy_topk_select(r, x, k=4)
         logits = x @ r.Wg.data
         full = np.exp(logits - logits.max(1, keepdims=True))
         full /= full.sum(1, keepdims=True)
@@ -213,24 +225,21 @@ class TestNoisyTopk:
 
     def test_k1_single_expert_weight_one(self):
         rng = Rng(18)
-        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.0)
-        _, dec = noisy_topk_forward(params, 0, r, rng.normal((6, 6), std=1.0), k=1)
+        _, dec = noisy_topk_select(r, rng.normal((6, 6), std=1.0), k=1)
         assert np.allclose(dec.scores.max(axis=1), 1.0)
         assert (dec.mask.sum(axis=1) == 1).all()
 
     def test_rows_sum_to_one(self):
         rng = Rng(19)
-        params, part = make_layer(rng)
         r = router_init(6, 4, rng.split("r"), std=1.0)
-        _, dec = noisy_topk_forward(params, 0, r, rng.normal((9, 6), std=1.0), k=2)
+        _, dec = noisy_topk_select(r, rng.normal((9, 6), std=1.0), k=2)
         assert np.abs(dec.scores.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_k_out_of_range(self):
-        params, part = make_layer(Rng(21))
         r = router_init(6, 4, Rng(22))
         with pytest.raises(ValueError):
-            noisy_topk_forward(params, 0, r, np.zeros((1, 6), np.float32), k=5)
+            noisy_topk_select(r, np.zeros((1, 6), np.float32), k=5)
 
 
 class TestMagnitudeSelect:
@@ -242,14 +251,15 @@ class TestMagnitudeSelect:
             np.array([[0.15, -0.25, 0.005]]),    # up
             np.eye(3, 1),                        # down
         ), expert_size=1)
-        _, dec = magnitude_select(params, 0, np.array([[1.0]]), keep_fraction=2 / 3)
+        _, dec = magnitude_select(hidden(params, np.array([[1.0]])), keep_fraction=2 / 3)
         assert dec.mask.tolist() == [[True, True, False]]
 
     def test_keep_all_is_dense(self):
         rng = Rng(23)
         params, _ = make_layer(rng)
         x = rng.normal((5, 6), std=1.0)
-        y, dec = magnitude_select(params, 0, x, keep_fraction=1.0)
+        scale, dec = magnitude_select(hidden(params, x), keep_fraction=1.0)
+        y = scaled_out(params, x, scale)
         assert dec.mask.all()
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert np.abs(y - dense).max() < 1e-6
@@ -259,7 +269,8 @@ class TestMagnitudeSelect:
         params, _ = make_layer(rng, act="relu")
         x = rng.normal((20, 6), std=1.0)
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
-        y, _ = magnitude_select(params, 0, x, keep_fraction=0.5)
+        scale, _ = magnitude_select(hidden(params, x), keep_fraction=0.5)
+        y = dense_mask_oracle(params, x, scale.astype(x.dtype))
         mag_err = float(np.abs(y - dense).mean())
         rand_errs = []
         for s in range(20):
@@ -271,9 +282,8 @@ class TestMagnitudeSelect:
         assert mag_err <= np.mean(rand_errs)
 
     def test_bad_fraction(self):
-        params, _ = make_layer(Rng(25))
         with pytest.raises(ValueError):
-            magnitude_select(params, 0, np.zeros((1, 6), np.float32), keep_fraction=0.0)
+            magnitude_select(np.zeros((1, 16), np.float32), keep_fraction=0.0)
 
 
 class TestGroundtruthTopk:
@@ -281,7 +291,8 @@ class TestGroundtruthTopk:
         rng = Rng(26)
         params, part = make_layer(rng)
         x = rng.normal((4, 6), std=1.0)
-        y, dec = groundtruth_topk_select(params, 0, x, k=4)
+        scale, dec = groundtruth_topk_select(hidden(params, x), 4, k=4)
+        y = scaled_out(params, x, scale)
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert dec.mask.all()
         assert np.abs(y - dense).max() < 1e-6
@@ -296,7 +307,8 @@ class TestGroundtruthTopk:
         layer.weights["b1"][2:] = -1e9
         params = one_block(layer, expert_size=f // n)
         x = np.abs(rng.normal((5, d), std=1.0))
-        y, dec = groundtruth_topk_select(params, 0, x, k=1)
+        scale, dec = groundtruth_topk_select(hidden(params, x), n, k=1)
+        y = scaled_out(params, x, scale)
         dense = dense_mask_oracle(params, x, np.ones(f, dtype=x.dtype))
         assert (dec.mask[:, 0]).all()
         assert np.abs(y - dense).max() < 1e-5
@@ -305,7 +317,7 @@ class TestGroundtruthTopk:
         rng = Rng(28)
         params, part = make_layer(rng)
         x = rng.normal((6, 6), std=1.0)
-        _, dec = groundtruth_topk_select(params, 0, x, k=2)
+        _, dec = groundtruth_topk_select(hidden(params, x), 4, k=2)
         layer = get_ffn_layer(params, 0)
         inter = activation(x @ layer.weights["up"] + layer.weights["b1"], layer.activation)
         for t in range(6):
@@ -322,24 +334,23 @@ def random_router(d, n, rng):
 class TestRandomRouter:
     def test_deterministic_selection(self):
         rng = Rng(29)
-        params, part = make_layer(rng)
         x = rng.normal((5, 6), std=1.0)
-        _, d1 = random_topk_forward(params, 0, random_router(6, 4, Rng(77)), x, 2)
-        _, d2 = random_topk_forward(params, 0, random_router(6, 4, Rng(77)), x, 2)
+        _, d1 = random_topk_select(random_router(6, 4, Rng(77)), x, 2)
+        _, d2 = random_topk_select(random_router(6, 4, Rng(77)), x, 2)
         assert np.array_equal(d1.mask, d2.mask)
 
     def test_k_equals_n_dense(self):
         rng = Rng(30)
         params, part = make_layer(rng)
         x = rng.normal((4, 6), std=1.0)
-        y, _ = random_topk_forward(params, 0, random_router(6, 4, Rng(1)), x, 4)
+        scale, _ = random_topk_select(random_router(6, 4, Rng(1)), x, 4)
+        y = scaled_out(params, x, scale)
         dense = dense_mask_oracle(params, x, np.ones(16, dtype=x.dtype))
         assert np.abs(y - dense).max() < 1e-6
 
     def test_k_out_of_range(self):
-        params, _ = make_layer(Rng(31))
         with pytest.raises(ValueError):
-            random_topk_forward(params, 0, random_router(6, 4, Rng(32)), np.zeros((1, 6)), 5)
+            random_topk_select(random_router(6, 4, Rng(32)), np.zeros((1, 6)), 5)
 
     def test_selection_frequency_near_uniform(self):
         # Expert marginals are uniform over router draws (column symmetry), so
@@ -356,10 +367,10 @@ class TestRandomRouter:
 
 
 BASELINES = {
-    "dejavu": lambda p, x: magnitude_select(p, 0, x, keep_fraction=0.3),
-    "moefication_gt": lambda p, x: groundtruth_topk_select(p, 0, x, k=2),
-    "random_router": lambda p, x: random_topk_forward(p, 0, random_router(6, 4, Rng(33)), x, 2),
-    "noisy_topk": lambda p, x: noisy_topk_forward(p, 0, random_router(6, 4, Rng(33)), x, 2),
+    "dejavu": lambda x, a: magnitude_select(a, keep_fraction=0.3),
+    "moefication_gt": lambda x, a: groundtruth_topk_select(a, 4, k=2),
+    "random_router": lambda x, a: random_topk_select(random_router(6, 4, Rng(33)), x, 2),
+    "noisy_topk": lambda x, a: noisy_topk_select(random_router(6, 4, Rng(33)), x, 2),
 }
 
 
@@ -370,10 +381,11 @@ def test_baseline_decision_is_the_applied_selection(name):
     rng = Rng(34)
     params, _ = make_layer(rng)
     x = rng.normal((7, 6), std=1.0)
-    y, dec = BASELINES[name](params, x)
+    scale, dec = BASELINES[name](x, hidden(params, x))
+    y = scaled_out(params, x, scale)
     assert dec.mask.dtype == bool and dec.mask.shape == dec.scores.shape
     assert dec.mask.shape == (7, 16 if name == "dejavu" else 4)
-    scale = dec.scores if name == "noisy_topk" else dec.mask.astype(x.dtype)
+    assert np.array_equal(scale, dec.scores if name == "noisy_topk" else dec.mask)
     assert np.array_equal(scale != 0, dec.mask)
     cols = np.repeat(scale, 16 // scale.shape[1], axis=1)
     assert np.abs(y - dense_mask_oracle(params, x, cols)).max() < 1e-5
