@@ -10,6 +10,11 @@ receives none: that is how discrete expert selection enters the graph in
 adaptation training, as a 0/1 operand of `*`. The selection indicator is
 piecewise constant, so the graph treats it as data and no gradient flows
 through the decision itself.
+
+Buffer rule for the ops: forward and backward write only arrays they
+allocated themselves, never an input, `self.data` or a value a backward
+closure still reads (such as layernorm's `xhat`), and they keep the operand
+order of the plain numpy expression, so results are byte-identical to it.
 """
 
 from __future__ import annotations
@@ -166,9 +171,8 @@ class Tensor:
                           lambda g: self._accum(g.reshape(self.data.shape)))
 
     def permute(self, *axes: int) -> "Tensor":
-        inverse = tuple(np.argsort(axes))
         return self._make(self.data.transpose(axes), (self,),
-                          lambda g: self._accum(g.transpose(inverse)))
+                          lambda g: self._accum(g.transpose(tuple(np.argsort(axes)))))
 
     # -- nonlinearities -------------------------------------------------
 
@@ -227,35 +231,51 @@ class Tensor:
     # -- fused layers ------------------------------------------------------
 
     def layernorm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-5) -> "Tensor":
+        # population mean and variance as np.mean/np.var compute them: a
+        # pairwise sum, then a true divide by the intp row length
         x = self.data
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv
-        data = gain.data * xhat + bias.data
-        d = x.shape[-1]
+        d = np.intp(x.shape[-1])
+        mu = np.add.reduce(x, axis=-1, keepdims=True)
+        np.true_divide(mu, d, out=mu)
+        xhat = np.subtract(x, mu)
+        inv = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
+        np.true_divide(inv, d, out=inv)
+        np.add(inv, eps, out=inv)
+        np.sqrt(inv, out=inv)
+        np.true_divide(1.0, inv, out=inv)
+        np.multiply(xhat, inv, out=xhat)
+        data = np.multiply(gain.data, xhat)
+        np.add(data, bias.data, out=data)
         def back(g):
             if gain.requires_grad:
                 gain._accum((g * xhat).sum(axis=0))
             if bias.requires_grad:
                 bias._accum(g.sum(axis=0))
             if self.requires_grad:
-                gxhat = g * gain.data
-                # standard layernorm backward, population variance
-                dx = inv * (gxhat
-                            - gxhat.mean(axis=-1, keepdims=True)
-                            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-                self._accum(dx)
+                # standard layernorm backward, population variance:
+                # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
+                gxhat = np.multiply(g, gain.data)
+                m1 = np.add.reduce(gxhat, axis=-1, keepdims=True)
+                np.true_divide(m1, d, out=m1)
+                r = np.multiply(gxhat, xhat)
+                m2 = np.add.reduce(r, axis=-1, keepdims=True)
+                np.true_divide(m2, d, out=m2)
+                np.multiply(xhat, m2, out=r)
+                np.subtract(gxhat, m1, out=gxhat)
+                np.subtract(gxhat, r, out=gxhat)
+                self._accum(np.multiply(inv, gxhat, out=gxhat))
         return self._make(data, (self, gain, bias), back)
 
     def softmax_rows(self) -> "Tensor":
         x = self.data
-        m = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - m)
-        y = e / e.sum(axis=-1, keepdims=True)
+        y = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True))
+        np.exp(y, out=y)
+        np.true_divide(y, np.add.reduce(y, axis=-1, keepdims=True), out=y)
         def back(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            self._accum(y * (g - dot))
+            r = np.multiply(g, y)
+            dot = np.add.reduce(r, axis=-1, keepdims=True)
+            np.subtract(g, dot, out=r)
+            self._accum(np.multiply(y, r, out=r))
         return self._make(y, (self,), back)
 
     def cross_entropy_mean(self, targets: np.ndarray) -> "Tensor":
@@ -264,14 +284,20 @@ class Tensor:
         t = np.asarray(targets)
         if t.shape[0] != x.shape[0]:
             raise ShapeError(f"{t.shape[0]} targets for {x.shape[0]} logit rows")
-        m = x.max(axis=-1, keepdims=True)
-        lse = m.squeeze(-1) + np.log(np.exp(x - m).sum(axis=-1))
-        loss = (lse - x[np.arange(x.shape[0]), t]).mean()
+        rows = np.arange(x.shape[0])
+        m = np.maximum.reduce(x, axis=-1, keepdims=True)
+        e = np.subtract(x, m)
+        np.exp(e, out=e)
+        lse = np.add.reduce(e, axis=-1)
+        np.log(lse, out=lse)
+        np.add(m.squeeze(-1), lse, out=lse)
+        loss = np.subtract(lse, x[rows, t], out=lse).mean()
         def back(g):
-            p = np.exp(x - m)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(x.shape[0]), t] -= 1.0
-            self._accum((g / x.shape[0]) * p)
+            p = np.subtract(x, m)
+            np.exp(p, out=p)
+            np.true_divide(p, np.add.reduce(p, axis=-1, keepdims=True), out=p)
+            p[rows, t] -= 1.0
+            self._accum(np.multiply(g / x.shape[0], p, out=p))
         return self._make(np.asarray(loss, dtype=x.dtype), (self,), back)
 
     def __repr__(self):

@@ -314,8 +314,9 @@ def forward_lm(
                 f, dec = routing.discrete_ffn_graph(params, i, routers[i], xf, tau)
             else:
                 part = partitions[i] if partitions is not None else None
-                layer = get_ffn_layer(params, i, partition=part)
                 pk = packed[i] if packed is not None else None
+                # only the unpacked path reads the layer's weights
+                layer = get_ffn_layer(params, i, partition=part) if pk is None else None
                 out_np, dec = routing.moe_forward_discrete(
                     layer, part, routers[i], xf.data, tau=tau, packed=pk)
                 f = Tensor(out_np)

@@ -5,6 +5,11 @@ Arrays are plain numpy ndarrays, float32 by default; every function preserves
 the dtype of its inputs so the whole stack can be run in float64 for gradient
 checks without touching a different code path.
 
+Buffer rule for the elementwise kernels: a kernel writes only arrays it
+allocated itself (through `out=` and in-place ufuncs), never its inputs, and
+it keeps the operand order of the expression its docstring writes out, so
+the result is byte-identical to evaluating that expression in numpy.
+
 `matmul` keeps a 64-wide K blocking only because criterion 7's dense
 reference is timed through it (see `matmul` and the criterion-7 `FOUND:` line
 in CHANGES.md). Thread counts belong to the BLAS: they are set by its
@@ -93,29 +98,64 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def activation(h: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise activation. kind is one of relu | gelu_tanh | silu."""
+    """Elementwise activation. kind is one of relu | gelu_tanh | silu.
+
+    relu is max(h, 0), silu is h * sigmoid(h), and gelu_tanh is
+    0.5 * h * (1 + tanh(GELU_COEF * (h + GELU_CUBIC * h * h * h))).
+    """
     if kind == "relu":
         return np.maximum(h, 0)
     if kind == "silu":
-        return h * sigmoid(h)
+        s = sigmoid(h)
+        return np.multiply(h, s, out=s)
     if kind == "gelu_tanh":
-        u = GELU_COEF * (h + GELU_CUBIC * h * h * h)
-        return 0.5 * h * (1.0 + np.tanh(u))
+        t = _gelu_inner(h)
+        np.tanh(t, out=t)
+        np.add(1.0, t, out=t)
+        y = np.multiply(0.5, h)
+        return np.multiply(y, t, out=y)
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
+def _gelu_inner(h: np.ndarray) -> np.ndarray:
+    """GELU_COEF * (h + GELU_CUBIC * h * h * h) in one new buffer."""
+    u = np.multiply(GELU_CUBIC, h)
+    np.multiply(u, h, out=u)
+    np.multiply(u, h, out=u)
+    np.add(h, u, out=u)
+    return np.multiply(GELU_COEF, u, out=u)
+
+
 def activation_grad(h: np.ndarray, kind: str) -> np.ndarray:
-    """d activation / dh, evaluated elementwise at h."""
+    """d activation / dh, evaluated elementwise at h.
+
+    silu: s * (1 + h * (1 - s)) with s = sigmoid(h). gelu_tanh, with
+    t = tanh(u) and du = GELU_COEF * (1 + 3 * GELU_CUBIC * h * h):
+    0.5 * (1 + t) + 0.5 * h * (1 - t * t) * du.
+    """
     if kind == "relu":
         return (h > 0).astype(h.dtype)
     if kind == "silu":
         s = sigmoid(h)
-        return s * (1.0 + h * (1.0 - s))
+        r = np.subtract(1.0, s)
+        np.multiply(h, r, out=r)
+        np.add(1.0, r, out=r)
+        return np.multiply(s, r, out=r)
     if kind == "gelu_tanh":
-        u = GELU_COEF * (h + GELU_CUBIC * h * h * h)
-        t = np.tanh(u)
-        du = GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * h * h)
-        return 0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * du
+        t = _gelu_inner(h)
+        np.tanh(t, out=t)
+        du = np.multiply(3.0 * GELU_CUBIC, h)
+        np.multiply(du, h, out=du)
+        np.add(1.0, du, out=du)
+        np.multiply(GELU_COEF, du, out=du)
+        r = np.multiply(t, t)
+        np.subtract(1.0, r, out=r)
+        y = np.multiply(0.5, h)
+        np.multiply(y, r, out=y)
+        np.multiply(y, du, out=y)
+        np.add(1.0, t, out=t)
+        np.multiply(0.5, t, out=t)
+        return np.add(t, y, out=t)
     raise ValueError(f"unknown activation kind {kind!r}")
 
 

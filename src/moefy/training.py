@@ -116,12 +116,23 @@ def optimizer_step(state: TrainingState, grads: GradientSet) -> None:
         p = trainable[name].data
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m += (1.0 - BETA1) * (g - m)
-        v += (1.0 - BETA2) * (g * g - v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p -= (lr_t * update).astype(p.dtype)
+        # m += (1 - BETA1) * (g - m); v += (1 - BETA2) * (g * g - v);
+        # p -= lr_t * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS), in that order
+        s = np.subtract(g, m)
+        np.multiply(1.0 - BETA1, s, out=s)
+        m += s
+        np.multiply(g, g, out=s)
+        np.subtract(s, v, out=s)
+        np.multiply(1.0 - BETA2, s, out=s)
+        v += s
+        np.true_divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, ADAM_EPS, out=s)
+        update = np.true_divide(m, bc1)
+        np.true_divide(update, s, out=update)
+        p -= np.multiply(lr_t, update, out=update)
         if h.weight_decay > 0:
-            p -= (lr_t * h.weight_decay) * p
+            p -= np.multiply(lr_t * h.weight_decay, p, out=s)
 
 
 def sample_batch(data: np.ndarray, rng: Rng, batch_size: int, seq_len: int):

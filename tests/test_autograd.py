@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from moefy.autograd import Tensor, no_grad, param
-from moefy.numerics import NumericError, Rng, ShapeError, finite_diff_grad
+from moefy.numerics import (NumericError, Rng, ShapeError, activation, activation_grad,
+                            finite_diff_grad)
 
 RTOL = 1e-5
 ATOL = 1e-7
@@ -149,6 +150,105 @@ class TestFused:
     def test_cross_entropy_length_mismatch(self):
         with pytest.raises(ShapeError):
             param(rnd((3, 4), 25)).cross_entropy_mean(np.array([0, 1]))
+
+
+# The numpy expressions the fused ops replaced, kept as bitwise oracles. Each
+# takes the op's inputs and the gradient `g` of its output, and returns the
+# forward value followed by each input's gradient.
+
+def expression_layernorm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gxhat = g * gain
+    dx = inv * (gxhat
+                - gxhat.mean(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    return gain * xhat + bias, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def expression_softmax_rows(x, g):
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    y = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y, y * (g - dot)
+
+
+def expression_cross_entropy_mean(x, targets, g):
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=-1, keepdims=True)
+    lse = m.squeeze(-1) + np.log(np.exp(x - m).sum(axis=-1))
+    loss = np.asarray((lse - x[rows, targets]).mean(), dtype=x.dtype)
+    p = np.exp(x - m)
+    p /= p.sum(axis=-1, keepdims=True)
+    p[rows, targets] -= 1.0
+    return loss, (g / x.shape[0]) * p
+
+
+def expression_permute(x, axes, g):
+    return x.transpose(axes), g.transpose(tuple(np.argsort(axes)))
+
+
+def expression_act(x, kind, g):
+    return activation(x, kind), g * activation_grad(x, kind)
+
+
+def through_tape(op, arrays, g):
+    """Run op on leaf Tensors over `arrays`, backpropagate `g` from its output.
+
+    A non-scalar output is reduced as sum(out * g), whose gradient at the
+    output is exactly g; a scalar output is backpropagated from itself
+    (g = 1). Returns the forward value and each leaf's gradient.
+    """
+    leaves = [param(a) for a in arrays]
+    out = op(*leaves)
+    (out if out.data.ndim == 0 else (out * Tensor(g)).sum()).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestBitwiseOracles:
+    """Forward values and gradients equal the replaced expressions byte for
+    byte, and no op writes its inputs (forward or backward)."""
+
+    def cases(self, dtype):
+        r = lambda shape, seed, std=1.0: Rng(seed).normal(shape, std=std, dtype=dtype)
+        targets = np.arange(320) * 7 % 256
+        ce_g = np.ones((), dtype=dtype)
+        for n, d in ((1, 128), (40, 128), (512, 128), (40, 96)):
+            x, gain, bias, g = r((n, d), 60, 3.0), r((d,), 61) + 1.0, r((d,), 62), r((n, d), 63)
+            yield (f"layernorm {n}x{d}", lambda a, b, c: a.layernorm(b, c), [x, gain, bias], g,
+                   expression_layernorm(x, gain, bias, g))
+        for shape in ((64, 63), (2, 4, 40, 40)):
+            x, g = r(shape, 64, 4.0), r(shape, 65)
+            yield (f"softmax_rows {shape}", lambda a: a.softmax_rows(), [x], g,
+                   expression_softmax_rows(x, g))
+        x = r((320, 256), 66, 3.0)
+        yield ("cross_entropy_mean", lambda a: a.cross_entropy_mean(targets), [x], ce_g,
+               expression_cross_entropy_mean(x, targets, ce_g))
+        x = r((2, 40, 4, 32), 67)
+        for axes in ((0, 2, 1, 3), (2, 0, 3, 1)):  # the attention split, and a 4-cycle
+            g = r(x.transpose(axes).shape, 68)
+            yield (f"permute {axes}", lambda a, ax=axes: a.permute(*ax), [x], g,
+                   expression_permute(x, axes, g))
+        for kind in ("relu", "gelu_tanh", "silu"):
+            x, g = r((40, 512), 69, 3.0), r((40, 512), 70)
+            yield (f"act {kind}", lambda a, k=kind: a.act(k), [x], g, expression_act(x, kind, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_gradients_equal_expressions(self, dtype):
+        for name, op, arrays, g, want in self.cases(dtype):
+            before = [a.tobytes() for a in arrays + [g]]
+            got = through_tape(op, arrays, g)
+            assert [a.tobytes() for a in arrays + [g]] == before, f"{name} wrote an input"
+            assert len(got) == len(want), name
+            # a leaf accumulates its gradient onto zeros (-0.0 becomes 0.0)
+            want = [want[0]] + [np.zeros_like(w) + w for w in want[1:]]
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == b.dtype == dtype, (name, i)
+                assert a.shape == b.shape, (name, i)
+                assert a.tobytes() == b.tobytes(), (name, i)
 
 
 class TestGraph:

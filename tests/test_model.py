@@ -434,6 +434,27 @@ def test_discrete_call_args1_carries_layer_index(monkeypatch):
     assert seen == list(range(cfg.n_layers))
 
 
+@pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+def test_packed_gather_builds_no_layer_view(kind, monkeypatch):
+    # given packed weights, moe_forward_discrete never reads its layer argument
+    from moefy import model, sparse_exec
+
+    params, routers, partitions = moefied_f64(kind)
+    packed = [sparse_exec.pack(get_ffn_layer(params, i, partition=p))
+              for i, p in enumerate(partitions)]
+    tokens = Rng(66).integers(0, params.config.vocab_size, size=(2, 7))
+    kw = dict(ffn_mode="moe_discrete", routers=routers, partitions=partitions)
+    with no_grad():
+        unpacked = forward_lm(params, tokens, **kw).logits.data
+
+        def no_view(*args, **kwargs):
+            raise AssertionError("get_ffn_layer called with packed weights given")
+
+        monkeypatch.setattr(model, "get_ffn_layer", no_view)
+        got = forward_lm(params, tokens, packed=packed, **kw).logits.data
+    assert np.array_equal(got, unpacked)
+
+
 class TestParamCount:
     @pytest.mark.parametrize("kw", [
         {},

@@ -8,7 +8,10 @@ from moefy.numerics import (
     NumericError,
     Rng,
     ShapeError,
+    GELU_COEF,
+    GELU_CUBIC,
     activation,
+    activation_grad,
     blas_threads,
     finite_diff_grad,
     matmul,
@@ -132,6 +135,54 @@ class TestActivation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             activation(np.zeros(1), "tanh")
+
+
+def expression_activation(h, kind):
+    """The one-expression forms activation replaced, kept as its bitwise oracle."""
+    if kind == "relu":
+        return np.maximum(h, 0)
+    if kind == "silu":
+        return h * sigmoid(h)
+    u = GELU_COEF * (h + GELU_CUBIC * h * h * h)
+    return 0.5 * h * (1.0 + np.tanh(u))
+
+
+def expression_activation_grad(h, kind):
+    """The one-expression forms activation_grad replaced, kept as its bitwise oracle."""
+    if kind == "relu":
+        return (h > 0).astype(h.dtype)
+    if kind == "silu":
+        s = sigmoid(h)
+        return s * (1.0 + h * (1.0 - s))
+    u = GELU_COEF * (h + GELU_CUBIC * h * h * h)
+    t = np.tanh(u)
+    du = GELU_COEF * (1.0 + 3.0 * GELU_CUBIC * h * h)
+    return 0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * du
+
+
+def activation_inputs(dtype):
+    """Row counts the model runs (empty, one decode token, a window, a batch),
+    a 3-D array and a strided view."""
+    rng = Rng(11)
+    out = {f"({n}, 512)": rng.normal((n, 512), std=3.0, dtype=dtype) for n in (0, 1, 40, 2048)}
+    out["3-D"] = rng.normal((4, 10, 96), std=3.0, dtype=dtype)
+    out["strided"] = rng.normal((40, 1024), std=3.0, dtype=dtype)[:, ::2]
+    return out
+
+
+class TestActivationBitwise:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", numerics.ACTIVATIONS)
+    @pytest.mark.parametrize("fn,oracle", [(activation, expression_activation),
+                                           (activation_grad, expression_activation_grad)])
+    def test_equals_expression_and_keeps_input(self, fn, oracle, kind, dtype):
+        for name, h in activation_inputs(dtype).items():
+            before = h.tobytes()
+            got, want = fn(h, kind), oracle(h, kind)
+            assert h.tobytes() == before, name
+            assert got.dtype == want.dtype == dtype, name
+            assert got.shape == want.shape == h.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 def two_branch_sigmoid(x):

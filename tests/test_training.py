@@ -203,6 +203,40 @@ class TestOptimizer:
         optimizer_step(st, {"w": np.array([1.0])})
         assert abs(params["w"].data[0] + 0.1 * (1 / 5)) < 1e-6
 
+    @pytest.mark.parametrize("wd", [0.0, 0.1])
+    def test_bitwise_equal_to_expression_form(self, wd):
+        # the expression AdamW the scratch-buffer form replaced, as a bitwise oracle
+        cfg = toy_config()
+        rng = Rng(5)
+        w0 = {"a": rng.normal((33, 17), dtype=np.float32),
+              "b": rng.normal((64,), dtype=np.float32)}
+        grads = [{k: rng.normal(v.shape, std=0.3, dtype=np.float32) for k, v in w0.items()}
+                 for _ in range(4)]
+        params = TransformerParams(cfg, {k: param(v.copy()) for k, v in w0.items()})
+        hyper = TrainHyper(lr=0.01, weight_decay=wd, warmup_ratio=0.3, total_steps=10)
+        st = TrainingState(params=params, hyper=hyper, rng=Rng(0))
+        want = {k: v.copy() for k, v in w0.items()}
+        m = {k: np.zeros_like(v) for k, v in w0.items()}
+        v = {k: np.zeros_like(x) for k, x in w0.items()}
+        for t, gs in enumerate(grads, start=1):
+            st.step = t
+            before = {k: g.tobytes() for k, g in gs.items()}
+            optimizer_step(st, gs)
+            assert {k: g.tobytes() for k, g in gs.items()} == before
+            lr_t = hyper.lr * min(1.0, t / hyper.warmup_steps)
+            bc1, bc2 = 1.0 - training.BETA1**t, 1.0 - training.BETA2**t
+            for k, g in gs.items():
+                p = want[k]
+                m[k] += (1.0 - training.BETA1) * (g - m[k])
+                v[k] += (1.0 - training.BETA2) * (g * g - v[k])
+                update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + training.ADAM_EPS)
+                p -= (lr_t * update).astype(p.dtype)
+                if wd > 0:
+                    p -= (lr_t * wd) * p
+            for k in w0:
+                assert st.params[k].data.tobytes() == want[k].tobytes(), (t, k)
+                assert st.m[k].tobytes() == m[k].tobytes() and st.v[k].tobytes() == v[k].tobytes()
+
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):

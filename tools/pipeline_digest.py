@@ -1,0 +1,82 @@
+"""Run a small fixed moefy pipeline from a source checkout and print artifact digests.
+
+    python tools/pipeline_digest.py --src CHECKOUT --out DIR
+
+CHECKOUT is a repository root (its `src/` is put on PYTHONPATH). The script
+writes one synthetic corpus, then for each FFN kind (`two_matmul`, `swiglu`)
+runs train-base, moefy, train-lte stage 1 and stage 2, and eval with `lte`
+then `dense`, each as its own `python -m moefy.cli` process. It prints one
+`sha256  path` line per artifact, sorted by path, so two checkouts produce
+byte-identical artifacts exactly when
+
+    diff <(python tools/pipeline_digest.py --src A --out /tmp/a) \\
+         <(python tools/pipeline_digest.py --src B --out /tmp/b)
+
+is empty. DIR must be empty or absent. BLAS runs on one thread
+(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1), so the digests do not depend on
+the host's core count. Stage 1 runs at
+eta=0.3, tau=0.48, which keeps about half the experts, so stage 2 and the lte
+eval run the gather path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FFN_KINDS = ("two_matmul", "swiglu")
+SETTINGS = ("d_model=64", "n_layers=2", "d_ffn=256", "n_heads=4", "expert_size=16",
+            "seq_len=64", "max_seq_len=128", "lr=0.003", "batch_size=4", "eval_windows=8",
+            "eta=0.3", "tau=0.48")
+
+
+def _cli(src: Path, *argv: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "moefy.cli", *argv], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def run_pipeline(src: Path, out: Path) -> list[Path]:
+    """Write every artifact under `out` and return their paths."""
+    out.mkdir(parents=True, exist_ok=True)
+    corpus = out / "corpus.txt"
+    _cli(src, "make-corpus", "--path", str(corpus), "--bytes", "60000", "--seed", "5")
+    for kind in FFN_KINDS:
+        d = out / kind
+        common = ["--corpus", str(corpus), "--out-dir", str(d), "--seed", "3",
+                  "--set", f"ffn_kind={kind}"]
+        for s in SETTINGS:
+            common += ["--set", s]
+        _cli(src, "train-base", "--steps", "30", *common)
+        _cli(src, "moefy", "--checkpoint", str(d / "base.ckpt"), *common)
+        _cli(src, "train-lte", "--checkpoint", str(d / "moefied.ckpt"), "--stage", "1",
+             "--steps", "12", *common)
+        _cli(src, "train-lte", "--checkpoint", str(d / "stage1.ckpt"), "--stage", "2",
+             "--steps", "6", *common)
+        for method in ("lte", "dense"):
+            _cli(src, "eval", "--checkpoint", str(d / "stage2.ckpt"), "--method", method,
+                 *common)
+    return sorted(p for p in out.rglob("*") if p.is_file())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, type=Path, help="repository root to run")
+    ap.add_argument("--out", required=True, type=Path, help="directory for the artifacts")
+    args = ap.parse_args(argv)
+    out = args.out.resolve()
+    if out.exists() and any(out.iterdir()):
+        ap.error(f"--out {out} is not empty (the eval ledger appends)")
+    for path in run_pipeline(args.src.resolve(), out):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
