@@ -80,8 +80,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # adding 0.0 keeps the bytes of a zero-filled start (-0.0 becomes +0.0)
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -3,8 +3,8 @@
 `RunConfig` holds every key of a run. The model shape, the optimizer and the
 router objective are also settings classes of their own (`ModelConfig`,
 `TrainHyper`, `LteHyperparams`); `section` builds one from the `RunConfig`
-fields that share its field names, and each model or router key is checked
-once, by the `validate` of the class that owns it.
+fields that share its field names, and each model, optimizer or router key
+is checked once, by the `validate` of the class that owns it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from .losses import LteHyperparams
 from .model import ModelConfig
 from .numerics import Rng
+from .training import TrainHyper
 
 
 class ConfigError(Exception):
@@ -122,15 +123,20 @@ def build_config(file_path: Optional[str] = None, overrides: Optional[dict] = No
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Model and router keys are checked by their owning classes; run-level keys here."""
+    """Model, optimizer and router keys are checked by their owning classes; run-level keys here."""
     try:
         section(ModelConfig, cfg).validate()
+        section(TrainHyper, cfg).validate()
         section(LteHyperparams, cfg).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for key in ("batch_size", "seq_len", "eval_windows"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
+    if cfg.vocab_size < 256:
+        raise ConfigError(f"vocab_size must be >= 256 (tokens are bytes), got {cfg.vocab_size}")
+    if cfg.eval_windows <= 0:
+        raise ConfigError(f"eval_windows must be positive, got {cfg.eval_windows}")
+    for key in ("base_steps", "stage1_steps", "stage2_steps", "checkpoint_every"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     if cfg.seq_len > cfg.max_seq_len:
         raise ConfigError("seq_len must be <= max_seq_len")
     if cfg.group_method not in ("kmeans", "random"):

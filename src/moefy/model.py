@@ -263,8 +263,10 @@ def forward_lm(
 
     ffn_mode: dense | moe_soft | moe_discrete. The moe modes delegate the FFN
     to the routing module and return per-layer RoutingDecisions. moe_discrete
-    uses the packed gather path when the graph is not being recorded, and a
-    masked-dense graph (mask held constant) when it is.
+    runs the gather kernel when the graph is not being recorded, which needs
+    `partitions` and the `packed` weights built from them once by the caller
+    (`sparse_exec.pack`), and a masked-dense graph (mask held constant) when
+    it is.
 
     ffn_scale(i, x, a) -> (scale, decision), dense mode only, is how the eval
     baselines run: it picks a constant scale for block i's FFN from the
@@ -285,6 +287,9 @@ def forward_lm(
         raise ValueError(f"ffn_scale needs ffn_mode 'dense', got {ffn_mode!r}")
     if ffn_mode != "dense" and routers is None:
         raise ValueError(f"{ffn_mode} requires routers")
+    gather = ffn_mode == "moe_discrete" and not grad_enabled()
+    if gather and (packed is None or partitions is None):
+        raise ValueError("moe_discrete without a graph requires packed weights and partitions")
 
     dtype = params["wte"].data.dtype
     x = params["wte"].rows(tokens.reshape(-1)) + params["wpe"].rows(np.tile(np.arange(t), b))
@@ -303,23 +308,17 @@ def forward_lm(
             if ffn_scale is not None:
                 s, dec = ffn_scale(i, xf.data, a.data)
                 scale = Tensor(s.astype(a.dtype))
-                decisions.append(dec)
             f = ffn_out(params, i, a, scale)
         elif ffn_mode == "moe_soft":
             f, g, dec = routing.soft_ffn_graph(params, i, routers[i], xf)
-            decisions.append(dec)
             score_graph.append(g)
-        else:  # moe_discrete
-            if grad_enabled():
-                f, dec = routing.discrete_ffn_graph(params, i, routers[i], xf, tau)
-            else:
-                part = partitions[i] if partitions is not None else None
-                pk = packed[i] if packed is not None else None
-                # only the unpacked path reads the layer's weights
-                layer = get_ffn_layer(params, i, partition=part) if pk is None else None
-                out_np, dec = routing.moe_forward_discrete(
-                    layer, part, routers[i], xf.data, tau=tau, packed=pk)
-                f = Tensor(out_np)
+        elif gather:
+            out_np, dec = routing.moe_forward_discrete(packed[i], partitions[i], routers[i],
+                                                       xf.data, tau)
+            f = Tensor(out_np)
+        else:  # moe_discrete with a graph
+            f, dec = routing.discrete_ffn_graph(params, i, routers[i], xf, tau)
+        if decisions is not None:
             decisions.append(dec)
         x = x + f
 

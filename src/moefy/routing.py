@@ -4,8 +4,9 @@ The learned router is a single linear map producing one score per expert
 through a sigmoid, thresholded at tau for discrete selection. Routing only
 chooses the per-expert scale that `model.ffn_out` applies to the FFN hidden
 layer: soft mode passes the scores (differentiable; used while the routers
-learn), discrete mode a constant 0/1 mask. Without a graph, discrete mode
-runs the packed gather kernel instead. Baselines only pick a constant scale
+learn), discrete mode a constant 0/1 mask from `threshold_select`. Without
+a graph, discrete mode applies the same rule through the gather kernel, over
+weights the caller packed once. Baselines only pick a constant scale
 for `forward_lm` to apply: noisy top-k softmax weights and frozen random
 routers rank the block input, per-neuron magnitude keep (exact-value stand-in
 for a trained predictor) and ground-truth expert top-k the hidden layer. Each
@@ -16,7 +17,7 @@ eval measures all methods from their masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,22 +60,27 @@ def router_scores(router: RouterLayer, x: np.ndarray) -> np.ndarray:
 # --- learned sigmoid routing ---------------------------------------------------
 
 
-def moe_forward_discrete(layer, partition, router: RouterLayer, x: np.ndarray,
-                         tau: float = 0.5, packed=None) -> tuple[np.ndarray, RoutingDecision]:
-    """Threshold selection (score strictly above tau) over the gather path."""
+def threshold_select(router: RouterLayer, x: np.ndarray, tau: float) -> RoutingDecision:
+    """The learned selection rule: each expert whose score is strictly above tau."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0,1), got {tau}")
     scores = router_scores(router, x)
-    mask = scores > tau
-    if packed is None:
-        lay = layer if layer.partition is not None else replace(layer, partition=partition)
-        packed = sparse_exec.pack(lay)
+    return RoutingDecision(scores=scores, mask=scores > tau)
+
+
+def moe_forward_discrete(packed: sparse_exec.PackedExpertWeights, partition, router: RouterLayer,
+                         x: np.ndarray, tau: float) -> tuple[np.ndarray, RoutingDecision]:
+    """Threshold selection over the gather kernel of one layer's packed expert slabs.
+
+    The kernel reads only `packed`; `partition`, the ExpertPartition it was
+    packed from, names the layer (`layer_index`) to callers that trace it.
+    """
+    dec = threshold_select(router, x, tau)
     # np.nonzero walks row-major, so each token's ids come out sorted ascending
-    _, ids = np.nonzero(mask)
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    _, ids = np.nonzero(dec.mask)
+    ends = np.cumsum(dec.mask.sum(axis=1)).tolist()
     selections = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    y = sparse_exec.sparse_ffn_forward(packed, selections, x)
-    return y, RoutingDecision(scores=scores, mask=mask)
+    return sparse_exec.sparse_ffn_forward(packed, selections, x), dec
 
 
 def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,
@@ -94,11 +100,9 @@ def discrete_ffn_graph(params: TransformerParams, i: int, router: RouterLayer, x
     the graph as a constant scale: gradients flow only through selected
     experts' weights.
     """
-    scores = router_scores(router, xf.data)
-    mask = scores > tau
+    dec = threshold_select(router, xf.data, tau)
     a = ffn_hidden(params, i, xf)
-    out = ffn_out(params, i, a, Tensor(mask.astype(a.dtype)))
-    return out, RoutingDecision(scores=scores, mask=mask)
+    return ffn_out(params, i, a, Tensor(dec.mask.astype(a.dtype))), dec
 
 
 # --- baselines -----------------------------------------------------------------

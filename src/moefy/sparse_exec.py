@@ -23,9 +23,9 @@ import numpy as np
 
 from . import numerics
 from .autograd import Tensor, no_grad
-from .grouping import ExpertPartition
+from .grouping import apply_partition, group_experts_random
 from .model import (D_FFN_AXIS, FfnLayer, ModelConfig, ffn_flops_per_token, ffn_hidden, ffn_out,
-                    get_ffn_layer, init_params)
+                    get_ffn_layer, init_params, set_ffn_layer)
 from .numerics import Rng, blas_threads
 
 
@@ -233,15 +233,10 @@ def bench(
         cfg = ModelConfig(vocab_size=1, d_model=d_model, n_heads=1, n_layers=1, d_ffn=d_ffn,
                           max_seq_len=1, activation=BENCH_ACTIVATION, expert_size=expert_size)
         params = init_params(cfg, rng.split(f"weights_{d_model}_{d_ffn}"))
-        ident = ExpertPartition(  # synthetic identity partition
-            layer_index=0,
-            n_experts=n,
-            expert_size=expert_size,
-            assignment=np.arange(d_ffn) // expert_size,
-            permutation=np.arange(d_ffn),
-            method="random",
-        )
-        packed = pack(get_ffn_layer(params, 0, partition=ident))
+        part = group_experts_random(d_ffn, n, rng.split(f"partition_{d_model}_{d_ffn}"))
+        layer = apply_partition(get_ffn_layer(params, 0), part)
+        set_ffn_layer(params, 0, layer)  # the dense reference times the permuted weights too
+        packed = pack(layer)
         for batch in batch_sizes:
             x = rng.split(f"x_{d_model}_{d_ffn}_{batch}").normal((batch, d_model), std=1.0)
             shape_tag = f"T{batch}_d{d_model}_f{d_ffn}"

@@ -54,6 +54,19 @@ class TrainHyper:
     clip_norm: float = 1.0
     total_steps: int = 1000
 
+    def validate(self) -> "TrainHyper":
+        for key in ("batch_size", "seq_len"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 <= self.warmup_ratio <= 1.0:
+            raise ValueError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
+        for key in ("weight_decay", "clip_norm"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        return self
+
     @property
     def warmup_steps(self) -> int:
         return max(1, math.ceil(self.warmup_ratio * self.total_steps))

@@ -1,5 +1,6 @@
 """Test helpers: build FFN layer views by role, wrap one in a one-block
-TransformerParams, and a plain-numpy reference FFN."""
+TransformerParams, pack a model's layers for the gather path, and a
+plain-numpy reference FFN."""
 
 import numpy as np
 
@@ -12,9 +13,11 @@ from moefy.model import (
     ffn_hidden,
     ffn_out,
     ffn_param_names,
+    get_ffn_layer,
     set_ffn_layer,
 )
 from moefy.numerics import F32, activation as apply_activation
+from moefy.sparse_exec import pack
 
 KINDS = tuple(FFN_LAYOUTS)
 
@@ -47,6 +50,11 @@ def one_block(layer, expert_size=1):
                                      for n in ffn_param_names(cfg, 0).values()})
     set_ffn_layer(params, 0, layer)
     return params
+
+
+def packed_layers(params, partitions):
+    """Every layer's packed expert slabs, as a caller of the gather path builds them once."""
+    return [pack(get_ffn_layer(params, i, partition=p)) for i, p in enumerate(partitions)]
 
 
 def dense_ffn(layer, x):

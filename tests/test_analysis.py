@@ -28,6 +28,8 @@ from moefy.numerics import Rng
 from moefy.routing import RouterLayer, magnitude_select, router_init
 from moefy.sparse_exec import flops_per_token
 
+from ffn_blocks import packed_layers
+
 logit = lambda p: math.log(p / (1 - p))
 
 
@@ -207,8 +209,9 @@ class TestEvaluate:
         assert len(wins) > analysis.EVAL_CHUNK
         ce, scores, masks = collect_decisions(bundle, wins, tau=0.5)
         with no_grad():
+            packed = packed_layers(bundle.params, bundle.partitions)
             runs = [forward_lm(bundle.params, w[:-1], "moe_discrete", routers=bundle.routers,
-                               tau=0.5, partitions=bundle.partitions) for w in wins]
+                               tau=0.5, partitions=bundle.partitions, packed=packed) for w in wins]
         ref_ce = np.mean([task_loss(r.logits.data, w[1:]) for r, w in zip(runs, wins)])
         assert abs(ce - ref_ce) < 1e-12
         for l in range(bundle.config.n_layers):

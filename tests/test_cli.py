@@ -146,13 +146,31 @@ class TestConfigTakesEffect:
             assert f"\nthreads\t{expect}\n" in (out / "report.txt").read_text()
             assert load_checkpoint(str(out / "base.ckpt")).meta["threads"] == expect
 
-    @pytest.mark.parametrize("key", ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn",
-                                     "expert_size", "max_seq_len", "batch_size", "seq_len",
-                                     "eval_windows"))
-    def test_non_positive_size_exit_2_names_key(self, pipeline, tmp_path, capsys, key):
+    @pytest.mark.parametrize("flags,message", [
+        *(pytest.param(["--set", f"{key}=0"], f"{key} must be positive", id=key)
+          for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "expert_size",
+                      "max_seq_len", "batch_size", "seq_len", "eval_windows")),
+        pytest.param(["--set", "lr=-1"], "lr must be positive", id="lr"),
+        pytest.param(["--set", "warmup_ratio=-2"], "warmup_ratio must be in [0, 1]",
+                     id="warmup_ratio"),
+        pytest.param(["--set", "weight_decay=-3"], "weight_decay must be >= 0",
+                     id="weight_decay"),
+        pytest.param(["--set", "clip_norm=-1"], "clip_norm must be >= 0", id="clip_norm"),
+        pytest.param(["--steps", "-3"], "base_steps must be >= 0", id="steps"),
+        pytest.param(["--set", "stage1_steps=-1"], "stage1_steps must be >= 0",
+                     id="stage1_steps"),
+        pytest.param(["--set", "stage2_steps=-1"], "stage2_steps must be >= 0",
+                     id="stage2_steps"),
+        pytest.param(["--set", "checkpoint_every=-1"], "checkpoint_every must be >= 0",
+                     id="checkpoint_every"),
+        pytest.param(["--set", "vocab_size=100"], "vocab_size must be >= 256",
+                     id="vocab_size_below_bytes"),
+    ])
+    def test_non_positive_size_exit_2_names_key(self, pipeline, tmp_path, capsys, flags,
+                                                message):
         args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
-        assert main(["train-base", "--steps", "1", *args, "--set", f"{key}=0"]) == 2
-        assert f"{key} must be positive" in capsys.readouterr().err
+        assert main(["train-base", "--steps", "1", *args, *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestModelKeysFromCheckpoint:

@@ -18,7 +18,7 @@ from moefy.model import (
 )
 from moefy.numerics import F64, Rng, ShapeError, activation, finite_diff_grad, sigmoid
 
-from ffn_blocks import dense_ffn, ffn_layer, one_block, random_layer
+from ffn_blocks import dense_ffn, ffn_layer, one_block, packed_layers, random_layer
 
 
 def toy_config(**kw):
@@ -312,7 +312,8 @@ class TestForwardLm:
         with no_grad():
             dense = forward_lm(params, tokens).logits.data
             disc = forward_lm(params, tokens, ffn_mode="moe_discrete", routers=routers,
-                              tau=1e-6, partitions=partitions)
+                              tau=1e-6, partitions=partitions,
+                              packed=packed_layers(params, partitions))
         assert np.abs(disc.logits.data - dense).max() < 1e-5
         assert all(d.mask.all() for d in disc.decisions)
 
@@ -348,6 +349,7 @@ class TestBatchedForward:
         if mode == "override":
             kw["ffn_scale"] = lambda i, x, a: routing.magnitude_select(a, 0.5)
         if mode == "moe_discrete_gather":
+            kw["packed"] = packed_layers(params, partitions)
             with no_grad():
                 res = forward_lm(params, tokens, **kw)
         else:
@@ -430,29 +432,45 @@ def test_discrete_call_args1_carries_layer_index(monkeypatch):
     tokens = Rng(64).integers(0, cfg.vocab_size, size=(2, 5))
     with no_grad():
         forward_lm(params, tokens, ffn_mode="moe_discrete", routers=routers,
-                   partitions=partitions)
+                   partitions=partitions, packed=packed_layers(params, partitions))
     assert seen == list(range(cfg.n_layers))
 
 
 @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
 def test_packed_gather_builds_no_layer_view(kind, monkeypatch):
-    # given packed weights, moe_forward_discrete never reads its layer argument
+    # the caller packs once: the gather path builds no layer view and packs nothing
     from moefy import model, sparse_exec
 
     params, routers, partitions = moefied_f64(kind)
-    packed = [sparse_exec.pack(get_ffn_layer(params, i, partition=p))
-              for i, p in enumerate(partitions)]
+    packed = packed_layers(params, partitions)
     tokens = Rng(66).integers(0, params.config.vocab_size, size=(2, 7))
     kw = dict(ffn_mode="moe_discrete", routers=routers, partitions=partitions)
+    masked = forward_lm(params, tokens, **kw)
+
+    def refuse(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called with packed weights given")
+        return fail
+
+    monkeypatch.setattr(model, "get_ffn_layer", refuse("get_ffn_layer"))
+    monkeypatch.setattr(sparse_exec, "pack", refuse("pack"))
     with no_grad():
-        unpacked = forward_lm(params, tokens, **kw).logits.data
+        got = forward_lm(params, tokens, packed=packed, **kw)
+    assert np.abs(got.logits.data - masked.logits.data).max() < 1e-10
+    for g, m in zip(got.decisions, masked.decisions):
+        assert np.array_equal(g.mask, m.mask)
+    assert 0 < np.mean([d.mask.mean() for d in got.decisions]) < 1
 
-        def no_view(*args, **kwargs):
-            raise AssertionError("get_ffn_layer called with packed weights given")
 
-        monkeypatch.setattr(model, "get_ffn_layer", no_view)
-        got = forward_lm(params, tokens, packed=packed, **kw).logits.data
-    assert np.array_equal(got, unpacked)
+@pytest.mark.parametrize("missing", ["packed", "partitions"])
+def test_gather_without_packed_weights_raises(missing):
+    params, routers, partitions = moefied_f64("two_matmul")
+    kw = dict(ffn_mode="moe_discrete", routers=routers, partitions=partitions,
+              packed=packed_layers(params, partitions))
+    del kw[missing]
+    with no_grad(), pytest.raises(ValueError, match="packed weights and partitions"):
+        forward_lm(params, np.zeros(3, dtype=np.int64), **kw)
+    forward_lm(params, np.zeros(3, dtype=np.int64), **kw)  # the masked graph needs neither
 
 
 class TestParamCount:

@@ -10,6 +10,7 @@ from moefy.model import ffn_hidden, ffn_out, get_ffn_layer
 from moefy.numerics import Rng, activation
 from moefy.routing import (
     RouterLayer,
+    discrete_ffn_graph,
     groundtruth_topk_select,
     magnitude_select,
     moe_forward_discrete,
@@ -19,6 +20,7 @@ from moefy.routing import (
     router_scores,
     soft_ffn_graph,
 )
+from moefy.sparse_exec import pack
 
 from ffn_blocks import ffn_layer, one_block, random_layer, scaled_ffn_oracle
 
@@ -33,7 +35,7 @@ def make_layer(rng, d=6, f=16, kind="two_matmul", act="gelu_tanh", n_experts=4):
 
 
 def discrete(params, part, router, x, tau):
-    return moe_forward_discrete(get_ffn_layer(params, 0, part), part, router, x, tau=tau)
+    return moe_forward_discrete(pack(get_ffn_layer(params, 0, part)), part, router, x, tau)
 
 
 def soft(params, router, x):
@@ -137,6 +139,16 @@ class TestDiscrete:
         _, d2 = discrete(params, part, r, dup, tau=0.5)
         assert np.array_equal(d1.mask[2], d2.mask[-1])
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5])
+    def test_both_paths_reject_tau_outside_open_unit_interval(self, tau):
+        rng = Rng(16)
+        params, part = make_layer(rng)
+        r = router_init(6, 4, rng.split("r"))
+        x = rng.normal((3, 6), std=1.0)
+        with no_grad(), pytest.raises(ValueError, match="tau must be in"):
+            discrete(params, part, r, x, tau)
+        with pytest.raises(ValueError, match="tau must be in"):
+            discrete_ffn_graph(params, 0, r, param(x), tau)
 
     def test_gather_kernel_receives_per_token_id_arrays(self, monkeypatch):
         # the benchmark's traced observer reads sparse_ffn_forward's args[1] as

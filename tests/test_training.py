@@ -21,6 +21,8 @@ from moefy.training import (
     train_step,
 )
 
+from ffn_blocks import packed_layers
+
 
 def toy_config(**kw):
     base = dict(vocab_size=13, d_model=8, n_heads=2, n_layers=1, d_ffn=12,
@@ -311,11 +313,11 @@ class TestRuns:
         st.stage = "stage2"
         run_training(st, small_corpus.train, 4)
         xs, _ = sample_batch(small_corpus.train, Rng(99), 2, 32)
-        traces = []
+        traces, packed = [], packed_layers(st.params, partitions)
         for _ in range(3):
             with no_grad():
                 masks = [forward_lm(st.params, x, "moe_discrete", routers=st.routers,
-                                    partitions=partitions).decisions[0].mask
+                                    partitions=partitions, packed=packed).decisions[0].mask
                          for x in xs]
             traces.append(np.concatenate([m.ravel() for m in masks]))
         assert np.array_equal(traces[0], traces[1])

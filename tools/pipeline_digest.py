@@ -4,10 +4,11 @@
 
 CHECKOUT is a repository root (its `src/` is put on PYTHONPATH). The script
 writes one synthetic corpus, then for each FFN kind (`two_matmul`, `swiglu`)
-runs train-base, moefy, train-lte stage 1 and stage 2, and eval with `lte`
-then `dense`, each as its own `python -m moefy.cli` process. It prints one
-`sha256  path` line per artifact, sorted by path, so two checkouts produce
-byte-identical artifacts exactly when
+runs train-base, moefy, train-lte stage 1 and stage 2, eval with `lte` then
+`dense`, and report (`report.txt` and both SVGs), each as its own
+`python -m moefy.cli` process. It prints one `sha256  path` line per
+artifact, sorted by path, so two checkouts produce byte-identical artifacts
+exactly when
 
     diff <(python tools/pipeline_digest.py --src A --out /tmp/a) \\
          <(python tools/pipeline_digest.py --src B --out /tmp/b)
@@ -15,8 +16,8 @@ byte-identical artifacts exactly when
 is empty. DIR must be empty or absent. BLAS runs on one thread
 (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1), so the digests do not depend on
 the host's core count. Stage 1 runs at
-eta=0.3, tau=0.48, which keeps about half the experts, so stage 2 and the lte
-eval run the gather path.
+eta=0.3, tau=0.48, which keeps about half the experts, so stage 2 trains on
+mixed masks and the lte eval and report run the gather path.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ def run_pipeline(src: Path, out: Path) -> list[Path]:
         for method in ("lte", "dense"):
             _cli(src, "eval", "--checkpoint", str(d / "stage2.ckpt"), "--method", method,
                  *common)
+        _cli(src, "report", "--checkpoint", str(d / "stage2.ckpt"), *common)
     return sorted(p for p in out.rglob("*") if p.is_file())
 
 
