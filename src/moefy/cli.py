@@ -33,7 +33,7 @@ from .config import (
     section,
 )
 from .losses import LteHyperparams
-from .model import ModelConfig, get_ffn_layer, init_params, set_ffn_layer
+from .model import FFN_LAYOUTS, ModelConfig, get_ffn_layer, init_params, set_ffn_layer
 from .numerics import NumericError, Rng, blas_threads
 from .training import TrainHyper, TrainingState
 
@@ -67,6 +67,11 @@ def _config(args, **extra) -> RunConfig:
     return build_config(args.config, overrides)
 
 
+def _given_keys(args) -> set:
+    """Keys given by --set or in the config file."""
+    return set(_set_overrides(args)) | set(parse_config_file(args.config) if args.config else ())
+
+
 def _check_checkpoint_keys(args, cfg: RunConfig, bundle: CheckpointBundle, allow: tuple = (),
                            meta_keys: tuple = ()) -> None:
     """Keys that come from the checkpoint: a differing --set or config-file value is an error.
@@ -74,7 +79,7 @@ def _check_checkpoint_keys(args, cfg: RunConfig, bundle: CheckpointBundle, allow
     The model keys (less `allow`) come from the checkpoint's config, and
     `meta_keys` from its meta.
     """
-    given = set(_set_overrides(args)) | set(parse_config_file(args.config) if args.config else ())
+    given = _given_keys(args)
     fixed = {k: v for k, v in asdict(bundle.config).items() if k not in allow}
     fixed.update((k, bundle.meta[k]) for k in meta_keys if k in bundle.meta)
     for key, value in fixed.items():
@@ -115,6 +120,11 @@ def _train(cfg: RunConfig, bundle: CheckpointBundle, stage: str, meta: dict) -> 
 
 def cmd_train_base(args) -> int:
     cfg = _config(args, base_steps=args.steps)
+    # a gated FFN always runs silu, so another activation would be recorded but never run
+    if ("gate" in FFN_LAYOUTS[cfg.ffn_kind] and cfg.activation != "silu"
+            and "activation" in _given_keys(args)):
+        raise ConfigError(f"activation={cfg.activation}: ffn_kind={cfg.ffn_kind} always "
+                          f"gates with silu")
     params = init_params(section(ModelConfig, cfg), Rng(cfg.seed).split("init"))
     bundle = CheckpointBundle(config=params.config, params=params)
     return _train(cfg, bundle, "base", {"steps": cfg.base_steps})
@@ -235,7 +245,10 @@ def cmd_report(args) -> int:
 
 def cmd_make_corpus(args) -> int:
     cfg = _config(args)
-    make_synthetic_corpus(args.path, n_bytes=args.bytes, seed=cfg.seed)
+    try:
+        make_synthetic_corpus(args.path, n_bytes=args.bytes, seed=cfg.seed)
+    except ConfigError as exc:
+        raise ConfigError(f"--bytes {args.bytes}: {exc}") from None
     print(f"wrote {args.path}")
     return 0
 

@@ -27,8 +27,7 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    # model
-    vocab_size: int = 256
+    # model (tokens are bytes, so the vocabulary is ModelConfig's 256)
     d_model: int = 128
     n_heads: int = 4
     n_layers: int = 4
@@ -37,14 +36,10 @@ class RunConfig:
     ffn_kind: str = "two_matmul"
     activation: str = "gelu_tanh"
     expert_size: int = 16
-    tie_embeddings: bool = False
     # optimization
     lr: float = 3e-4
     batch_size: int = 8
     seq_len: int = 64
-    warmup_ratio: float = 0.06
-    weight_decay: float = 0.0
-    clip_norm: float = 1.0
     base_steps: int = 2000
     stage1_steps: int = 400
     stage2_steps: int = 200
@@ -73,13 +68,6 @@ def section(cls, cfg: RunConfig, **extra):
 
 
 def _coerce(key: str, raw: str, typ: type):
-    if typ is bool:
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected boolean, got {raw!r}")
     try:
         return typ(raw)
     except ValueError as exc:
@@ -99,7 +87,7 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in types:
-                raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+                raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
             out[key] = _coerce(key, raw, types[key])
     return out
 
@@ -130,8 +118,6 @@ def validate_config(cfg: RunConfig) -> None:
         section(LteHyperparams, cfg).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.vocab_size < 256:
-        raise ConfigError(f"vocab_size must be >= 256 (tokens are bytes), got {cfg.vocab_size}")
     if cfg.eval_windows <= 0:
         raise ConfigError(f"eval_windows must be positive, got {cfg.eval_windows}")
     for key in ("base_steps", "stage1_steps", "stage2_steps", "checkpoint_every"):
@@ -163,13 +149,16 @@ class Corpus:
 
 def load_corpus(path: str) -> Corpus:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return _corpus(fh.read(), f"corpus {path}")
+
+
+def _corpus(raw: bytes, name: str) -> Corpus:
+    """`raw` as a Corpus; ConfigError if it is empty or leaves under 2 validation bytes."""
     if not raw:
-        raise ConfigError(f"corpus {path} is empty")
-    data = np.frombuffer(raw, dtype=np.uint8)
-    c = Corpus(data=data, sha256=hashlib.sha256(raw).hexdigest())
+        raise ConfigError(f"{name} is empty")
+    c = Corpus(data=np.frombuffer(raw, dtype=np.uint8), sha256=hashlib.sha256(raw).hexdigest())
     if c.val.shape[0] < 2:
-        raise ConfigError(f"corpus {path} too small for a validation slice")
+        raise ConfigError(f"{name} too small for a validation slice")
     return c
 
 
@@ -188,7 +177,11 @@ _WORDS = (
 
 def make_synthetic_corpus(path: str, n_bytes: int = 1_000_000, seed: int = 7) -> str:
     """Deterministic synthetic text with enough byte-level structure to train on:
-    a few hundred word types, occasional numbers, casing, and punctuation."""
+    a few hundred word types, occasional numbers, casing, and punctuation.
+
+    A size whose corpus `load_corpus` would reject raises ConfigError and
+    writes nothing.
+    """
     rng = Rng(seed)
     chunks: list[str] = []
     size = 0
@@ -203,7 +196,8 @@ def make_synthetic_corpus(path: str, n_bytes: int = 1_000_000, seed: int = 7) ->
         s += [". ", "? ", "! ", ",\n"][int(rng.integers(0, 4))]
         chunks.append(s)
         size += len(s)
-    text = "".join(chunks)[:n_bytes]
-    with open(path, "w") as fh:
-        fh.write(text)
+    raw = "".join(chunks)[:n_bytes].encode()
+    _corpus(raw, f"a corpus of {n_bytes} bytes")
+    with open(path, "wb") as fh:
+        fh.write(raw)
     return path

@@ -45,7 +45,6 @@ class ModelConfig:
     ffn_kind: str = "two_matmul"
     activation: str = "gelu_tanh"
     expert_size: int = 16
-    tie_embeddings: bool = False
 
     def validate(self) -> "ModelConfig":
         for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "expert_size",
@@ -167,8 +166,7 @@ def param_count(cfg: ModelConfig) -> int:
     norms = 4 * d  # ln1 + ln2 gains and biases
     ffn = 2 * d * f + f + d if cfg.ffn_kind == "two_matmul" else 3 * d * f
     per_block = attn + norms + ffn
-    head = v if cfg.tie_embeddings else d * v + v
-    return v * d + s * d + cfg.n_layers * per_block + 2 * d + head
+    return v * d + s * d + cfg.n_layers * per_block + 2 * d + d * v + v
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -184,10 +182,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
         shapes.update({f"{blk}.attn.Wo": (d, d), f"{blk}.attn.bo": (d,),
                        f"{blk}.ln2.g": (d,), f"{blk}.ln2.b": (d,)})
         shapes.update({name: role_shapes[role] for role, name in ffn_param_names(cfg, i).items()})
-    shapes.update({"ln_f.g": (d,), "ln_f.b": (d,)})
-    if not cfg.tie_embeddings:
-        shapes["head.W"] = (d, v)
-    shapes["head.b"] = (v,)
+    shapes.update({"ln_f.g": (d,), "ln_f.b": (d,), "head.W": (d, v), "head.b": (v,)})
     return shapes
 
 
@@ -323,7 +318,6 @@ def forward_lm(
         x = x + f
 
     xn = x.layernorm(params["ln_f.g"], params["ln_f.b"])
-    head_w = params["wte"].transpose() if cfg.tie_embeddings else params["head.W"]
-    logits = xn.matmul(head_w) + params["head.b"]
+    logits = xn.matmul(params["head.W"]) + params["head.b"]
     return ForwardResult(logits=logits, decisions=decisions, score_graph=score_graph)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,7 +141,6 @@ class FlopsReport:
     sparse_flops_per_token: float
     router_flops_per_token: float
     router_share_of_ffn: float
-    mean_selected_per_layer: list = field(default_factory=list)
 
 
 def flops_per_token(cfg: ModelConfig, mean_selected, router: bool = True) -> FlopsReport:
@@ -167,7 +166,6 @@ def flops_per_token(cfg: ModelConfig, mean_selected, router: bool = True) -> Flo
         sparse_flops_per_token=float(sparse),
         router_flops_per_token=float(per_layer_router * layers),
         router_share_of_ffn=per_layer_router / per_layer_dense,
-        mean_selected_per_layer=selected,
     )
 
 

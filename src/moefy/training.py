@@ -1,4 +1,4 @@
-"""Gradient computation, AdamW, and the one training loop of every stage.
+"""Gradient computation, Adam, and the one training loop of every stage.
 
 `STAGES` says what each stage does. The dense base trains the model alone.
 Stage 1 trains routers and model jointly in soft mode under the combined
@@ -24,8 +24,10 @@ from .routing import RouterLayer
 
 GradientSet = dict[str, np.ndarray]
 
-# AdamW moment decay rates and denominator floor
+# Adam moment decay rates and denominator floor
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+WARMUP_RATIO = 0.06  # share of a stage's steps over which lr ramps up linearly
+CLIP_NORM = 1.0      # global gradient-norm clip
 
 LOG_COLUMNS = ("step", "task", "efficiency", "separability", "total", "sparsity", "grad_norm")
 
@@ -49,9 +51,6 @@ class TrainHyper:
     lr: float = 3e-4
     batch_size: int = 8
     seq_len: int = 64
-    warmup_ratio: float = 0.06
-    weight_decay: float = 0.0
-    clip_norm: float = 1.0
     total_steps: int = 1000
 
     def validate(self) -> "TrainHyper":
@@ -60,16 +59,11 @@ class TrainHyper:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise ValueError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
-        for key in ("weight_decay", "clip_norm"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         return self
 
     @property
     def warmup_steps(self) -> int:
-        return max(1, math.ceil(self.warmup_ratio * self.total_steps))
+        return max(1, math.ceil(WARMUP_RATIO * self.total_steps))
 
 
 @dataclass
@@ -110,7 +104,7 @@ def collect_gradients(loss: Tensor, trainable: dict[str, Tensor]) -> GradientSet
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -118,7 +112,7 @@ def clip_gradients(grads: GradientSet, max_norm: float) -> float:
 
 
 def optimizer_step(state: TrainingState, grads: GradientSet) -> None:
-    """AdamW with bias correction, decoupled decay, linear warmup then constant lr."""
+    """Adam with bias correction, linear warmup then constant lr; no weight decay."""
     h = state.hyper
     t = state.step
     lr_t = h.lr * min(1.0, t / h.warmup_steps)
@@ -144,8 +138,6 @@ def optimizer_step(state: TrainingState, grads: GradientSet) -> None:
         update = np.true_divide(m, bc1)
         np.true_divide(update, s, out=update)
         p -= np.multiply(lr_t, update, out=update)
-        if h.weight_decay > 0:
-            p -= np.multiply(lr_t * h.weight_decay, p, out=s)
 
 
 def sample_batch(data: np.ndarray, rng: Rng, batch_size: int, seq_len: int):
@@ -196,7 +188,7 @@ def train_step(state: TrainingState, batch) -> tuple[LossBreakdown, float]:
     )
 
     grads = collect_gradients(total, trainable)
-    breakdown.grad_norm = clip_gradients(grads, state.hyper.clip_norm)
+    breakdown.grad_norm = clip_gradients(grads, CLIP_NORM)
     optimizer_step(state, grads)
     return breakdown, sparsity
 

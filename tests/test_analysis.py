@@ -295,6 +295,7 @@ class TestEvalFromAppliedMasks:
         cfg = bundle.config
         m = evaluate(bundle, windows_from(27), "dejavu", keep_fraction=0.3)
         assert m.mean_sparsity == 1.0 - 3 / 8
-        assert m.flops.mean_selected_per_layer == [3 / cfg.expert_size] * cfg.n_layers
+        per_neuron = flops_per_token(cfg, [3 / cfg.expert_size] * cfg.n_layers, router=False)
+        assert m.flops.sparse_flops_per_token == per_neuron.sparse_flops_per_token
         assert m.flops.sparse_flops_per_token == m.flops.dense_flops_per_token * 3 / 8
         assert m.flops.router_flops_per_token == 0.0

@@ -148,14 +148,9 @@ class TestConfigTakesEffect:
 
     @pytest.mark.parametrize("flags,message", [
         *(pytest.param(["--set", f"{key}=0"], f"{key} must be positive", id=key)
-          for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "expert_size",
-                      "max_seq_len", "batch_size", "seq_len", "eval_windows")),
+          for key in ("d_model", "n_heads", "n_layers", "d_ffn", "expert_size", "max_seq_len",
+                      "batch_size", "seq_len", "eval_windows")),
         pytest.param(["--set", "lr=-1"], "lr must be positive", id="lr"),
-        pytest.param(["--set", "warmup_ratio=-2"], "warmup_ratio must be in [0, 1]",
-                     id="warmup_ratio"),
-        pytest.param(["--set", "weight_decay=-3"], "weight_decay must be >= 0",
-                     id="weight_decay"),
-        pytest.param(["--set", "clip_norm=-1"], "clip_norm must be >= 0", id="clip_norm"),
         pytest.param(["--steps", "-3"], "base_steps must be >= 0", id="steps"),
         pytest.param(["--set", "stage1_steps=-1"], "stage1_steps must be >= 0",
                      id="stage1_steps"),
@@ -163,8 +158,6 @@ class TestConfigTakesEffect:
                      id="stage2_steps"),
         pytest.param(["--set", "checkpoint_every=-1"], "checkpoint_every must be >= 0",
                      id="checkpoint_every"),
-        pytest.param(["--set", "vocab_size=100"], "vocab_size must be >= 256",
-                     id="vocab_size_below_bytes"),
     ])
     def test_non_positive_size_exit_2_names_key(self, pipeline, tmp_path, capsys, flags,
                                                 message):
@@ -193,7 +186,7 @@ class TestModelKeysFromCheckpoint:
     def test_config_file_keys_checked(self, pipeline, tmp_path, capsys):
         cmd = self.command(pipeline, tmp_path, "eval")
         conf = tmp_path / "run.conf"
-        conf.write_text("vocab_size = 256\nffn_kind = two_matmul\n")  # the checkpoint's own
+        conf.write_text("d_model = 16\nffn_kind = two_matmul\n")  # the checkpoint's own
         assert main([*cmd, "--config", str(conf)]) == 0
         conf.write_text("ffn_kind = swiglu\n")
         assert main([*cmd, "--config", str(conf)]) == 2
@@ -234,6 +227,20 @@ class TestSwigluPipeline:
         assert np.array_equal(got.assignment, gate.assignment)
         assert np.array_equal(got.permutation, gate.permutation)
         assert not np.array_equal(got.assignment, up.assignment)  # the check tells them apart
+
+    @pytest.mark.parametrize("given", ("set", "config"))
+    def test_train_base_rejects_an_activation_swiglu_never_runs(self, pipeline, tmp_path,
+                                                                 capsys, given):
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        args += ["--set", "ffn_kind=swiglu"]
+        conf = tmp_path / "run.conf"
+        conf.write_text("activation = relu\n")
+        extra = {"set": ["--set", "activation=relu"], "config": ["--config", str(conf)]}[given]
+        assert main(["train-base", "--steps", "1", *args, *extra]) == 2
+        assert "activation=relu" in capsys.readouterr().err
+        assert not (tmp_path / "base.ckpt").exists()
+        assert main(["train-base", "--steps", "1", *args, "--set", "activation=silu"]) == 0
+        assert load_checkpoint(str(tmp_path / "base.ckpt")).config.activation == "silu"
 
 
 class TestPeriodicCheckpoints:
@@ -320,9 +327,26 @@ class TestErrors:
         assert (s2["eta"], s2["lam"]) == (s1["eta"], s1["lam"])
         assert main([*stage2, "--set", "eta=0.3", "--set", "lam=0.5"]) == 0
 
-    def test_unknown_config_key_exit_2(self, pipeline):
-        args = pipeline["args"] + ["--set", "nonsense=1"]
-        assert main(["train-base", "--steps", "1", *args]) == 2
+    @pytest.mark.parametrize("key", ("nonsense", "tie_embeddings", "vocab_size", "warmup_ratio",
+                                     "weight_decay", "clip_norm"))
+    @pytest.mark.parametrize("given", ("set", "config"))
+    def test_unknown_config_key_exit_2(self, pipeline, tmp_path, capsys, given, key):
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = 1\n")
+        extra = {"set": ["--set", f"{key}=1"], "config": ["--config", str(conf)]}[given]
+        assert main(["train-base", "--steps", "1", *args, *extra]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "base.ckpt").exists()
+
+    @pytest.mark.parametrize("n_bytes", (0, -5, 1, 20))
+    def test_make_corpus_rejects_a_size_load_corpus_rejects(self, tmp_path, capsys, n_bytes):
+        path = tmp_path / "c.txt"
+        assert main(["make-corpus", "--path", str(path), "--bytes", str(n_bytes)]) == 2
+        assert f"--bytes {n_bytes}" in capsys.readouterr().err
+        assert not path.exists()
+        assert main(["make-corpus", "--path", str(path), "--bytes", "21"]) == 0
+        assert load_corpus(str(path)).val.shape[0] == 2  # the smallest size it accepts
 
     def test_missing_corpus_exit_2(self, pipeline):
         assert main(["train-base", "--corpus", "/nonexistent.txt",
@@ -366,6 +390,15 @@ class TestErrors:
         assert main(["eval", "--checkpoint", str(bad), "--method", "lte", *args]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "stage" in err
+
+    def test_manifest_with_removed_config_key_exit_2(self, pipeline, tmp_path, capsys):
+        out, args = pipeline["out"], pipeline["args"]
+        bad = tmp_path / "tied.ckpt"
+        self.rewrite_manifest(out / "stage2.ckpt", bad,
+                              lambda m: m["config"].update(tie_embeddings=False))
+        assert main(["eval", "--checkpoint", str(bad), "--method", "lte", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "tie_embeddings" in err
 
     @pytest.mark.parametrize("key", ("n_heads", "expert_size"))
     def test_manifest_zero_size_exit_2(self, pipeline, tmp_path, capsys, key):

@@ -66,8 +66,7 @@ def naive_forward(params: TransformerParams, tokens):
             g = activation(xf @ w(f"block{i}.ffn.Wgate"), "silu")
             x = x + (g * (xf @ w(f"block{i}.ffn.Wup"))) @ w(f"block{i}.ffn.Wdown")
     xn = np.stack([ln(x[p], w("ln_f.g"), w("ln_f.b")) for p in range(t)])
-    head = w("wte").T if cfg.tie_embeddings else w("head.W")
-    return xn @ head + w("head.b")
+    return xn @ w("head.W") + w("head.b")
 
 
 class TestFfnOps:
@@ -233,15 +232,6 @@ class TestForwardLm:
                 continue
             t.data = (t.data * 20).astype(np.float32)
         tokens = Rng(11).integers(0, cfg.vocab_size, size=8)
-        with no_grad():
-            res = forward_lm(params, tokens)
-        ref = naive_forward(params, tokens)
-        assert np.abs(res.logits.data - ref).max() < 1e-5
-
-    def test_tied_embeddings_forward(self):
-        cfg = toy_config(tie_embeddings=True)
-        params = init_params(cfg, Rng(12))
-        tokens = np.array([1, 2, 3])
         with no_grad():
             res = forward_lm(params, tokens)
         ref = naive_forward(params, tokens)
@@ -477,7 +467,6 @@ class TestParamCount:
     @pytest.mark.parametrize("kw", [
         {},
         {"ffn_kind": "swiglu", "d_ffn": 12},
-        {"tie_embeddings": True},
         {"n_layers": 3, "d_model": 16, "n_heads": 4, "d_ffn": 32, "expert_size": 8},
     ])
     def test_formula_matches_allocation(self, kw):

@@ -7,8 +7,10 @@ writes one synthetic corpus, then for each FFN kind (`two_matmul`, `swiglu`)
 runs train-base, moefy, train-lte stage 1 and stage 2, eval with `lte` then
 `dense`, and report (`report.txt` and both SVGs), each as its own
 `python -m moefy.cli` process. It prints one `sha256  path` line per
-artifact, sorted by path, so two checkouts produce byte-identical artifacts
-exactly when
+artifact, sorted by path. A checkpoint gets two lines instead, `path#manifest`
+(magic, length and JSON manifest) and `path#tensors` (the tensor blob), so a
+change to the manifest alone still shows identical tensor bytes. Two
+checkouts produce byte-identical artifacts exactly when
 
     diff <(python tools/pipeline_digest.py --src A --out /tmp/a) \\
          <(python tools/pipeline_digest.py --src B --out /tmp/b)
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +69,16 @@ def run_pipeline(src: Path, out: Path) -> list[Path]:
     return sorted(p for p in out.rglob("*") if p.is_file())
 
 
+def digest_lines(path: Path, name: str) -> list[str]:
+    """`sha256  name` lines for one artifact; a checkpoint's manifest and blob apart."""
+    raw = path.read_bytes()
+    parts = [(name, raw)]
+    if path.suffix == ".ckpt":
+        (mlen,) = struct.unpack("<Q", raw[4:12])
+        parts = [(f"{name}#manifest", raw[:12 + mlen]), (f"{name}#tensors", raw[12 + mlen:])]
+    return [f"{hashlib.sha256(b).hexdigest()}  {label}" for label, b in parts]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, type=Path, help="repository root to run")
@@ -75,8 +88,7 @@ def main(argv=None) -> int:
     if out.exists() and any(out.iterdir()):
         ap.error(f"--out {out} is not empty (the eval ledger appends)")
     for path in run_pipeline(args.src.resolve(), out):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
+        print("\n".join(digest_lines(path, path.relative_to(out).as_posix())))
     return 0
 
 
