@@ -100,14 +100,6 @@ def union_sparsity(mask: np.ndarray) -> float:
     return float(1.0 - mask.any(axis=0).mean())
 
 
-def prefix_union_sparsity(mask: np.ndarray) -> np.ndarray:
-    """Union sparsity over token prefixes [0..m]; non-increasing in m."""
-    if mask.shape[0] == 0:
-        raise ValueError("empty batch")
-    cum = np.maximum.accumulate(mask, axis=0)
-    return 1.0 - cum.sum(axis=1) / mask.shape[1]
-
-
 def score_concentration(scores: np.ndarray) -> tuple[float, float]:
     """(max mean expert score, entropy of the mean-score distribution)."""
     mean_per_expert = scores.mean(axis=0)

@@ -1,15 +1,14 @@
-"""Structured-sparsity execution: packed expert slabs, gather FFN, FLOPs, bench.
+"""Structured-sparsity execution: packed expert slabs, the sparse FFN kernel, FLOPs, bench.
 
-Weights are stored expert-major: each expert's share of every role that runs
-over d_ffn (`model.D_FFN_AXIS`) forms one contiguous slab, (d_model x
-expert_size) for the `up` and `gate` columns, (expert_size x d_model) for the
-`down` rows and (expert_size,) for `b1`, so selecting an expert loads whole
-slabs instead of strided columns. The CPU kernel dispatches expert-major
-over one buffer of (expert, token) pairs: an up matmul per selected expert
-into its span, one activation over the whole buffer, then a down matmul per
-expert scatter-added into its tokens, in ascending expert order. An expert
-every token chose reads `x` and adds into the output without a gather or a
-scatter.
+Weights are stored expert-major and hidden-unit-major: each expert's share of
+every role that runs over d_ffn (`model.D_FFN_AXIS`) forms one contiguous
+(expert_size x d_model) slab for `up`, `gate` and `down`, and (expert_size,)
+for `b1`, so a run of adjacent experts [a, b) is one contiguous row block
+of `slab.reshape(-1, d_model)`. The CPU kernel computes over the union of
+the experts any row of the call selected: one up matmul (two with a gate) and
+one down matmul per run of adjacent union experts, over all rows, with the
+bias, the activation and the selection mask applied once to the whole hidden
+buffer. A one-row call runs each selected expert as its own run.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ class PackedExpertWeights:
     activation: str
     n_experts: int
     expert_size: int
-    up: np.ndarray                 # (n, d_model, expert_size)
+    up: np.ndarray                 # (n, expert_size, d_model), used transposed
     down: np.ndarray               # (n, expert_size, d_model)
     gate: Optional[np.ndarray] = None   # same layout as up, gated layers only
     b1: Optional[np.ndarray] = None     # (n, expert_size)
@@ -43,13 +43,13 @@ class PackedExpertWeights:
 
     @property
     def d_model(self) -> int:
-        return self.up.shape[1]
+        return self.up.shape[2]
 
 
 def _slab(w: np.ndarray, axis: int, n: int, e: int) -> np.ndarray:
-    # split the d_ffn axis into (n, e) and move n to the front, contiguous
-    split = w.reshape(w.shape[:axis] + (n, e) + w.shape[axis + 1:])
-    return np.ascontiguousarray(np.moveaxis(split, axis, 0))
+    # move the d_ffn axis to the front and split it into (n, e), contiguous
+    w = np.moveaxis(w, axis, 0)
+    return np.ascontiguousarray(w.reshape((n, e) + w.shape[1:]))
 
 
 def pack(layer: FfnLayer) -> PackedExpertWeights:
@@ -64,8 +64,11 @@ def pack(layer: FfnLayer) -> PackedExpertWeights:
 
 
 def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """(T, n) bool mask of per-token expert ids, each sorted ascending and unique."""
-    counts = np.fromiter((len(s) for s in selections), dtype=np.int64, count=len(selections))
+    """(T, n) bool mask of per-token integer expert ids, each sorted ascending and unique."""
+    if not set(map(attrgetter("dtype.kind"), selections)) <= {"i", "u"}:
+        t = next(t for t, s in enumerate(selections) if s.dtype.kind not in "iu")
+        raise ValueError(f"expert ids must be integers: token {t}: {selections[t]}")
+    counts = np.fromiter(map(len, selections), dtype=np.int64, count=len(selections))
     ids = np.concatenate([np.zeros(0, np.int64), *selections]).astype(np.int64, copy=False)
     tok = np.repeat(np.arange(len(selections)), counts)
     # ids are compared only inside one token's segment, never across a boundary
@@ -82,54 +85,71 @@ def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
     return mask
 
 
+def _expert_runs(union: np.ndarray, n_tok: int) -> list[tuple[int, int]]:
+    """[a, b) runs of the experts in `union`, ascending: maximal runs of
+    adjacent experts, or one run per expert for a one-row call, where merged
+    products measured slower than one product per expert."""
+    runs = []
+    for e in np.flatnonzero(union).tolist():
+        if n_tok > 1 and runs and runs[-1][1] == e:
+            runs[-1] = (runs[-1][0], e + 1)
+        else:
+            runs.append((e, e + 1))
+    return runs
+
+
 def sparse_ffn_forward(
     packed: PackedExpertWeights,
     selections: Sequence[np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """Gather-based FFN: per token, only selected expert slabs are touched.
+    """Gather-free FFN over the union of the experts the rows selected.
 
-    selections[t] lists that token's expert ids, sorted ascending, unique.
-    The selected (expert, token) pairs are laid out expert-major in one
-    hidden buffer. Each selected expert costs one up matmul (two with a gate)
-    into its span and one down matmul added into its tokens; the bias and
-    the activation run once over the whole buffer. Experts run in ascending
-    order, so every token sums its experts from zero in ascending order.
+    selections[t] is an integer array of that token's expert ids, sorted
+    ascending, unique. Every row runs through the union U of all selected
+    experts, laid out in one (T, |U| * expert_size) hidden buffer. Each run
+    of adjacent union experts costs one up matmul (two with a gate) on one
+    contiguous slab block, and the bias and the activation run once. Each
+    (token, expert) pair the token did not select is then set to exactly 0,
+    so a non-finite value in that expert's up, gate or b1 slab never reaches
+    the token (one in a `down` slab reaches every row of a call whose union
+    holds the expert). Runs add their down matmuls into the output in
+    ascending order, then `b2` is added.
     """
     if x.ndim != 2 or len(selections) != x.shape[0]:
         raise numerics.ShapeError(
             f"{len(selections)} selections for input of shape {x.shape}"
         )
     mask = _selection_mask(selections, packed.n_experts)
-    # an expert every token chose reads x itself; BLAS on a strided x can
-    # round differently from the contiguous rows a gather makes
+    union = mask.any(axis=0)
+    # BLAS reads a strided x differently; a contiguous copy keeps the bytes
     x = np.ascontiguousarray(x)
-    n_tok = x.shape[0]
-    e_ids, tok = np.nonzero(mask.T)  # expert-major pairs, tokens ascending within an expert
-    counts = np.bincount(e_ids, minlength=packed.n_experts).tolist()
-    ends = np.cumsum(counts).tolist()
-    spans = [(e, hi - c, hi) for e, (c, hi) in enumerate(zip(counts, ends)) if c]
+    n_tok, d, es = x.shape[0], packed.d_model, packed.expert_size
+    runs, lo = [], 0  # (slab rows, hidden columns) per run
+    for a, b in _expert_runs(union, n_tok):
+        runs.append((slice(es * a, es * b), slice(lo, lo + es * (b - a))))
+        lo += es * (b - a)
 
-    dtype = np.result_type(x, packed.up)
-    up = np.empty((tok.size, packed.expert_size), dtype=dtype)
-    gate = np.empty_like(up) if packed.gate is not None else None
-    for e, lo, hi in spans:
-        xe = x if hi - lo == n_tok else x[tok[lo:hi]]
-        np.matmul(xe, packed.up[e], out=up[lo:hi])
+    # a run's slab rows are one block of the (n * expert_size, d_model) views
+    up_w, down_w = packed.up.reshape(-1, d), packed.down.reshape(-1, d)
+    gate_w = packed.gate.reshape(-1, d) if packed.gate is not None else None
+    up = np.empty((n_tok, lo), dtype=np.result_type(x, packed.up))
+    gate = np.empty_like(up) if gate_w is not None else None
+    for r, c in runs:
+        np.matmul(x, up_w[r].T, out=up[:, c])
         if gate is not None:
-            np.matmul(xe, packed.gate[e], out=gate[lo:hi])
+            np.matmul(x, gate_w[r].T, out=gate[:, c])
     if gate is None:
-        up += packed.b1[e_ids]
+        up += packed.b1[union].reshape(-1)
         h = numerics.activation(up, packed.activation)
     else:
         h = numerics.activation(gate, packed.activation) * up
+    # where=, not a 0/1 multiply: NaN * 0 is NaN
+    np.copyto(h, 0, where=np.repeat(~mask[:, union], es, axis=1))
 
-    out = np.zeros((n_tok, packed.d_model), dtype=x.dtype)
-    for e, lo, hi in spans:
-        if hi - lo == n_tok:
-            out += h[lo:hi] @ packed.down[e]
-        else:
-            out[tok[lo:hi]] += h[lo:hi] @ packed.down[e]
+    out = np.zeros((n_tok, d), dtype=x.dtype)
+    for r, c in runs:
+        out += h[:, c] @ down_w[r]
     if packed.b2 is not None:
         out += packed.b2
     return out

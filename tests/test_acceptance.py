@@ -13,7 +13,6 @@ import pytest
 from moefy.analysis import (
     collect_decisions,
     near_tau_fraction,
-    prefix_union_sparsity,
     val_windows,
 )
 from moefy.autograd import no_grad, param as mkparam
@@ -36,12 +35,13 @@ from moefy.model import (
     param_count,
     set_ffn_layer,
 )
-from moefy.numerics import F64, Rng, finite_diff_grad
+from moefy.numerics import F64, Rng
 from moefy.routing import router_init
 from moefy.sparse_exec import bench, flops_per_token, pack, sparse_ffn_forward
 from moefy.training import TrainHyper, TrainingState, run_training
 
 from ffn_blocks import expert_oracle, random_layer
+from oracles import finite_diff_grad, prefix_union_sparsity
 
 MODEL = dict(vocab_size=256, d_model=64, n_heads=4, n_layers=2, d_ffn=256,
              expert_size=8, max_seq_len=128)

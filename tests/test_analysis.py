@@ -12,7 +12,6 @@ from moefy.analysis import (
     format_report,
     layer_sparsity_report,
     near_tau_fraction,
-    prefix_union_sparsity,
     render_histogram_svg,
     render_sparsity_svg,
     score_concentration,
@@ -27,6 +26,8 @@ from moefy.model import ModelConfig, forward_lm, get_ffn_layer, init_params, set
 from moefy.numerics import Rng
 from moefy.routing import RouterLayer, magnitude_select, router_init
 from moefy.sparse_exec import flops_per_token
+
+from oracles import prefix_union_sparsity
 
 from ffn_blocks import packed_layers
 

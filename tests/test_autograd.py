@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from moefy.autograd import Tensor, no_grad, param
-from moefy.numerics import (NumericError, Rng, ShapeError, activation, activation_grad,
-                            finite_diff_grad)
+from moefy.numerics import NumericError, Rng, ShapeError, activation, activation_grad
+
+from oracles import finite_diff_grad
 
 RTOL = 1e-5
 ATOL = 1e-7

@@ -5,7 +5,9 @@ import pytest
 
 from moefy.autograd import Tensor, no_grad, param
 from moefy.losses import LteHyperparams, aux_loss_graph, perplexity, task_loss
-from moefy.numerics import Rng, ShapeError, finite_diff_grad
+from moefy.numerics import Rng, ShapeError
+
+from oracles import finite_diff_grad
 
 
 def aux_values(score_mats, tau=0.5, guard=1e-3):

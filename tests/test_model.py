@@ -16,9 +16,10 @@ from moefy.model import (
     init_params,
     param_count,
 )
-from moefy.numerics import F64, Rng, ShapeError, activation, finite_diff_grad, sigmoid
+from moefy.numerics import F64, Rng, ShapeError, activation, sigmoid
 
 from ffn_blocks import dense_ffn, ffn_layer, one_block, packed_layers, random_layer
+from oracles import finite_diff_grad
 
 
 def toy_config(**kw):

@@ -13,10 +13,11 @@ from moefy.numerics import (
     activation,
     activation_grad,
     blas_threads,
-    finite_diff_grad,
     matmul,
     sigmoid,
 )
+
+from oracles import finite_diff_grad
 
 
 def triple_loop(a, b):

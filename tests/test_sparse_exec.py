@@ -7,6 +7,7 @@ from moefy.model import ModelConfig, get_ffn_layer, init_params
 from moefy.numerics import Rng, activation
 from moefy.sparse_exec import (
     BENCH_COLUMNS,
+    _expert_runs,
     bench,
     flops_per_token,
     format_bench_report,
@@ -27,17 +28,18 @@ def packed_layer(rng, d=8, f=24, n=6, kind="two_matmul", dtype=np.float32, act="
 class TestPack:
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_round_trip_bit_identical(self, kind):
-        # every slab is its expert's dense columns / rows, bit for bit
+        # every slab is its expert's dense rows / transposed columns, bit for bit
         layer, packed = packed_layer(Rng(0), kind=kind)
         w, e = layer.weights, packed.expert_size
+        assert packed.up.shape == packed.down.shape == (packed.n_experts, e, 8)
         for x in range(packed.n_experts):
             cols = slice(x * e, (x + 1) * e)
-            assert np.array_equal(packed.up[x], w["up"][:, cols])
-            assert np.array_equal(packed.down[x], w["down"][cols])
+            assert packed.up[x].tobytes() == w["up"][:, cols].T.tobytes()
+            assert packed.down[x].tobytes() == w["down"][cols].tobytes()
             if kind == "two_matmul":
-                assert np.array_equal(packed.b1[x], w["b1"][cols])
+                assert packed.b1[x].tobytes() == w["b1"][cols].tobytes()
             else:
-                assert np.array_equal(packed.gate[x], w["gate"][:, cols])
+                assert packed.gate[x].tobytes() == w["gate"][:, cols].T.tobytes()
         if kind == "two_matmul":
             assert np.array_equal(packed.b2, w["b2"])
         else:
@@ -46,7 +48,7 @@ class TestPack:
     def test_expert_zero_slice_is_leading_columns(self):
         layer, packed = packed_layer(Rng(1))
         e = packed.expert_size
-        assert np.array_equal(packed.up[0], layer.weights["up"][:, :e])
+        assert np.array_equal(packed.up[0], layer.weights["up"][:, :e].T)
         assert np.array_equal(packed.down[0], layer.weights["down"][:e, :])
 
     def test_requires_permuted_layer(self):
@@ -70,15 +72,18 @@ class TestSparseForward:
         assert np.abs(y - dense).max() < 1e-5
 
     def test_empty_selection(self):
+        # an empty union runs no matmul: every row is exactly b2
         layer, packed = packed_layer(Rng(5))
         x = Rng(6).normal((3, 8), std=1.0)
         y = sparse_ffn_forward(packed, [np.array([], dtype=np.int64)] * 3, x)
-        assert np.allclose(y, np.tile(layer.weights["b2"], (3, 1)))
+        assert y.tobytes() == np.tile(layer.weights["b2"], (3, 1)).tobytes()
 
-    def test_empty_selection_swiglu_zero(self):
+    @pytest.mark.parametrize("n_tok", [1, 3])
+    def test_empty_selection_swiglu_zero(self, n_tok):
         _, packed = packed_layer(Rng(7), kind="swiglu")
-        y = sparse_ffn_forward(packed, [np.array([], dtype=np.int64)], Rng(8).normal((1, 8), std=1.0))
-        assert np.allclose(y, 0.0)
+        x = Rng(8).normal((n_tok, 8), std=1.0)
+        y = sparse_ffn_forward(packed, [np.array([], dtype=np.int64)] * n_tok, x)
+        assert y.tobytes() == np.zeros((n_tok, 8), np.float32).tobytes()
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_random_subsets_match_dense_mask_oracle(self, kind):
@@ -167,7 +172,8 @@ class TestExpertMajorDispatch:
             ref = expert_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
             assert np.abs(y[t] - ref[0]).max() < 1e-5
 
-    @pytest.mark.parametrize("bad", [[3, 2], [4, 4], [32], [-1], [0, 31, 32]])
+    @pytest.mark.parametrize("bad", [[3, 2], [4, 4], [32], [-1], [0, 31, 32],
+                                     [1.7, 2.2], [False, True]])
     def test_one_bad_token_in_a_batch_rejected(self, bad):
         _, packed = model_shape_layer("two_matmul", np.float32)
         sels = distinct_selections()
@@ -177,21 +183,34 @@ class TestExpertMajorDispatch:
             sparse_ffn_forward(packed, sels, x)
 
 
-def expert_loop_oracle(packed, selections, x):
-    """The expert-by-expert gather loop this kernel replaced: it gathers each
-    selected expert's tokens, activates them, and scatter-adds its down matmul."""
-    mask = np.zeros((x.shape[0], packed.n_experts), dtype=bool)
+def union_run_oracle(packed, selections, x):
+    """The union-run kernel in plain numpy, one run at a time in ascending
+    order: runs of adjacent experts any row selected (single experts for one
+    row), each run's hidden block masked to the pairs its rows selected."""
+    x = np.ascontiguousarray(x)
+    n_tok, d, es = x.shape[0], packed.d_model, packed.expert_size
+    mask = np.zeros((n_tok, packed.n_experts), dtype=bool)
     for t, sel in enumerate(selections):
         mask[t, sel] = True
-    out = np.zeros((x.shape[0], packed.d_model), dtype=x.dtype)
-    for e in np.flatnonzero(mask.any(axis=0)):
-        idx = np.flatnonzero(mask[:, e])
-        xe = x[idx]
+    union, runs, e = mask.any(axis=0), [], 0
+    while e < packed.n_experts:
+        if not union[e]:
+            e += 1
+            continue
+        b = e + 1
+        while n_tok > 1 and b < packed.n_experts and union[b]:
+            b += 1
+        runs.append((e, b))
+        e = b
+    out = np.zeros((n_tok, d), dtype=x.dtype)
+    for a, b in runs:
+        up = x @ packed.up[a:b].reshape(-1, d).T
         if packed.gate is None:
-            h = activation(xe @ packed.up[e] + packed.b1[e], packed.activation)
+            h = activation(up + packed.b1[a:b].reshape(-1), packed.activation)
         else:
-            h = activation(xe @ packed.gate[e], "silu") * (xe @ packed.up[e])
-        out[idx] += h @ packed.down[e]
+            h = activation(x @ packed.gate[a:b].reshape(-1, d).T, packed.activation) * up
+        h = np.where(np.repeat(mask[:, a:b], es, axis=1), h, 0)
+        out += h @ packed.down[a:b].reshape(-1, d)
     if packed.b2 is not None:
         out += packed.b2
     return out
@@ -215,25 +234,25 @@ class TestKernelByteIdentity:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_tok", [0, 1, 40, 2048])
     @pytest.mark.parametrize("variant", ["random", "columns", "rows"])
-    def test_matches_expert_loop_bitwise(self, kind, dtype, n_tok, variant):
+    def test_matches_union_run_oracle_bitwise(self, kind, dtype, n_tok, variant):
         _, packed = model_shape_layer(kind, dtype)
         mask = seeded_mask(n_tok, variant)
         sels = [np.flatnonzero(row) for row in mask]
         x = Rng(31).normal((n_tok, 128), std=1.0, dtype=dtype)
         y = sparse_ffn_forward(packed, sels, x)
-        ref = expert_loop_oracle(packed, sels, x)
+        ref = union_run_oracle(packed, sels, x)
         assert y.dtype == ref.dtype == dtype
         assert y.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     @pytest.mark.parametrize("n_tok", [1, 40])
-    def test_strided_input_matches_expert_loop_bitwise(self, kind, n_tok):
+    def test_strided_input_matches_union_run_oracle_bitwise(self, kind, n_tok):
         _, packed = model_shape_layer(kind, np.float32)
         mask = seeded_mask(n_tok, "columns")
         sels = [np.flatnonzero(row) for row in mask]
         x = Rng(33).normal((n_tok, 256), std=1.0)[:, ::2]
         y = sparse_ffn_forward(packed, sels, x)
-        assert y.tobytes() == expert_loop_oracle(packed, sels, x).tobytes()
+        assert y.tobytes() == union_run_oracle(packed, sels, x).tobytes()
 
     def test_masks_cover_the_edge_cases(self):
         cols, rows = seeded_mask(40, "columns"), seeded_mask(40, "rows")
@@ -254,8 +273,37 @@ class TestKernelByteIdentity:
         mask = seeded_mask(40, "columns")
         sparse_ffn_forward(packed, [np.flatnonzero(r) for r in mask],
                            Rng(32).normal((40, 128), std=1.0))
-        # one call over every selected (expert, token) pair
-        assert calls == [(int(mask.sum()), packed.expert_size)]
+        # one call over every row and every expert some row selected
+        assert calls == [(40, int(mask.any(axis=0).sum()) * packed.expert_size)]
+
+
+class TestUnionRuns:
+    def test_planner_merges_adjacent_experts_for_many_rows(self):
+        union = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
+        assert _expert_runs(union, 2) == [(0, 2), (3, 4), (6, 9)]
+        assert _expert_runs(np.ones(5, dtype=bool), 40) == [(0, 5)]
+        assert _expert_runs(np.zeros(5, dtype=bool), 40) == []
+
+    def test_planner_keeps_single_experts_for_one_row(self):
+        union = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
+        assert _expert_runs(union, 1) == [(0, 1), (1, 2), (3, 4), (6, 7), (7, 8), (8, 9)]
+
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    def test_nan_slab_reaches_only_tokens_that_selected_it(self, kind):
+        # expert 2 sits inside a merged run [1, 4), so every row computes its slab
+        _, packed = packed_layer(Rng(40), kind=kind)
+        x = Rng(41).normal((4, 8), std=1.0)
+        sels = [np.array([1, 2, 3]), np.array([1, 3]), np.array([2]), np.array([3])]
+        clean = sparse_ffn_forward(packed, sels, x)
+        packed.up[2] = np.nan
+        if kind == "swiglu":
+            packed.gate[2] = np.nan
+        else:
+            packed.b1[2] = np.nan
+        y = sparse_ffn_forward(packed, sels, x)
+        chose = np.array([2 in s for s in sels])
+        assert np.isnan(y[chose]).all()
+        assert y[~chose].tobytes() == clean[~chose].tobytes()
 
 
 class TestFlops:

@@ -7,7 +7,7 @@ from moefy.config import make_synthetic_corpus, load_corpus
 from moefy.grouping import apply_partition, group_experts_random
 from moefy.losses import LteHyperparams, aux_loss_graph
 from moefy.model import ModelConfig, TransformerParams, forward_lm, get_ffn_layer, init_params, param_count, set_ffn_layer
-from moefy.numerics import F64, Rng, finite_diff_grad
+from moefy.numerics import F64, Rng
 from moefy.routing import router_init
 from moefy.training import (
     LOG_COLUMNS,
@@ -22,6 +22,7 @@ from moefy.training import (
 )
 
 from ffn_blocks import packed_layers
+from oracles import finite_diff_grad
 
 
 def toy_config(**kw):
