@@ -1,9 +1,11 @@
 """Checkpoint serialization: JSON manifest + one little-endian float32 blob.
 
 Layout: magic "LTE1", 8-byte little-endian manifest length, canonical JSON
-manifest (tensor table with name/shape/offset/nbytes/precision, the model
-config, partitions, stage tag, metadata), then the raw blob. Canonical JSON
-plus a fixed tensor order make identical states serialize byte-identically.
+manifest (the model config, partitions as layer index, method and
+permutation, stage tag, metadata, and a tensor table of names and shapes),
+then the raw blob. The tensors lie in the blob in table order, each
+4 * prod(shape) bytes, so the table states no offsets. Canonical JSON plus a
+fixed tensor order make identical states serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -36,22 +38,15 @@ class CheckpointBundle:
 
 
 def _partition_to_json(p: ExpertPartition) -> dict:
-    return {
-        "layer_index": p.layer_index,
-        "n_experts": p.n_experts,
-        "expert_size": p.expert_size,
-        "assignment": p.assignment.tolist(),
-        "permutation": p.permutation.tolist(),
-        "method": p.method,
-    }
+    return {"layer_index": p.layer_index, "method": p.method,
+            "permutation": p.permutation.tolist()}
 
 
-def _partition_from_json(d: dict) -> ExpertPartition:
+def _partition_from_json(cfg: ModelConfig, d: dict) -> ExpertPartition:
     return ExpertPartition(
         layer_index=d["layer_index"],
-        n_experts=d["n_experts"],
-        expert_size=d["expert_size"],
-        assignment=np.asarray(d["assignment"], dtype=np.int64),
+        n_experts=cfg.n_experts,
+        expert_size=cfg.expert_size,
         permutation=np.asarray(d["permutation"], dtype=np.int64),
         method=d["method"],
     ).validate()
@@ -65,23 +60,7 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
         for i, r in enumerate(bundle.routers):
             tensors.append((f"router.{i}.Wg", r.Wg.data))
 
-    table = []
-    offset = 0
-    blobs = []
-    for name, arr in tensors:
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        table.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": len(raw),
-                "precision": "f32",
-            }
-        )
-        blobs.append(raw)
-        offset += len(raw)
-
+    table = [{"name": name, "shape": list(arr.shape)} for name, arr in tensors]
     manifest = {
         "config": asdict(bundle.config),
         "stage": bundle.stage,
@@ -99,8 +78,8 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(mbytes)))
             fh.write(mbytes)
-            for raw in blobs:
-                fh.write(raw)
+            for _, arr in tensors:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -110,10 +89,11 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Read a checkpoint; a truncated or malformed file raises ValueError naming it.
 
-    The model tensors must carry the names and shapes of
-    `model.param_shapes` for the manifest's config; partitions and routers,
-    when present, must number n_layers and fit the model config, and
-    partition i must carry layer_index i.
+    The blob must hold exactly the table's tensors, no name may repeat, and
+    the model tensors must carry the names and shapes of `model.param_shapes`
+    for the manifest's config. Partitions and routers, when present, must
+    number n_layers, partition i must carry layer_index i, and routers must
+    fit the config; a partition's n_experts and expert_size are the config's.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -145,22 +125,17 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad model config ({exc})") from None
     entries = manifest["tensors"]
-    expected = sum(e["nbytes"] for e in entries)
-    if len(blob) != expected:
-        raise ValueError(f"tensor data is {len(blob)} bytes, manifest lists {expected}")
+    sizes = [math.prod(e["shape"]) for e in entries]
+    if len(blob) != 4 * sum(sizes):
+        raise ValueError(f"tensor data is {len(blob)} bytes, the table's shapes need "
+                         f"{4 * sum(sizes)}")
     tensors: dict[str, np.ndarray] = {}
     a = 0
-    for entry in entries:
-        if entry["offset"] != a:
-            raise ValueError(f"tensor {entry['name']} starts at byte {entry['offset']}, "
-                             f"expected {a}")
-        if entry["nbytes"] != 4 * math.prod(entry["shape"]):
-            raise ValueError(f"tensor {entry['name']} has {entry['nbytes']} bytes "
-                             f"for shape {entry['shape']}")
-        b = a + entry["nbytes"]
-        arr = np.frombuffer(blob[a:b], dtype="<f4").reshape(entry["shape"]).copy()
-        tensors[entry["name"]] = arr
-        a = b
+    for entry, n in zip(entries, sizes):
+        if entry["name"] in tensors:
+            raise ValueError(f"tensor {entry['name']} is listed twice")
+        tensors[entry["name"]] = np.frombuffer(blob, "<f4", n, a).reshape(entry["shape"]).copy()
+        a += 4 * n
 
     router_names = sorted(
         (n for n in tensors if n.startswith("router.")),
@@ -174,7 +149,7 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
     params = TransformerParams(cfg, {n: param(a) for n, a in tensors.items()})
     partitions = None
     if manifest["partitions"] is not None:
-        partitions = [_partition_from_json(d) for d in manifest["partitions"]]
+        partitions = [_partition_from_json(cfg, d) for d in manifest["partitions"]]
     _check_routing(cfg, partitions, routers)
     return CheckpointBundle(
         config=cfg,
@@ -201,16 +176,13 @@ def _check_model_tensors(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> No
 
 
 def _check_routing(cfg: ModelConfig, partitions, routers) -> None:
-    """Partitions and routers, if any: one per layer, fitting cfg; partition i has layer_index i."""
+    """Partitions and routers, if any: one per layer; partition i at layer i; routers fit cfg."""
     for what, items in (("partitions", partitions), ("routers", routers)):
         if items is not None and len(items) != cfg.n_layers:
             raise ValueError(f"{len(items)} {what} for n_layers={cfg.n_layers}")
     for i, p in enumerate(partitions or ()):
         if p.layer_index != i:
             raise ValueError(f"partition {i} has layer_index {p.layer_index}")
-        if (p.n_experts, p.expert_size) != (cfg.n_experts, cfg.expert_size):
-            raise ValueError(f"partition {i} has {p.n_experts} experts of {p.expert_size}, "
-                             f"the config {cfg.n_experts} of {cfg.expert_size}")
     for i, r in enumerate(routers or ()):
         if r.Wg.data.shape != (cfg.d_model, cfg.n_experts):
             raise ValueError(f"router {i} Wg has shape {r.Wg.data.shape}, expected "

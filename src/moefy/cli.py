@@ -120,11 +120,12 @@ def _train(cfg: RunConfig, bundle: CheckpointBundle, stage: str, meta: dict) -> 
 
 def cmd_train_base(args) -> int:
     cfg = _config(args, base_steps=args.steps)
-    # a gated FFN always runs silu, so another activation would be recorded but never run
-    if ("gate" in FFN_LAYOUTS[cfg.ffn_kind] and cfg.activation != "silu"
-            and "activation" in _given_keys(args)):
-        raise ConfigError(f"activation={cfg.activation}: ffn_kind={cfg.ffn_kind} always "
-                          f"gates with silu")
+    # a gated FFN always runs silu: another activation is refused, and silu is recorded
+    if "gate" in FFN_LAYOUTS[cfg.ffn_kind]:
+        if cfg.activation != "silu" and "activation" in _given_keys(args):
+            raise ConfigError(f"activation={cfg.activation}: ffn_kind={cfg.ffn_kind} always "
+                              f"gates with silu")
+        cfg.activation = "silu"
     params = init_params(section(ModelConfig, cfg), Rng(cfg.seed).split("init"))
     bundle = CheckpointBundle(config=params.config, params=params)
     return _train(cfg, bundle, "base", {"steps": cfg.base_steps})

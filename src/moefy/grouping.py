@@ -24,30 +24,22 @@ class ExpertPartition:
     layer_index: int
     n_experts: int
     expert_size: int
-    assignment: np.ndarray   # neuron index -> expert id
-    permutation: np.ndarray  # new position -> old neuron index
+    # new position -> old neuron index; expert e is block e, positions
+    # [e * expert_size, (e + 1) * expert_size), so it also fixes `assignment`
+    permutation: np.ndarray
     method: str              # kmeans | random
     sse_history: list = field(default_factory=list)
 
+    @property
+    def assignment(self) -> np.ndarray:
+        """Neuron index -> expert id: the block of `permutation` that holds the neuron."""
+        return np.argsort(self.permutation) // self.expert_size
+
     def validate(self) -> "ExpertPartition":
-        d = self.assignment.shape[0]
-        if d != self.n_experts * self.expert_size:
-            raise ValueError("assignment length != n_experts * expert_size")
-        counts = np.bincount(self.assignment, minlength=self.n_experts)
-        if not (counts == self.expert_size).all():
-            raise ValueError(f"unbalanced experts: {counts}")
-        if not (np.sort(self.permutation) == np.arange(d)).all():
-            raise ValueError("permutation is not a bijection")
-        ordered = self.assignment[self.permutation]
-        expected = np.repeat(np.arange(self.n_experts), self.expert_size)
-        if not (ordered == expected).all():
-            raise ValueError("permutation does not make experts contiguous")
+        d = self.n_experts * self.expert_size
+        if not np.array_equal(np.sort(self.permutation), np.arange(d)):
+            raise ValueError(f"permutation is not a bijection of range({d})")
         return self
-
-
-def _permutation_from_assignment(assignment: np.ndarray) -> np.ndarray:
-    # stable sort keeps neurons ordered by index within each expert
-    return np.argsort(assignment, kind="stable")
 
 
 def partition_sse(features: np.ndarray, assignment: np.ndarray, n_experts: int) -> float:
@@ -127,8 +119,8 @@ def group_experts_kmeans(
         layer_index=layer_index,
         n_experts=n_experts,
         expert_size=capacity,
-        assignment=best_assignment,
-        permutation=_permutation_from_assignment(best_assignment),
+        # stable sort keeps neurons ordered by index within each expert
+        permutation=np.argsort(best_assignment, kind="stable"),
         method="kmeans",
         sse_history=history,
     ).validate()
@@ -141,15 +133,11 @@ def group_experts_random(
     if d_ffn % n_experts != 0:
         raise ValueError(f"n_experts {n_experts} does not divide d_ffn {d_ffn}")
     capacity = d_ffn // n_experts
-    perm = rng.permutation(d_ffn).astype(np.int64)
-    assignment = np.empty(d_ffn, dtype=np.int64)
-    assignment[perm] = np.arange(d_ffn) // capacity
     return ExpertPartition(
         layer_index=layer_index,
         n_experts=n_experts,
         expert_size=capacity,
-        assignment=assignment,
-        permutation=perm,
+        permutation=rng.permutation(d_ffn).astype(np.int64),
         method="random",
     ).validate()
 

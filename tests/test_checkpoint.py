@@ -87,11 +87,42 @@ class TestFormat:
         assert manifest["config"]["d_model"] == 8
         names = [t["name"] for t in manifest["tensors"]]
         assert "router.0.Wg" in names and "router.1.Wg" in names
-        offsets = [t["offset"] for t in manifest["tensors"]]
-        assert offsets == sorted(offsets)
-        for t in manifest["tensors"]:
-            assert t["precision"] == "f32"
-            assert t["nbytes"] == 4 * int(np.prod(t["shape"]))
+        # each fact once: offsets follow from the shapes, experts from the config
+        assert all(t.keys() == {"name", "shape"} for t in manifest["tensors"])
+        assert len(raw) - 12 - mlen == sum(4 * int(np.prod(t["shape"]))
+                                           for t in manifest["tensors"])
+        assert all(p.keys() == {"layer_index", "method", "permutation"}
+                   for p in manifest["partitions"])
+
+    def test_loads_manifest_with_derived_fields(self, tmp_path):
+        # files whose manifest also states each tensor's offset, size and precision and
+        # each partition's assignment and expert counts load to the same state
+        bundle = build_bundle()
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(str(path), bundle)
+
+        def add_derived_fields(m):
+            offset = 0
+            for t in m["tensors"]:
+                nbytes = 4 * int(np.prod(t["shape"]))
+                t.update(offset=offset, nbytes=nbytes, precision="f32")
+                offset += nbytes
+            for d, p in zip(m["partitions"], bundle.partitions):
+                d.update(assignment=(np.argsort(p.permutation) // 4).tolist(), n_experts=2,
+                         expert_size=4)
+
+        rewrite_manifest(path, add_derived_fields)
+        loaded = load_checkpoint(str(path))
+        assert loaded.params.names() == bundle.params.names()
+        for name in bundle.params.names():
+            assert np.array_equal(loaded.params[name].data, bundle.params[name].data)
+        for ra, rb in zip(loaded.routers, bundle.routers, strict=True):
+            assert np.array_equal(ra.Wg.data, rb.Wg.data)
+        for pa, pb in zip(loaded.partitions, bundle.partitions, strict=True):
+            assert (pa.layer_index, pa.n_experts, pa.expert_size, pa.method) == \
+                (pb.layer_index, pb.n_experts, pb.expert_size, pb.method)
+            assert np.array_equal(pa.permutation, pb.permutation)
+            assert np.array_equal(pa.assignment, pb.assignment)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "f.ckpt"
@@ -122,12 +153,11 @@ def drop_tensor(path, name):
     (mlen,) = struct.unpack("<Q", raw[4:12])
     manifest = json.loads(raw[12:12 + mlen].decode())
     blob = raw[12 + mlen:]
-    entry = next(t for t in manifest["tensors"] if t["name"] == name)
-    manifest["tensors"].remove(entry)
-    for t in manifest["tensors"]:
-        if t["offset"] > entry["offset"]:
-            t["offset"] -= entry["nbytes"]
-    blob = blob[:entry["offset"]] + blob[entry["offset"] + entry["nbytes"]:]
+    sizes = [4 * int(np.prod(t["shape"])) for t in manifest["tensors"]]
+    i = [t["name"] for t in manifest["tensors"]].index(name)
+    start = sum(sizes[:i])
+    del manifest["tensors"][i]
+    blob = blob[:start] + blob[start + sizes[i]:]
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + blob)
 
@@ -161,26 +191,29 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'stage'"):
             load_checkpoint(str(path))
 
-    def test_entry_nbytes_must_match_shape(self, tmp_path):
+    def test_table_shapes_must_fill_blob(self, tmp_path):
         path = self.saved(tmp_path)
 
         def halve_first_shape(m):
             m["tensors"][0]["shape"][0] //= 2
 
         rewrite_manifest(path, halve_first_shape)
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*shape"):
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*bytes.*shapes"):
             load_checkpoint(str(path))
 
-
-    def test_shifted_offset_rejected(self, tmp_path):
-        # offsets must tile the blob; a shifted one would read a neighbour's bytes
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        # a second `wte` backed by zero bytes would otherwise replace the first
         path = self.saved(tmp_path)
-
-        def shift_first_offset(m):
-            m["tensors"][0]["offset"] += 4
-
-        rewrite_manifest(path, shift_first_offset)
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*byte 4"):
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[4:12])
+        manifest = json.loads(raw[12:12 + mlen].decode())
+        wte = next(t for t in manifest["tensors"] if t["name"] == "wte")
+        manifest["tensors"].append(dict(wte))
+        mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        zeros = bytes(4 * int(np.prod(wte["shape"])))
+        path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + raw[12 + mlen:]
+                         + zeros)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": tensor wte is listed twice"):
             load_checkpoint(str(path))
 
     def test_unknown_config_key_names_file(self, tmp_path):
@@ -199,12 +232,13 @@ class TestCorruptFiles:
         (lambda m: m.update(partitions=m["partitions"][:1]), "1 partitions for n_layers=2"),
         (lambda m: m["partitions"][0]["permutation"].__setitem__(
             0, m["partitions"][0]["permutation"][1]), "permutation is not a bijection"),
-        (lambda m: m["config"].update(expert_size=2), "partition 0 has 2 experts of 4"),
+        (lambda m: m["config"].update(expert_size=2),
+         r"router 0 Wg has shape \(8, 2\), expected \(8, 4\)"),
         (lambda m: TestCorruptFiles.set_router_shape(m, [2, 8]), r"router 0 Wg has shape \(2, 8\)"),
         (lambda m: m["partitions"][1].update(layer_index=0), "partition 1 has layer_index 0"),
         (lambda m: m["partitions"].reverse(), "partition 0 has layer_index 1"),
     ], ids=["shape_not_a_list", "null_partition", "short_partition_list",
-            "permutation_not_bijective", "partition_disagrees_with_config",
+            "permutation_not_bijective", "config_expert_size_edited",
             "router_disagrees_with_config", "partition_relabelled", "partitions_swapped"])
     def test_malformed_routing_names_file(self, tmp_path, edit, message):
         path = self.saved(tmp_path)

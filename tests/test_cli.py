@@ -242,6 +242,30 @@ class TestSwigluPipeline:
         assert main(["train-base", "--steps", "1", *args, "--set", "activation=silu"]) == 0
         assert load_checkpoint(str(tmp_path / "base.ckpt")).config.activation == "silu"
 
+    def test_swiglu_checkpoint_records_the_silu_it_runs(self, pipeline, tmp_path):
+        from moefy.autograd import no_grad
+        from moefy.checkpoint import save_checkpoint
+        from moefy.model import forward_lm
+
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        args += ["--set", "ffn_kind=swiglu"]
+        assert main(["train-base", "--steps", "1", *args]) == 0
+        base = load_checkpoint(str(tmp_path / "base.ckpt"))
+        assert base.config.activation == "silu"
+        # the activation it runs is the one a later command may name
+        assert main(["moefy", "--checkpoint", str(tmp_path / "base.ckpt"), *args,
+                     "--set", "activation=silu"]) == 0
+        # a swiglu checkpoint that records another activation still runs silu
+        base.config.activation = "gelu_tanh"
+        save_checkpoint(str(tmp_path / "old.ckpt"), base)
+        old = load_checkpoint(str(tmp_path / "old.ckpt"))
+        assert old.config.activation == "gelu_tanh"
+        tokens = np.arange(8)
+        with no_grad():
+            want = forward_lm(load_checkpoint(str(tmp_path / "base.ckpt")).params, tokens)
+            got = forward_lm(old.params, tokens)
+        assert np.array_equal(got.logits.data, want.logits.data)
+
 
 class TestPeriodicCheckpoints:
     def test_checkpoint_every_writes_step_files(self, pipeline, tmp_path):

@@ -88,7 +88,7 @@ class TestRandomGrouping:
 class TestApplyPartition:
     def test_identity_permutation(self):
         layer = random_layer(Rng(1))
-        p = ExpertPartition(0, 3, 4, np.arange(12) // 4, np.arange(12), "random").validate()
+        p = ExpertPartition(0, 3, 4, np.arange(12), "random").validate()
         out = apply_partition(layer, p)
         for role, w in layer.weights.items():
             assert np.array_equal(out.weights[role], w)
