@@ -89,9 +89,10 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Read a checkpoint; a truncated or malformed file raises ValueError naming it.
 
-    The blob must hold exactly the table's tensors, no name may repeat, and
-    the model tensors must carry the names and shapes of `model.param_shapes`
-    for the manifest's config. Partitions and routers, when present, must
+    Each shape must be a list of non-negative ints, the blob must hold
+    exactly the table's tensors, no name may repeat, and the model tensors
+    must carry the names and shapes of `model.param_shapes` for the
+    manifest's config. Partitions and routers, when present, must
     number n_layers, partition i must carry layer_index i, and routers must
     fit the config; a partition's n_experts and expert_size are the config's.
     """
@@ -125,6 +126,11 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad model config ({exc})") from None
     entries = manifest["tensors"]
+    for e in entries:
+        shape = e["shape"]
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise TypeError(f"tensor {e['name']} has shape {shape!r}, not a list of "
+                            f"non-negative ints")
     sizes = [math.prod(e["shape"]) for e in entries]
     if len(blob) != 4 * sum(sizes):
         raise ValueError(f"tensor data is {len(blob)} bytes, the table's shapes need "

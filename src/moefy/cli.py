@@ -33,7 +33,7 @@ from .config import (
     section,
 )
 from .losses import LteHyperparams
-from .model import FFN_LAYOUTS, ModelConfig, get_ffn_layer, init_params, set_ffn_layer
+from .model import ModelConfig, get_ffn_layer, init_params, set_ffn_layer
 from .numerics import NumericError, Rng, blas_threads
 from .training import TrainHyper, TrainingState
 
@@ -120,13 +120,13 @@ def _train(cfg: RunConfig, bundle: CheckpointBundle, stage: str, meta: dict) -> 
 
 def cmd_train_base(args) -> int:
     cfg = _config(args, base_steps=args.steps)
-    # a gated FFN always runs silu: another activation is refused, and silu is recorded
-    if "gate" in FFN_LAYOUTS[cfg.ffn_kind]:
-        if cfg.activation != "silu" and "activation" in _given_keys(args):
-            raise ConfigError(f"activation={cfg.activation}: ffn_kind={cfg.ffn_kind} always "
-                              f"gates with silu")
-        cfg.activation = "silu"
-    params = init_params(section(ModelConfig, cfg), Rng(cfg.seed).split("init"))
+    mc = section(ModelConfig, cfg).validate()
+    # a given model key that validate() replaced would be recorded but never run
+    for key in _given_keys(args) & asdict(mc).keys():
+        if getattr(cfg, key) != getattr(mc, key):
+            raise ConfigError(f"{key}={getattr(cfg, key)}: ffn_kind={mc.ffn_kind} runs "
+                              f"{key}={getattr(mc, key)}")
+    params = init_params(mc, Rng(cfg.seed).split("init"))
     bundle = CheckpointBundle(config=params.config, params=params)
     return _train(cfg, bundle, "base", {"steps": cfg.base_steps})
 

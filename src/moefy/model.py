@@ -59,6 +59,8 @@ class ModelConfig:
             raise ValueError(f"unknown ffn_kind {self.ffn_kind!r}")
         if self.activation not in numerics.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if "gate" in FFN_LAYOUTS[self.ffn_kind]:
+            self.activation = "silu"  # a gated FFN gates with silu, so it records silu
         return self
 
     @property
@@ -74,7 +76,7 @@ class ModelConfig:
 class FfnLayer:
     """One block's FFN weights by role (views into the parameter dict).
 
-    With a `gate` the hidden layer is silu(x @ gate) * (x @ up), and
+    With a `gate` the hidden layer is activation(x @ gate) * (x @ up), and
     `activation` is silu; otherwise it is activation(x @ up + b1).
     """
     weights: dict            # role -> ndarray, in checkpoint order
@@ -116,8 +118,7 @@ def _ffn_tensors(params: TransformerParams, i: int) -> dict[str, Tensor]:
 
 def get_ffn_layer(params: TransformerParams, i: int, partition=None) -> FfnLayer:
     weights = {role: t.data for role, t in _ffn_tensors(params, i).items()}
-    activation = "silu" if "gate" in weights else params.config.activation
-    return FfnLayer(weights, activation, partition)
+    return FfnLayer(weights, params.config.activation, partition)
 
 
 def set_ffn_layer(params: TransformerParams, i: int, layer: FfnLayer) -> None:
@@ -126,11 +127,10 @@ def set_ffn_layer(params: TransformerParams, i: int, layer: FfnLayer) -> None:
 
 
 def ffn_hidden(params: TransformerParams, i: int, x: Tensor) -> Tensor:
-    """Post-activation hidden layer of block i's FFN (silu(gate) * up with a gate)."""
+    """Post-activation hidden layer of block i's FFN (activation(gate) * up with a gate)."""
     w = _ffn_tensors(params, i)
     if "gate" in w:
-        g = x.matmul(w["gate"]).act("silu")
-        return g * x.matmul(w["up"])
+        return x.matmul(w["gate"]).act(params.config.activation) * x.matmul(w["up"])
     return (x.matmul(w["up"]) + w["b1"]).act(params.config.activation)
 
 

@@ -228,6 +228,8 @@ class TestCorruptFiles:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m: m["tensors"][0].update(shape="abc"), "malformed manifest"),
+        (lambda m: m["tensors"][0].update(shape=[-1, 8]),
+         r"malformed manifest \(tensor wte has shape \[-1, 8\], not a list of non-negative"),
         (lambda m: m["partitions"].__setitem__(1, None), "malformed manifest"),
         (lambda m: m.update(partitions=m["partitions"][:1]), "1 partitions for n_layers=2"),
         (lambda m: m["partitions"][0]["permutation"].__setitem__(
@@ -237,7 +239,7 @@ class TestCorruptFiles:
         (lambda m: TestCorruptFiles.set_router_shape(m, [2, 8]), r"router 0 Wg has shape \(2, 8\)"),
         (lambda m: m["partitions"][1].update(layer_index=0), "partition 1 has layer_index 0"),
         (lambda m: m["partitions"].reverse(), "partition 0 has layer_index 1"),
-    ], ids=["shape_not_a_list", "null_partition", "short_partition_list",
+    ], ids=["shape_not_a_list", "negative_dimension", "null_partition", "short_partition_list",
             "permutation_not_bijective", "config_expert_size_edited",
             "router_disagrees_with_config", "partition_relabelled", "partitions_swapped"])
     def test_malformed_routing_names_file(self, tmp_path, edit, message):

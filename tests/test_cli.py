@@ -255,11 +255,14 @@ class TestSwigluPipeline:
         # the activation it runs is the one a later command may name
         assert main(["moefy", "--checkpoint", str(tmp_path / "base.ckpt"), *args,
                      "--set", "activation=silu"]) == 0
-        # a swiglu checkpoint that records another activation still runs silu
+        # an older swiglu checkpoint recording the default gelu_tanh loads as the silu
+        # it runs, so a later command may name silu for it too
         base.config.activation = "gelu_tanh"
         save_checkpoint(str(tmp_path / "old.ckpt"), base)
         old = load_checkpoint(str(tmp_path / "old.ckpt"))
-        assert old.config.activation == "gelu_tanh"
+        assert old.config.activation == "silu"
+        assert main(["moefy", "--checkpoint", str(tmp_path / "old.ckpt"), *args,
+                     "--set", "activation=silu"]) == 0
         tokens = np.arange(8)
         with no_grad():
             want = forward_lm(load_checkpoint(str(tmp_path / "base.ckpt")).params, tokens)

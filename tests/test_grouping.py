@@ -3,6 +3,7 @@ import pytest
 
 from moefy.grouping import (
     ExpertPartition,
+    _greedy_balanced_assign,
     apply_partition,
     group_experts_kmeans,
     group_experts_random,
@@ -26,10 +27,13 @@ class TestKmeans:
         assert p.assignment[2] == p.assignment[3]
         assert p.assignment[0] != p.assignment[2]
 
+    # a partition's assignment is derived from its permutation and is balanced
+    # whatever k-means did, so capacity is checked on the greedy step itself
     def test_capacity_one(self):
+        dist = Rng(1).normal((6, 6), std=1.0) ** 2
+        assert sorted(_greedy_balanced_assign(dist, 1).tolist()) == list(range(6))
         feats = Rng(1).normal((6, 3), std=1.0)
-        p = group_experts_kmeans(feats, 6, Rng(2))
-        assert sorted(p.assignment.tolist()) == list(range(6))
+        assert group_experts_kmeans(feats, 6, Rng(2)).sse_history[-1] == 0.0
 
     def test_beats_random_baseline_over_seeds(self):
         for seed in range(5):
@@ -48,9 +52,15 @@ class TestKmeans:
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
     def test_exact_balance(self):
-        feats = Rng(7).normal((40, 4), std=1.0)
+        # every neuron nearest one centroid: an uncapped assignment would fill it
+        dist = Rng(7).normal((40, 5), std=1.0) ** 2
+        dist[:, 2] -= 10.0
+        assert (np.bincount(_greedy_balanced_assign(dist, 8), minlength=5) == 8).all()
+
+    def test_assignment_is_the_one_sse_history_scores(self):
+        feats = Rng(7).normal((40, 4), std=1.0).astype(np.float64)
         p = group_experts_kmeans(feats, 5, Rng(8))
-        assert (np.bincount(p.assignment) == 8).all()
+        assert partition_sse(feats, p.assignment, 5) == p.sse_history[-1]
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError):
