@@ -10,12 +10,13 @@ fixed tensor order make identical states serialize byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -43,13 +44,31 @@ def _partition_to_json(p: ExpertPartition) -> dict:
 
 
 def _partition_from_json(cfg: ModelConfig, d: dict) -> ExpertPartition:
+    if type(d["layer_index"]) is not int:
+        raise TypeError(f"partition layer_index {d['layer_index']!r} is not an int")
+    permutation = np.asarray(d["permutation"])
+    if permutation.dtype.kind not in "iu":
+        raise TypeError(f"partition {d['layer_index']} permutation is not a list of ints")
     return ExpertPartition(
         layer_index=d["layer_index"],
         n_experts=cfg.n_experts,
         expert_size=cfg.expert_size,
-        permutation=np.asarray(d["permutation"], dtype=np.int64),
+        permutation=permutation.astype(np.int64, copy=False),
         method=d["method"],
     ).validate()
+
+
+def write_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` beside `path`, then rename: a failed write never clobbers `path`."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
@@ -71,25 +90,17 @@ def save_checkpoint(path: str, bundle: CheckpointBundle) -> None:
         "meta": bundle.meta,
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    # write beside the target, then rename: a failed write never clobbers `path`
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(mbytes)))
-            fh.write(mbytes)
-            for _, arr in tensors:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_atomic(path, itertools.chain(
+        (MAGIC, struct.pack("<Q", len(mbytes)), mbytes),
+        (np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in tensors)))
 
 
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Read a checkpoint; a truncated or malformed file raises ValueError naming it.
 
-    Each shape must be a list of non-negative ints, the blob must hold
+    Each name must be a string and each shape a list of non-negative ints,
+    the model sizes ints, a partition's layer_index an int and its
+    permutation a list of ints, and meta an object. The blob must hold
     exactly the table's tensors, no name may repeat, and the model tensors
     must carry the names and shapes of `model.param_shapes` for the
     manifest's config. Partitions and routers, when present, must
@@ -127,6 +138,8 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
         raise ValueError(f"bad model config ({exc})") from None
     entries = manifest["tensors"]
     for e in entries:
+        if type(e["name"]) is not str:
+            raise TypeError(f"tensor name {e['name']!r} is not a string")
         shape = e["shape"]
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise TypeError(f"tensor {e['name']} has shape {shape!r}, not a list of "
@@ -157,13 +170,16 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
     if manifest["partitions"] is not None:
         partitions = [_partition_from_json(cfg, d) for d in manifest["partitions"]]
     _check_routing(cfg, partitions, routers)
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TypeError(f"meta is {meta!r}, not an object")
     return CheckpointBundle(
         config=cfg,
         params=params,
         partitions=partitions,
         routers=routers,
         stage=manifest["stage"],
-        meta=manifest.get("meta", {}),
+        meta=meta,
     )
 
 

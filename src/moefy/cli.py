@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, grouping, routing, sparse_exec, training
-from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint, write_atomic
 from .config import (
     ConfigError,
     RunConfig,
@@ -219,7 +219,7 @@ def cmd_bench(args) -> int:
         warmups=args.warmups, seed=cfg.seed,
     )
     out = _out_dir(cfg) / "bench.tsv"
-    out.write_text(sparse_exec.format_bench_report(report))
+    write_atomic(out, [sparse_exec.format_bench_report(report).encode()])
     print(f"wrote {out} ({len(report.rows)} rows)")
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -237,9 +237,10 @@ def cmd_report(args) -> int:
     report = analysis.layer_sparsity_report(bundle, windows, cfg.tau,
                                             corpus_hash=corpus.sha256)
     out = _out_dir(cfg)
-    (out / "report.txt").write_text(analysis.format_report(report))
-    (out / "sparsity_per_layer.svg").write_text(analysis.render_sparsity_svg(report))
-    (out / "score_histogram.svg").write_text(analysis.render_histogram_svg(report))
+    for name, text in (("report.txt", analysis.format_report(report)),
+                       ("sparsity_per_layer.svg", analysis.render_sparsity_svg(report)),
+                       ("score_histogram.svg", analysis.render_histogram_svg(report))):
+        write_atomic(out / name, [text.encode()])
     print(f"wrote {out / 'report.txt'} (overall sparsity {report.overall_sparsity:.4f})")
     return 0
 

@@ -4,7 +4,8 @@
 router objective are also settings classes of their own (`ModelConfig`,
 `TrainHyper`, `LteHyperparams`); `section` builds one from the `RunConfig`
 fields that share its field names, and each model, optimizer or router key
-is checked once, by the `validate` of the class that owns it.
+takes its default from, and is checked once by the `validate` of, the class
+that owns it.
 """
 
 from __future__ import annotations
@@ -28,27 +29,27 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     # model (tokens are bytes, so the vocabulary is ModelConfig's 256)
-    d_model: int = 128
-    n_heads: int = 4
-    n_layers: int = 4
-    d_ffn: int = 512
-    max_seq_len: int = 256
-    ffn_kind: str = "two_matmul"
-    activation: str = "gelu_tanh"
-    expert_size: int = 16
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    n_layers: int = ModelConfig.n_layers
+    d_ffn: int = ModelConfig.d_ffn
+    max_seq_len: int = ModelConfig.max_seq_len
+    ffn_kind: str = ModelConfig.ffn_kind
+    activation: str = ModelConfig.activation
+    expert_size: int = ModelConfig.expert_size
     # optimization
-    lr: float = 3e-4
-    batch_size: int = 8
-    seq_len: int = 64
+    lr: float = TrainHyper.lr
+    batch_size: int = TrainHyper.batch_size
+    seq_len: int = TrainHyper.seq_len
     base_steps: int = 2000
     stage1_steps: int = 400
     stage2_steps: int = 200
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     # router objective
-    eta: float = 1.0
-    lam: float = 0.5
-    tau: float = 0.5
-    denom_guard: float = 1e-3
+    eta: float = LteHyperparams.eta
+    lam: float = LteHyperparams.lam
+    tau: float = LteHyperparams.tau
+    denom_guard: float = LteHyperparams.denom_guard
     # run
     corpus: str = ""
     seed: int = 0

@@ -11,6 +11,7 @@ gives the plain values that the stage-2 log reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +29,13 @@ class LteHyperparams:
     denom_guard: float = 1e-3  # floor on (score - tau)^2 in the separability term
 
     def validate(self) -> "LteHyperparams":
-        if self.eta < 0 or self.lam < 0:
-            raise ValueError(f"eta and lam must be >= 0, got {self.eta}, {self.lam}")
+        for key in ("eta", "lam"):
+            if not (math.isfinite(getattr(self, key)) and getattr(self, key) >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0,1), got {self.tau}")
-        if self.denom_guard <= 0:
-            raise ValueError(f"denom_guard must be > 0, got {self.denom_guard}")
+        if not (math.isfinite(self.denom_guard) and self.denom_guard > 0):
+            raise ValueError(f"denom_guard must be finite and > 0, got {self.denom_guard}")
         return self
 
 

@@ -49,6 +49,8 @@ class ModelConfig:
     def validate(self) -> "ModelConfig":
         for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "expert_size",
                     "max_seq_len"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be an int, got {getattr(self, key)!r}")
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.d_model % self.n_heads != 0:

@@ -32,10 +32,6 @@ from .numerics import F32, Rng, ShapeError
 class RouterLayer:
     Wg: Tensor                      # (d_model, n_experts), one column per expert
 
-    @property
-    def n_experts(self) -> int:
-        return self.Wg.data.shape[1]
-
 
 @dataclass
 class RoutingDecision:
@@ -76,7 +72,6 @@ def moe_forward_discrete(packed: sparse_exec.PackedExpertWeights, partition, rou
     packed from, names the layer (`layer_index`) to callers that trace it.
     """
     dec = threshold_select(router, x, tau)
-    # np.nonzero walks row-major, so each token's ids come out sorted ascending
     _, ids = np.nonzero(dec.mask)
     ends = np.cumsum(dec.mask.sum(axis=1)).tolist()
     selections = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]

@@ -64,19 +64,13 @@ def pack(layer: FfnLayer) -> PackedExpertWeights:
 
 
 def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """(T, n) bool mask of per-token integer expert ids, each sorted ascending and unique."""
+    """(T, n) bool mask of per-token integer expert ids, in any order; a repeat counts once."""
     if not set(map(attrgetter("dtype.kind"), selections)) <= {"i", "u"}:
         t = next(t for t, s in enumerate(selections) if s.dtype.kind not in "iu")
         raise ValueError(f"expert ids must be integers: token {t}: {selections[t]}")
     counts = np.fromiter(map(len, selections), dtype=np.int64, count=len(selections))
     ids = np.concatenate([np.zeros(0, np.int64), *selections]).astype(np.int64, copy=False)
     tok = np.repeat(np.arange(len(selections)), counts)
-    # ids are compared only inside one token's segment, never across a boundary
-    bad = (np.diff(ids) <= 0) & (tok[1:] == tok[:-1])
-    if bad.any():
-        t = int(tok[1:][bad][0])
-        raise ValueError(f"selection must be sorted ascending and unique: token {t}: "
-                         f"{selections[t]}")
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         t = int(tok[(ids < 0) | (ids >= n)][0])
         raise ValueError(f"expert id out of range [0, {n}): token {t}: {selections[t]}")
@@ -105,16 +99,16 @@ def sparse_ffn_forward(
 ) -> np.ndarray:
     """Gather-free FFN over the union of the experts the rows selected.
 
-    selections[t] is an integer array of that token's expert ids, sorted
-    ascending, unique. Every row runs through the union U of all selected
-    experts, laid out in one (T, |U| * expert_size) hidden buffer. Each run
-    of adjacent union experts costs one up matmul (two with a gate) on one
-    contiguous slab block, and the bias and the activation run once. Each
-    (token, expert) pair the token did not select is then set to exactly 0,
-    so a non-finite value in that expert's up, gate or b1 slab never reaches
-    the token (one in a `down` slab reaches every row of a call whose union
-    holds the expert). Runs add their down matmuls into the output in
-    ascending order, then `b2` is added.
+    selections[t] is an integer array of that token's expert ids, in any
+    order; a repeated id counts once. Every row runs through the union U of
+    all selected experts, laid out in one (T, |U| * expert_size) hidden
+    buffer. Each run of adjacent union experts costs one up matmul (two with
+    a gate) on one contiguous slab block, and the bias and the activation
+    run once. Each (token, expert) pair the token did not select is then set
+    to exactly 0, so a non-finite value in that expert's up, gate or b1 slab
+    never reaches the token (one in a `down` slab reaches every row of a
+    call whose union holds the expert). Runs add their down matmuls into the
+    output in ascending order, then `b2` is added.
     """
     if x.ndim != 2 or len(selections) != x.shape[0]:
         raise numerics.ShapeError(

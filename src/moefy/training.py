@@ -57,8 +57,8 @@ class TrainHyper:
         for key in ("batch_size", "seq_len"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         return self
 
     @property

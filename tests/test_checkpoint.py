@@ -239,9 +239,21 @@ class TestCorruptFiles:
         (lambda m: TestCorruptFiles.set_router_shape(m, [2, 8]), r"router 0 Wg has shape \(2, 8\)"),
         (lambda m: m["partitions"][1].update(layer_index=0), "partition 1 has layer_index 0"),
         (lambda m: m["partitions"].reverse(), "partition 0 has layer_index 1"),
+        (lambda m: m["tensors"][0].update(name=5),
+         r"malformed manifest \(tensor name 5 is not a string\)"),
+        (lambda m: m["config"].update(d_model=8.0),
+         r"bad model config \(d_model must be an int, got 8.0\)"),
+        (lambda m: m["partitions"][0].update(
+            permutation=[i + 0.5 for i in m["partitions"][0]["permutation"]]),
+         r"malformed manifest \(partition 0 permutation is not a list of ints\)"),
+        (lambda m: m["partitions"][0].update(layer_index="0"),
+         r"malformed manifest \(partition layer_index '0' is not an int\)"),
+        (lambda m: m.update(meta=[1, 2]), r"malformed manifest \(meta is \[1, 2\], not an object\)"),
     ], ids=["shape_not_a_list", "negative_dimension", "null_partition", "short_partition_list",
             "permutation_not_bijective", "config_expert_size_edited",
-            "router_disagrees_with_config", "partition_relabelled", "partitions_swapped"])
+            "router_disagrees_with_config", "partition_relabelled", "partitions_swapped",
+            "name_not_a_string", "float_model_size", "fractional_permutation",
+            "string_layer_index", "meta_not_an_object"])
     def test_malformed_routing_names_file(self, tmp_path, edit, message):
         path = self.saved(tmp_path)
         rewrite_manifest(path, edit)

@@ -1,5 +1,9 @@
 """End-to-end pipeline through the CLI at miniature scale."""
 
+import builtins
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -98,6 +102,42 @@ class TestPipeline:
         first = (out / "report.txt").read_bytes()
         assert main(["report", "--checkpoint", str(out / "stage2.ckpt"), *args]) == 0
         assert (out / "report.txt").read_bytes() == first
+
+    def test_failed_report_write_keeps_previous_report(self, pipeline, tmp_path, monkeypatch):
+        args = [a if a != str(pipeline["out"]) else str(tmp_path) for a in pipeline["args"]]
+        argv = ["report", "--checkpoint", str(pipeline["out"] / "stage2.ckpt"), *args]
+        assert main(argv) == 0
+        before = (tmp_path / "report.txt").read_bytes()
+        real_open = builtins.open
+
+        class HalfWrite:
+            """A file whose first write stores half its data, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("injected write failure")
+
+        def failing_open(file, mode="r", *a, **kw):
+            fh = real_open(file, mode, *a, **kw)
+            return HalfWrite(fh) if "w" in mode and "report.txt" in Path(file).name else fh
+
+        # Path.write_text opens through io.open, the builtin open is the same function
+        monkeypatch.setattr(builtins, "open", failing_open)
+        monkeypatch.setattr(io, "open", failing_open)
+        with pytest.raises(OSError, match="injected"):
+            main(argv)
+        monkeypatch.undo()
+        assert (tmp_path / "report.txt").read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_report_sparsity_consistent_with_eval(self, pipeline):
         out = pipeline["out"]

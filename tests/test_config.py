@@ -67,6 +67,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="denom_guard"):
             build_config(None, {"denom_guard": 0.0})
 
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    @pytest.mark.parametrize("key", ("lr", "eta", "lam", "denom_guard"))
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key}={value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be .*finite.*, got {value}$"):
+            build_config(str(p))
+
     @pytest.mark.parametrize("cls", (ModelConfig, TrainHyper, LteHyperparams))
     def test_shared_keys_share_defaults(self, cls):
         # a key declared both in RunConfig and in its settings class has one default

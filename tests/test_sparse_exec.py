@@ -98,16 +98,18 @@ class TestSparseForward:
                 ref = expert_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
                 assert np.abs(y[t] - ref[0]).max() < 1e-5
 
-    def test_unsorted_selection_rejected(self):
-        _, packed = packed_layer(Rng(10))
-        x = np.zeros((1, 8), dtype=np.float32)
-        with pytest.raises(ValueError):
-            sparse_ffn_forward(packed, [np.array([2, 1])], x)
-
-    def test_duplicate_selection_rejected(self):
-        _, packed = packed_layer(Rng(11))
-        with pytest.raises(ValueError):
-            sparse_ffn_forward(packed, [np.array([1, 1])], np.zeros((1, 8), np.float32))
+    def test_reordered_and_repeated_ids_same_bits(self):
+        # the kernel reads a selection as a set: order and repeats change no bit
+        _, packed = model_shape_layer("two_matmul", np.float32)
+        sels = distinct_selections()
+        rng = Rng(26)
+        shuffled = [np.concatenate([s[::-1], s[: len(s) // 2]]) for s in sels]
+        shuffled = [s[rng.permutation(len(s))] for s in shuffled]
+        x = Rng(27).normal((len(sels), 128), std=1.0)
+        y = sparse_ffn_forward(packed, sels, x)
+        assert np.array_equal(sparse_ffn_forward(packed, shuffled, x), y)
+        assert np.array_equal(sparse_ffn_forward(packed, [sels[5][::-1].repeat(2)], x[5:6]),
+                              sparse_ffn_forward(packed, [sels[5]], x[5:6]))
 
     def test_out_of_range_rejected(self):
         _, packed = packed_layer(Rng(12))
@@ -172,7 +174,7 @@ class TestExpertMajorDispatch:
             ref = expert_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
             assert np.abs(y[t] - ref[0]).max() < 1e-5
 
-    @pytest.mark.parametrize("bad", [[3, 2], [4, 4], [32], [-1], [0, 31, 32],
+    @pytest.mark.parametrize("bad", [[32], [-1], [0, 31, 32],
                                      [1.7, 2.2], [False, True]])
     def test_one_bad_token_in_a_batch_rejected(self, bad):
         _, packed = model_shape_layer("two_matmul", np.float32)
