@@ -255,7 +255,7 @@ def bench(
             for sparsity in sparsity_grid:
                 k = max(1, int(round((1.0 - sparsity) * n)))
                 srng = rng.split(f"sel_{shape_tag}_{sparsity}")
-                selections = [np.sort(srng.choice(n, k)) for _ in range(batch)]
+                selections = [srng.choice(n, k) for _ in range(batch)]
                 with no_grad():
                     med_d, iqr_d = _time_call(
                         lambda: ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x))),

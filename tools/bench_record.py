@@ -1,19 +1,19 @@
 """Record a BENCH_<tag>.json at the repository root from end-to-end perfbench runs.
 
-    python tools/bench_record.py --tag TAG [--src CHECKOUT] [--seeds N] \\
-        [--first-seed S] [--seconds SEC]
+    python tools/bench_record.py --tag TAG [--src CHECKOUT]
 
 Runs CHECKOUT's `perfbench/run.py` as it is (CHECKOUT defaults to this
-repository) with `--trace 0`, for N >= 3 seeds S, S+1, ... per workload of
-BENCHMARK.json. The runs go seed by seed, each seed through every workload
-once, so no workload runs twice in a row and a process that starts on a slow
-BLAS plateau costs one workload one seed. Then CHECKOUT's
-`perfbench/summarize.py --min-seed S --baseline-out BENCH_TAG.json`, reading
-only the records these runs appended, writes the median, quartiles and spread
-of every metric. This script computes no statistics of its own.
+repository) with `--trace 0` and the `run_seconds` of CHECKOUT's
+BENCHMARK.json, for seeds 600, 601 and 602 per workload of that file. The
+runs go seed by seed, each seed through every workload once, so no workload
+runs twice in a row and a process that starts on a slow BLAS plateau costs
+one workload one seed. Then CHECKOUT's `perfbench/summarize.py --min-seed 600
+--baseline-out BENCH_TAG.json`, reading only the records these runs appended,
+writes the median, quartiles and spread of every metric. This script computes
+no statistics of its own.
 
-Run nothing else on the machine meanwhile: each run takes about SEC seconds
-plus its set-up, and the figures are wall times.
+Run nothing else on the machine meanwhile: each run takes `run_seconds` plus
+its set-up, and the figures are wall times.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MIN_SEEDS = 3
+SEEDS = range(600, 603)
 
 
 def run_order(workloads: list[str], seeds: list[int]) -> list[tuple[str, int]]:
@@ -37,29 +37,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
     ap.add_argument("--src", type=Path, default=ROOT, help="repository root to benchmark")
-    ap.add_argument("--seeds", type=int, default=MIN_SEEDS, help=f"seeds per workload, >= {MIN_SEEDS}")
-    ap.add_argument("--first-seed", type=int, default=600)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
-    if args.seeds < MIN_SEEDS:
-        ap.error(f"--seeds must be >= {MIN_SEEDS}, got {args.seeds}")
     src = args.src.resolve()
-    workloads = [w["name"] for w in json.loads((src / "BENCHMARK.json").read_text())["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.seeds))
+    bench = json.loads((src / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
     records = src / ".perfbench_work" / "records.jsonl"
     start = len(records.read_text().splitlines()) if records.exists() else 0
 
-    for workload, seed in run_order(workloads, seeds):
+    for workload, seed in run_order(workloads, list(SEEDS)):
         print(f"bench_record: {workload} seed {seed}", file=sys.stderr, flush=True)
         subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                        "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"],
+                        "--seed", str(seed), "--seconds", str(bench["run_seconds"]), "--trace", "0"],
                        cwd=src, check=True)
 
     # summarize.py groups every record it reads; give it only this recording's runs
     ours = src / ".perfbench_work" / f"bench_{args.tag}.jsonl"
     ours.write_text("".join(line + "\n" for line in records.read_text().splitlines()[start:]))
     subprocess.run([sys.executable, "perfbench/summarize.py", "--records", str(ours),
-                    "--min-seed", str(args.first_seed),
+                    "--min-seed", str(SEEDS[0]),
                     "--baseline-out", str(ROOT / f"BENCH_{args.tag}.json")],
                    cwd=src, check=True)
     return 0
