@@ -11,6 +11,13 @@ adaptation training, as a 0/1 operand of `*`. The selection indicator is
 piecewise constant, so the graph treats it as data and no gradient flows
 through the decision itself.
 
+Backward consumes the tape: one backward per forward. As reverse mode
+passes an inner node it drops that node's gradient, its closure (and with
+it the inputs the closure saved, such as layernorm's `xhat`) and its parent
+links, so gradients and activations are freed as the walk moves down the
+graph. Leaves (parameters, routers) keep `.grad`; inner nodes keep none. A
+second backward through a consumed node raises `RuntimeError`.
+
 Buffer rule for the ops: forward and backward write only arrays they
 allocated themselves, never an input, `self.data` or a value a backward
 closure still reads (such as layernorm's `xhat`), and they keep the operand
@@ -44,6 +51,11 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _grad_enabled
+
+
+def _spent(g=None):
+    """The closure slot of a node that backward has already consumed."""
+    raise RuntimeError("backward already ran through this graph; run the forward pass again")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -89,6 +101,13 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every leaf's `.grad`, consuming the tape.
+
+        Each inner node's closure runs once, in reverse topological order;
+        then the node's `.grad`, closure and parent links are dropped. Run
+        the forward pass again before the next backward: reaching a consumed
+        node raises `RuntimeError` before any gradient is written.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() expects a scalar loss")
         if not np.isfinite(self.data).all():
@@ -103,15 +122,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                _spent()
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf or a constant
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _spent, ()
 
     def item(self) -> float:
         return float(self.data)
@@ -222,13 +247,24 @@ class Tensor:
             self._accum(acc)
         return self._make(self.data[idx], (self,), back)
 
-    def repeat_cols(self, times: int) -> "Tensor":
-        """Repeat each column `times` times (expert score -> per-neuron scale)."""
-        t, n = self.data.shape
-        data = np.repeat(self.data, times, axis=1)
+    def scale_blocks(self, scale: "Tensor") -> "Tensor":
+        """(T, d) times a (T, m) scale: column j of `scale` multiplies the j-th
+        block of d / m adjacent columns (expert score -> its neurons), read
+        through a broadcast view rather than repeated to (T, d)."""
+        t, d = self.data.shape
+        m = scale.data.shape[1]
+        if d % m != 0:
+            raise ShapeError(f"{d} columns not divisible into {m} scale blocks")
+        blocks = (t, m, d // m)
+        s = scale.data[:, :, None]
+        data = np.multiply(self.data.reshape(blocks), s).reshape(t, d)
         def back(g):
-            self._accum(g.reshape(t, n, times).sum(axis=2))
-        return self._make(data, (self,), back)
+            gb = g.reshape(blocks)
+            if self.requires_grad:
+                self._accum(np.multiply(gb, s).reshape(t, d))
+            if scale.requires_grad:
+                scale._accum(np.multiply(gb, self.data.reshape(blocks)).sum(axis=2))
+        return self._make(data, (self, scale), back)
 
     # -- fused layers ------------------------------------------------------
 

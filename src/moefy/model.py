@@ -146,10 +146,7 @@ def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor
     A constant scale passes no gradient.
     """
     if scale is not None:
-        width, m = a.shape[1], scale.shape[1]
-        if width % m != 0:
-            raise ShapeError(f"d_ffn {width} not divisible into {m} scale columns")
-        a = a * scale.repeat_cols(width // m)
+        a = a.scale_blocks(scale)
     w = _ffn_tensors(params, i)
     out = a.matmul(w["down"])
     return out + w["b2"] if "b2" in w else out

@@ -1,5 +1,7 @@
 """Every autograd op is checked against central finite differences in float64."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -102,8 +104,14 @@ class TestStructure:
         with pytest.raises(ShapeError):
             param(rnd((2, 3, 4), 40)).matmul(param(rnd((4, 2), 41)))
 
-    def test_repeat_cols(self):
-        check_grads(lambda a: (a.repeat_cols(3) * 0.5).square().sum(), rnd((2, 4), 16))
+    @pytest.mark.parametrize("m", [4, 12], ids=["per_expert", "per_neuron"])
+    def test_scale_blocks(self, m):
+        check_grads(lambda a, s: a.scale_blocks(s).square().sum(), rnd((3, 12), 16),
+                    rnd((3, m), 17))
+
+    def test_scale_blocks_needs_whole_blocks(self):
+        with pytest.raises(ShapeError):
+            param(rnd((3, 12), 18)).scale_blocks(param(rnd((3, 5), 19)))
 
 
 class TestFused:
@@ -196,6 +204,13 @@ def expression_act(x, kind, g):
     return activation(x, kind), g * activation_grad(x, kind)
 
 
+def expression_scale_blocks(a, scale, g):
+    # the repeated (T, d) scale of the replaced `a * scale.repeat_cols(d // m)`
+    t, m = scale.shape
+    rep = np.repeat(scale, a.shape[1] // m, axis=1)
+    return a * rep, g * rep, (g * a).reshape(t, m, -1).sum(axis=2)
+
+
 def through_tape(op, arrays, g):
     """Run op on leaf Tensors over `arrays`, backpropagate `g` from its output.
 
@@ -236,6 +251,12 @@ class TestBitwiseOracles:
         for kind in ("relu", "gelu_tanh", "silu"):
             x, g = r((40, 512), 69, 3.0), r((40, 512), 70)
             yield (f"act {kind}", lambda a, k=kind: a.act(k), [x], g, expression_act(x, kind, g))
+        for m in (32, 512):  # per expert (expert_size 16), per neuron
+            a, s, g = r((40, 512), 71), r((40, m), 72), r((40, 512), 73)
+            a[:, :16] = -0.0  # a block whose products are all signed zeros
+            a[3, ::5] = s[0] = g[1] = -0.0
+            yield (f"scale_blocks m={m}", lambda x, y: x.scale_blocks(y), [a, s], g,
+                   expression_scale_blocks(a, s, g))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_and_gradients_equal_expressions(self, dtype):
@@ -273,6 +294,36 @@ class TestGraph:
         x = param(np.array([np.inf]))
         with pytest.raises(NumericError):
             x.sum().backward()
+
+    def test_backward_frees_intermediates(self):
+        x, w = param(rnd((4, 8), 50)), param(rnd((8, 8), 51))
+        h = x.matmul(w)
+        freed = weakref.ref(h.data)
+        loss = h.act("gelu_tanh").square().sum()
+        del h
+        assert freed() is not None  # the tape holds it until backward consumes it
+        loss.backward()
+        assert freed() is None
+        assert x.grad is not None and w.grad is not None
+        assert loss.grad is None
+
+    def test_second_backward_from_the_same_loss_raises(self):
+        x = param(rnd((4,), 52))
+        loss = (x * x).sum()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="run the forward pass again"):
+            loss.backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_backward_through_a_consumed_shared_node_raises(self):
+        x = param(rnd((4,), 53))
+        shared = x.square()
+        shared.sum().backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="backward already ran through this graph"):
+            (shared * 3.0).sum().backward()
+        assert np.array_equal(x.grad, first)  # raised before any gradient was written
 
     def test_constants_do_not_require_grad(self):
         c = Tensor(np.ones(3))
