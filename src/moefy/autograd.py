@@ -3,13 +3,14 @@
 A small tape: each op records its parents and a closure that scatters the
 output gradient back to them. The op set is what the program records (the
 language model, the routed FFN paths and the three loss terms), plus `sum`,
-which the float64 gradient checks reduce with.
+which the float64 gradient checks reduce with. `+` and `*` never broadcast:
+a bias rides in `matmul`, attention's scale and mask in `causal_softmax`.
 
 Gradients are exact. A constant Tensor (one that does not require grad)
 receives none: that is how discrete expert selection enters the graph in
-adaptation training, as a 0/1 operand of `*`. The selection indicator is
-piecewise constant, so the graph treats it as data and no gradient flows
-through the decision itself.
+adaptation training, as the 0/1 scale of `scale_blocks`. The selection
+indicator is piecewise constant, so the graph treats it as data and no
+gradient flows through the decision itself.
 
 Backward consumes the tape: one backward per forward. As reverse mode
 passes an inner node it drops that node's gradient, its closure (and with
@@ -56,16 +57,6 @@ def grad_enabled() -> bool:
 def _spent(g=None):
     """The closure slot of a node that backward has already consumed."""
     raise RuntimeError("backward already ran through this graph; run the forward pass again")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
 
 
 class Tensor:
@@ -154,39 +145,50 @@ class Tensor:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _check_operand(self, other, op: str) -> None:
+        if not isinstance(other, Tensor):
+            raise TypeError(f"{op} takes a Tensor or a Python scalar, got {type(other).__name__}")
+        if other.data.shape != self.data.shape:
+            raise ShapeError(f"{op} needs equal shapes, got {self.data.shape} and {other.data.shape}")
+
     def __add__(self, other):
         if isinstance(other, (int, float)):
             return self._make(self.data + other, (self,), lambda g: self._accum(g))
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other))
+        self._check_operand(other, "+")
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
+                self._accum(g)
             if other.requires_grad:
-                other._accum(_unbroadcast(g, other.data.shape))
+                other._accum(g)
         return self._make(self.data + other.data, (self, other), back)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return self._make(self.data * other, (self,), lambda g: self._accum(g * other))
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other))
+        self._check_operand(other, "*")
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
+                self._accum(g * other.data)
             if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
+                other._accum(g * self.data)
         return self._make(self.data * other.data, (self, other), back)
 
-    def matmul(self, other: "Tensor") -> "Tensor":
-        """2-D or stacked (..., m, k) @ (..., k, n) product via numerics.matmul."""
+    def matmul(self, other: "Tensor", bias: Optional["Tensor"] = None) -> "Tensor":
+        """2-D or stacked (..., m, k) @ (..., k, n) product via numerics.matmul,
+        plus an optional (n,) `bias` on every row of a 2-D product."""
         data = numerics.matmul(self.data, other.data)
+        if bias is not None:
+            if data.ndim != 2 or bias.data.shape != data.shape[1:]:
+                raise ShapeError(f"bias {bias.data.shape} for a {data.shape} product")
+            data += bias.data
         def back(g):
+            if bias is not None and bias.requires_grad:
+                bias._accum(g.sum(axis=0))
             if self.requires_grad:
                 self._accum(numerics.matmul(g, other.data.swapaxes(-1, -2)))
             if other.requires_grad:
                 other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g))
-        return self._make(data, (self, other), back)
+        return self._make(data, (self, other) if bias is None else (self, other, bias), back)
 
     def transpose(self) -> "Tensor":
         """Swap the last two axes."""
@@ -304,16 +306,20 @@ class Tensor:
                 self._accum(np.multiply(inv, gxhat, out=gxhat))
         return self._make(data, (self, gain, bias), back)
 
-    def softmax_rows(self) -> "Tensor":
-        x = self.data
-        y = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True))
+    def causal_softmax(self, scale: float) -> "Tensor":
+        """Softmax over the last axis of `self * scale`, where key j > query i
+        first gets -1e30 added: exp() underflows, so its probability is 0."""
+        q, k = self.data.shape[-2:]
+        y = np.multiply(self.data, scale)
+        np.add(y, -1e30, out=y, where=np.arange(k) > np.arange(q)[:, None])
+        np.subtract(y, np.maximum.reduce(y, axis=-1, keepdims=True), out=y)
         np.exp(y, out=y)
         np.true_divide(y, np.add.reduce(y, axis=-1, keepdims=True), out=y)
         def back(g):
             r = np.multiply(g, y)
-            dot = np.add.reduce(r, axis=-1, keepdims=True)
-            np.subtract(g, dot, out=r)
-            self._accum(np.multiply(y, r, out=r))
+            np.subtract(g, np.add.reduce(r, axis=-1, keepdims=True), out=r)
+            np.multiply(y, r, out=r)
+            self._accum(np.multiply(r, scale, out=r))
         return self._make(y, (self,), back)
 
     def cross_entropy_mean(self, targets: np.ndarray) -> "Tensor":

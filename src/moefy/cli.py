@@ -213,7 +213,10 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config(args)
-    grid = tuple(float(s) / 100.0 for s in args.grid.split(","))
+    try:
+        grid = tuple(float(s) / 100.0 for s in args.grid.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--grid {args.grid}: {exc}") from None
     report = sparse_exec.bench(
         sparsity_grid=grid, expert_size=args.expert_size, trials=args.trials,
         warmups=args.warmups, seed=cfg.seed,

@@ -31,7 +31,6 @@ FFN_LAYOUTS = {
 }
 # the axis of each role that runs over the d_ffn hidden units; b2 has none
 D_FFN_AXIS = {"up": 1, "gate": 1, "down": 0, "b1": 0}
-NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0
 
 
 @dataclass
@@ -133,7 +132,7 @@ def ffn_hidden(params: TransformerParams, i: int, x: Tensor) -> Tensor:
     w = _ffn_tensors(params, i)
     if "gate" in w:
         return x.matmul(w["gate"]).act(params.config.activation) * x.matmul(w["up"])
-    return (x.matmul(w["up"]) + w["b1"]).act(params.config.activation)
+    return x.matmul(w["up"], w["b1"]).act(params.config.activation)
 
 
 def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor] = None) -> Tensor:
@@ -148,8 +147,7 @@ def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor
     if scale is not None:
         a = a.scale_blocks(scale)
     w = _ffn_tensors(params, i)
-    out = a.matmul(w["down"])
-    return out + w["b2"] if "b2" in w else out
+    return a.matmul(w["down"], w.get("b2"))
 
 
 def ffn_flops_per_token(cfg: ModelConfig) -> int:
@@ -216,26 +214,19 @@ class ForwardResult:
     score_graph: Optional[list] = None   # per-layer (B*T, n_experts) score Tensors, moe_soft only
 
 
-def _attention(params: TransformerParams, i: int, xn: Tensor, mask_add: Tensor,
-               b: int, t: int) -> Tensor:
+def _attention(params: TransformerParams, i: int, xn: Tensor, b: int, t: int) -> Tensor:
     """Causal multi-head attention over (B*T, d) rows; heads split by reshape."""
     cfg = params.config
     h, hd = cfg.n_heads, cfg.head_dim
 
     def heads(name: str) -> Tensor:  # (B*T, d) -> (B, H, T, hd)
-        y = xn.matmul(params[f"block{i}.attn.W{name}"]) + params[f"block{i}.attn.b{name}"]
+        y = xn.matmul(params[f"block{i}.attn.W{name}"], params[f"block{i}.attn.b{name}"])
         return y.reshape(b, t, h, hd).permute(0, 2, 1, 3)
 
     q, k, v = heads("q"), heads("k"), heads("v")
-    att = q.matmul(k.transpose()) * (1.0 / math.sqrt(hd)) + mask_add
-    ctx = att.softmax_rows().matmul(v).permute(0, 2, 1, 3).reshape(b * t, cfg.d_model)
-    return ctx.matmul(params[f"block{i}.attn.Wo"]) + params[f"block{i}.attn.bo"]
-
-
-def causal_mask(t: int, dtype=F32) -> np.ndarray:
-    m = np.zeros((t, t), dtype=dtype)
-    m[np.triu_indices(t, k=1)] = NEG_INF
-    return m
+    att = q.matmul(k.transpose()).causal_softmax(1.0 / math.sqrt(hd))
+    ctx = att.matmul(v).permute(0, 2, 1, 3).reshape(b * t, cfg.d_model)
+    return ctx.matmul(params[f"block{i}.attn.Wo"], params[f"block{i}.attn.bo"])
 
 
 def forward_lm(
@@ -285,16 +276,14 @@ def forward_lm(
     if gather and (packed is None or partitions is None):
         raise ValueError("moe_discrete without a graph requires packed weights and partitions")
 
-    dtype = params["wte"].data.dtype
     x = params["wte"].rows(tokens.reshape(-1)) + params["wpe"].rows(np.tile(np.arange(t), b))
-    mask_add = Tensor(causal_mask(t, dtype=dtype))
 
     decisions = [] if (ffn_mode != "dense" or ffn_scale) else None
     score_graph = [] if ffn_mode == "moe_soft" else None
 
     for i in range(cfg.n_layers):
         xn = x.layernorm(params[f"block{i}.ln1.g"], params[f"block{i}.ln1.b"])
-        x = x + _attention(params, i, xn, mask_add, b, t)
+        x = x + _attention(params, i, xn, b, t)
         xf = x.layernorm(params[f"block{i}.ln2.g"], params[f"block{i}.ln2.b"])
 
         if ffn_mode == "dense":
@@ -317,6 +306,6 @@ def forward_lm(
         x = x + f
 
     xn = x.layernorm(params["ln_f.g"], params["ln_f.b"])
-    logits = xn.matmul(params["head.W"]) + params["head.b"]
+    logits = xn.matmul(params["head.W"], params["head.b"])
     return ForwardResult(logits=logits, decisions=decisions, score_graph=score_graph)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moefy.autograd import Tensor, no_grad, param
-from moefy.numerics import NumericError, Rng, ShapeError, activation, activation_grad
+from moefy.numerics import NumericError, Rng, ShapeError, activation, activation_grad, matmul
 
 from oracles import finite_diff_grad
 
@@ -35,11 +35,27 @@ def rnd(shape, seed, std=1.0):
 
 
 class TestElementwise:
-    def test_add_broadcast_bias(self):
-        check_grads(lambda x, b: (x + b).square().mean(), rnd((4, 3), 0), rnd((3,), 1))
+    def test_add(self):
+        check_grads(lambda a, b: (a + b).square().mean(), rnd((4, 3), 0), rnd((4, 3), 1))
 
     def test_mul(self):
         check_grads(lambda a, b: (a * b).sum(), rnd((3, 3), 2), rnd((3, 3), 3))
+
+    @pytest.mark.parametrize("other", [(3,), (1, 3), (4, 1), (2, 4, 3)])
+    def test_add_and_mul_need_equal_shapes(self, other):
+        a, b = param(rnd((4, 3), 80)), param(rnd(other, 81))
+        with pytest.raises(ShapeError):
+            a + b
+        with pytest.raises(ShapeError):
+            a * b
+        with pytest.raises(ShapeError):
+            b * a
+
+    def test_ndarray_operand_rejected(self):
+        with pytest.raises(TypeError):
+            param(rnd((4, 3), 82)) + rnd((4, 3), 83)
+        with pytest.raises(TypeError):
+            param(rnd((4, 3), 82)) * rnd((4, 3), 83)
 
     def test_mul_scalar_and_neg(self):
         check_grads(lambda a: (a * 2.5).sum(), rnd((5,), 4))
@@ -69,6 +85,18 @@ class TestStructure:
     def test_matmul(self):
         check_grads(lambda a, b: a.matmul(b).square().mean(), rnd((4, 3), 10), rnd((3, 5), 11))
 
+    def test_matmul_bias(self):
+        check_grads(lambda a, w, b: a.matmul(w, b).square().mean(),
+                    rnd((4, 3), 84), rnd((3, 5), 85), rnd((5,), 86))
+
+    def test_matmul_bias_shape_errors(self):
+        x, w = param(rnd((4, 3), 87)), param(rnd((3, 5), 88))
+        for bias in (rnd((4,), 89), rnd((1, 5), 90), rnd((4, 5), 91)):
+            with pytest.raises(ShapeError):
+                x.matmul(w, param(bias))
+        with pytest.raises(ShapeError):  # a bias rides on 2-D products only
+            param(rnd((2, 4, 3), 92)).matmul(param(rnd((2, 3, 5), 93)), param(rnd((5,), 94)))
+
     def test_transpose(self):
         check_grads(lambda a: a.transpose().matmul(a).sum(), rnd((3, 4), 12))
 
@@ -79,16 +107,17 @@ class TestStructure:
     def test_transpose_swaps_last_two_axes(self):
         x = rnd((2, 3, 4), 14)
         assert param(x).transpose().shape == (2, 4, 3)
-        check_grads(lambda a: (a.transpose() * rnd((2, 4, 3), 15)).sum(), x)
+        check_grads(lambda a: (a.transpose() * Tensor(rnd((2, 4, 3), 15))).sum(), x)
 
     def test_reshape(self):
-        check_grads(lambda a: (a.reshape(6, 4) * rnd((6, 4), 30)).square().sum(),
+        check_grads(lambda a: (a.reshape(6, 4) * Tensor(rnd((6, 4), 30))).square().sum(),
                     rnd((2, 3, 4), 31))
 
     def test_permute(self):
         x = rnd((2, 3, 4, 5), 32)
         assert param(x).permute(0, 2, 1, 3).shape == (2, 4, 3, 5)
-        check_grads(lambda a: (a.permute(2, 0, 3, 1) * rnd((4, 2, 5, 3), 33)).square().sum(), x)
+        check_grads(lambda a: (a.permute(2, 0, 3, 1) * Tensor(rnd((4, 2, 5, 3), 33))).square().sum(),
+                    x)
 
     def test_stacked_matmul_both_operands(self):
         check_grads(lambda a, b: a.matmul(b).square().mean(),
@@ -121,12 +150,13 @@ class TestFused:
             rnd((6, 8), 17), rnd((8,), 18) + 1.0, rnd((8,), 19),
         )
 
-    def test_softmax_rows(self):
-        check_grads(lambda a: (a.softmax_rows() * rnd((4, 5), 21)).sum(), rnd((4, 5), 20))
+    def test_causal_softmax(self):
+        check_grads(lambda a: (a.causal_softmax(0.7) * Tensor(rnd((5, 5), 21))).sum(),
+                    rnd((5, 5), 20))
 
-    def test_softmax_rows_4d(self):
-        check_grads(lambda a: (a.softmax_rows() * rnd((2, 2, 3, 4), 42)).sum(),
-                    rnd((2, 2, 3, 4), 43))
+    def test_causal_softmax_4d(self):
+        check_grads(lambda a: (a.causal_softmax(0.5) * Tensor(rnd((2, 2, 4, 4), 42))).sum(),
+                    rnd((2, 2, 4, 4), 43))
 
     def test_layernorm_on_batch_rows(self):
         # (B, T, d) flattened to B*T rows, as the batched forward pass does
@@ -139,9 +169,14 @@ class TestFused:
         targets = np.array([[1, 0, 3], [2, 2, 4]]).reshape(-1)
         check_grads(lambda a: a.reshape(6, 5).cross_entropy_mean(targets), rnd((2, 3, 5), 47))
 
-    def test_softmax_rows_sum_to_one(self):
-        p = param(rnd((7, 9), 22)).softmax_rows().data
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_causal_softmax_masks_future_keys_exactly(self, dtype):
+        x = Rng(22).normal((2, 9, 9), std=3.0, dtype=dtype)
+        x[:, :, 8] = 1e6  # a huge score of the last key, future to every row but the last
+        p = param(x).causal_softmax(0.25).data
+        future = np.arange(9) > np.arange(9)[:, None]
+        assert (p[:, future] == 0.0).all() and (p[:, :8][:, ~future[:8]] > 0.0).all()
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-6)
 
     def test_cross_entropy(self):
         targets = np.array([1, 0, 3, 2])
@@ -177,12 +212,22 @@ def expression_layernorm(x, gain, bias, g, eps=1e-5):
     return gain * xhat + bias, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
-def expression_softmax_rows(x, g):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
+def expression_matmul_bias(x, w, b, g):
+    # the replaced `x.matmul(w) + b`: a broadcast add whose bias gradient summed g's rows
+    return matmul(x, w) + b, matmul(g, w.T), matmul(x.T, g), g.sum(axis=0)
+
+
+def expression_causal_softmax(x, scale, g):
+    # the replaced `(x * scale + mask).softmax_rows()`, mask from the removed model.causal_mask
+    t = x.shape[-1]
+    mask = np.zeros((t, t), dtype=x.dtype)
+    mask[np.triu_indices(t, k=1)] = -1e30
+    z = x * scale + mask
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
     y = e / e.sum(axis=-1, keepdims=True)
     dot = (g * y).sum(axis=-1, keepdims=True)
-    return y, y * (g - dot)
+    return y, (y * (g - dot)) * scale
 
 
 def expression_cross_entropy_mean(x, targets, g):
@@ -236,10 +281,16 @@ class TestBitwiseOracles:
             x, gain, bias, g = r((n, d), 60, 3.0), r((d,), 61) + 1.0, r((d,), 62), r((n, d), 63)
             yield (f"layernorm {n}x{d}", lambda a, b, c: a.layernorm(b, c), [x, gain, bias], g,
                    expression_layernorm(x, gain, bias, g))
-        for shape in ((64, 63), (2, 4, 40, 40)):
+        for n, k, m in ((40, 128, 512), (40, 512, 128), (320, 128, 256)):  # FFN up, down, head
+            x, w, b, g = r((n, k), 74), r((k, m), 75, 0.02), r((m,), 76), r((n, m), 77)
+            x[2] = b[:3] = g[1] = g[:, 4] = -0.0
+            yield (f"matmul bias {n}x{k}x{m}", lambda a, c, d: a.matmul(c, d), [x, w, b], g,
+                   expression_matmul_bias(x, w, b, g))
+        for shape in ((64, 64), (2, 4, 40, 40), (1, 4, 63, 63)):
             x, g = r(shape, 64, 4.0), r(shape, 65)
-            yield (f"softmax_rows {shape}", lambda a: a.softmax_rows(), [x], g,
-                   expression_softmax_rows(x, g))
+            x[..., 3, :] = -0.0
+            yield (f"causal_softmax {shape}", lambda a: a.causal_softmax(32 ** -0.5), [x], g,
+                   expression_causal_softmax(x, 32 ** -0.5, g))
         x = r((320, 256), 66, 3.0)
         yield ("cross_entropy_mean", lambda a: a.cross_entropy_mean(targets), [x], ce_g,
                expression_cross_entropy_mean(x, targets, ce_g))

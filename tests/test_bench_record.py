@@ -24,6 +24,7 @@ def fake_checkout(tmp_path: Path) -> Path:
     # the checkout's own BENCHMARK.json sets the run length; 5 s tells it from the repository's
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({**bench, "run_seconds": 5}))
+    (tmp_path / ".git").write_text("gitdir: elsewhere\n")  # what `git worktree add` leaves
     (tmp_path / ".perfbench_work").mkdir()
     (tmp_path / ".perfbench_work" / "records.jsonl").write_text('{"older": "run"}\n')
     return tmp_path
@@ -55,3 +56,16 @@ def test_runs_perfbench_unchanged_then_summarize(tmp_path, monkeypatch):
     assert [json.loads(line) for line in ours.read_text().splitlines()] == [
         {"run": w, "seed": str(s)} for w, s in expected]
 
+
+
+def test_checkout_without_git_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    # a plain copy would record git_commit "unknown" in every run
+    src = fake_checkout(tmp_path)
+    (src / ".git").unlink()
+    calls = []
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path / "out")
+    assert bench_record.main(["--tag", "t", "--src", str(src)]) != 0
+    assert calls == []
+    assert "git worktree add" in capsys.readouterr().err
+    assert not (src / ".perfbench_work" / "bench_t.jsonl").exists()

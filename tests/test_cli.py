@@ -501,6 +501,7 @@ class TestBenchCli:
         (["--expert-size", "100"], "expert_size"),
         (["--grid", "0,150"], "grid"),
         (["--grid=-10"], "grid"),
+        (["--grid", "x"], "grid"),
     ])
     def test_bad_flag_exit_2_names_flag(self, tmp_path, capsys, flags, name):
         assert main(["bench", "--out-dir", str(tmp_path), *flags]) == 2

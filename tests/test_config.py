@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from dataclasses import fields
-
 from moefy.config import (
     ConfigError,
     RunConfig,
@@ -11,9 +9,6 @@ from moefy.config import (
     make_synthetic_corpus,
     parse_config_file,
 )
-from moefy.losses import LteHyperparams
-from moefy.model import ModelConfig
-from moefy.training import TrainHyper
 
 
 class TestConfigFile:
@@ -74,15 +69,6 @@ class TestConfigFile:
         p.write_text(f"{key}={value}\n")
         with pytest.raises(ConfigError, match=f"^{key} must be .*finite.*, got {value}$"):
             build_config(str(p))
-
-    @pytest.mark.parametrize("cls", (ModelConfig, TrainHyper, LteHyperparams))
-    def test_shared_keys_share_defaults(self, cls):
-        # a key declared both in RunConfig and in its settings class has one default
-        run = RunConfig()
-        shared = [f for f in fields(cls) if f.name in RunConfig.key_types()]
-        assert shared
-        for f in shared:
-            assert getattr(run, f.name) == f.default, f.name
 
     def test_defaults_complete(self):
         cfg = build_config(None, None)

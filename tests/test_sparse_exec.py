@@ -165,15 +165,6 @@ class TestExpertMajorDispatch:
         first = sparse_ffn_forward(packed, sels, x)
         assert first.tobytes() == sparse_ffn_forward(packed, sels, x).tobytes()
 
-    def test_descending_ids_across_token_boundary_accepted(self):
-        layer, packed = packed_layer(Rng(24))
-        x = Rng(25).normal((2, 8), std=1.0)
-        sels = [np.array([5]), np.array([1])]
-        y = sparse_ffn_forward(packed, sels, x)
-        for t in range(2):
-            ref = expert_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
-            assert np.abs(y[t] - ref[0]).max() < 1e-5
-
     @pytest.mark.parametrize("bad", [[32], [-1], [0, 31, 32],
                                      [1.7, 2.2], [False, True]])
     def test_one_bad_token_in_a_batch_rejected(self, bad):

@@ -408,7 +408,7 @@ class TestRuns:
     def test_stage1_backward_peak_stays_near_forward_memory(self, small_corpus, monkeypatch):
         # backward consumes the tape, so a default-shape B=8 stage-1 step holds
         # little beyond its forward activations at the backward peak (about
-        # 1.06x); a tape kept whole until the step returns peaks near 2.2x
+        # 1.1x); a tape kept whole until the step returns peaks near 2.2x
         params = init_params(ModelConfig().validate(), Rng(0).split("init"))
         routers, _ = moefy_params(params)
         st = TrainingState(params=params, hyper=TrainHyper(), rng=Rng(0), stage="stage1",
@@ -431,5 +431,5 @@ class TestRuns:
             train_step(st, batch)
         finally:
             tracemalloc.stop()
-        assert seen["forward"] > 40e6  # the step's activations, ~49 MB
+        assert seen["forward"] > 28e6  # the step's activations, ~35 MB
         assert seen["peak"] < 1.25 * seen["forward"], seen

@@ -4,10 +4,12 @@
 
 Runs CHECKOUT's `perfbench/run.py` as it is (CHECKOUT defaults to this
 repository) with `--trace 0` and the `run_seconds` of CHECKOUT's
-BENCHMARK.json, for seeds 600, 601 and 602 per workload of that file. The
-runs go seed by seed, each seed through every workload once, so no workload
-runs twice in a row and a process that starts on a slow BLAS plateau costs
-one workload one seed. Then CHECKOUT's `perfbench/summarize.py --min-seed 600
+BENCHMARK.json, for seeds 600, 601 and 602 per workload of that file.
+CHECKOUT must be a git checkout (a `git worktree add` of the commit to
+measure), so that each record names its commit. The runs go seed by seed,
+each seed through every workload once, so no workload runs twice in a row
+and a process that starts on a slow BLAS plateau costs one workload one
+seed. Then CHECKOUT's `perfbench/summarize.py --min-seed 600
 --baseline-out BENCH_TAG.json`, reading only the records these runs appended,
 writes the median, quartiles and spread of every metric. This script computes
 no statistics of its own.
@@ -39,6 +41,11 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, default=ROOT, help="repository root to benchmark")
     args = ap.parse_args(argv)
     src = args.src.resolve()
+    if not (src / ".git").exists():
+        # perfbench records the checkout's commit; a plain copy records "unknown"
+        print(f"bench_record: {src} has no .git; make a checkout of the commit to measure "
+              f"with `git worktree add DIR COMMIT`", file=sys.stderr)
+        return 2
     bench = json.loads((src / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     records = src / ".perfbench_work" / "records.jsonl"
