@@ -7,10 +7,10 @@ which the float64 gradient checks reduce with. `+` and `*` never broadcast:
 a bias rides in `matmul`, attention's scale and mask in `causal_softmax`.
 
 Gradients are exact. A constant Tensor (one that does not require grad)
-receives none: that is how discrete expert selection enters the graph in
-adaptation training, as the 0/1 scale of `scale_blocks`. The selection
-indicator is piecewise constant, so the graph treats it as data and no
-gradient flows through the decision itself.
+receives none, so a constant 0/1 scale of `scale_blocks` passes no gradient.
+Discrete expert selection in adaptation training is data in the same way:
+it is the constant mask of the union-kernel op `sparse_exec.sparse_ffn_graph`,
+and no gradient flows through the decision itself.
 
 Backward consumes the tape: one backward per forward. As reverse mode
 passes an inner node it drops that node's gradient, its closure (and with

@@ -3,9 +3,10 @@
 Parameters live in a flat name -> autograd Tensor dict so the optimizer,
 checkpoint format, and gradient checks all see one canonical storage. The
 forward pass builds an autograd graph; under `autograd.no_grad()` the same
-code runs as plain numpy evaluation. The FFN is written once, as
-`ffn_hidden` then `ffn_out`: dense, soft-routed, masked and baseline FFNs
-differ only in the per-expert (or per-neuron) scale passed to `ffn_out`.
+code runs as plain numpy evaluation. The dense FFN is written once, as
+`ffn_hidden` then `ffn_out`: soft-routed and baseline FFNs differ from it
+only in the per-expert (or per-neuron) scale passed to `ffn_out`. Discrete
+selection runs the union kernel of `sparse_exec` instead, in a graph or not.
 
 `FFN_LAYOUTS` is the one place that knows how an FFN kind lays out its
 weights: it maps each weight role (up, gate, down, b1, b2) to the parameter
@@ -140,8 +141,8 @@ def ffn_out(params: TransformerParams, i: int, a: Tensor, scale: Optional[Tensor
 
     `scale` is (T, m) with m dividing d_ffn; each column scales d_ffn / m
     adjacent hidden units. None is the dense FFN, router scores give soft
-    routing, and a constant 0/1 Tensor gives discrete selection or a
-    baseline's mask, per expert (m = n_experts) or per neuron (m = d_ffn).
+    routing, and a constant 0/1 Tensor gives a baseline's mask, per expert
+    (m = n_experts) or per neuron (m = d_ffn).
     A constant scale passes no gradient.
     """
     if scale is not None:
@@ -248,10 +249,10 @@ def forward_lm(
 
     ffn_mode: dense | moe_soft | moe_discrete. The moe modes delegate the FFN
     to the routing module and return per-layer RoutingDecisions. moe_discrete
-    runs the gather kernel when the graph is not being recorded, which needs
-    `partitions` and the `packed` weights built from them once by the caller
-    (`sparse_exec.pack`), and a masked-dense graph (mask held constant) when
-    it is.
+    runs the union kernel either way. When the graph is not being recorded it
+    needs `partitions` and the `packed` weights built from them once by the
+    caller (`sparse_exec.pack`); when it is, the kernel runs as one graph op
+    over the parameters (`sparse_exec.sparse_ffn_graph`, mask held constant).
 
     ffn_scale(i, x, a) -> (scale, decision), dense mode only, is how the eval
     baselines run: it picks a constant scale for block i's FFN from the

@@ -1,4 +1,4 @@
-"""Dense tensor math: K-blocked matmul, activations, seeded RNG, finite differences.
+"""Dense tensor math: K-blocked matmul, activations, seeded RNG.
 
 Everything downstream (model, routing, training) builds on these primitives.
 Arrays are plain numpy ndarrays, float32 by default; every function preserves
@@ -12,9 +12,9 @@ the result is byte-identical to evaluating that expression in numpy.
 
 `matmul` keeps a 64-wide K blocking only because criterion 7's dense
 reference is timed through it (see `matmul` and the criterion-7 `FOUND:` line
-in CHANGES.md). Thread counts belong to the BLAS: they are set by its
-environment variables before the process starts, and `blas_threads` reports
-that setting for run records.
+in CHANGES.md); the union kernel and its graph op call BLAS directly. Thread
+counts belong to the BLAS: they are set by its environment variables before
+the process starts, and `blas_threads` reports that setting for run records.
 """
 
 from __future__ import annotations

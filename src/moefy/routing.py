@@ -1,12 +1,12 @@
 """Expert selection: sigmoid threshold routers, soft mode, and oracle baselines.
 
 The learned router is a single linear map producing one score per expert
-through a sigmoid, thresholded at tau for discrete selection. Routing only
-chooses the per-expert scale that `model.ffn_out` applies to the FFN hidden
-layer: soft mode passes the scores (differentiable; used while the routers
-learn), discrete mode a constant 0/1 mask from `threshold_select`. Without
-a graph, discrete mode applies the same rule through the gather kernel, over
-weights the caller packed once. Baselines only pick a constant scale
+through a sigmoid, thresholded at tau for discrete selection. Soft mode
+passes the scores as the per-expert scale that `model.ffn_out` applies to the
+FFN hidden layer (differentiable; used while the routers learn). Discrete
+mode takes a constant 0/1 mask from `threshold_select` and runs the union
+kernel: in a graph as one op over the parameters themselves, without one
+over weights the caller packed once. Baselines only pick a constant scale
 for `forward_lm` to apply: noisy top-k softmax weights and frozen random
 routers rank the block input, per-neuron magnitude keep (exact-value stand-in
 for a trained predictor) and ground-truth expert top-k the hidden layer. Each
@@ -89,15 +89,14 @@ def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,
 
 def discrete_ffn_graph(params: TransformerParams, i: int, router: RouterLayer, xf: Tensor,
                        tau: float) -> tuple[Tensor, RoutingDecision]:
-    """Masked-dense graph for adaptation training.
+    """Threshold selection over the union kernel's graph op, for adaptation training.
 
     The selection indicator is piecewise constant in the inputs, so it enters
-    the graph as a constant scale: gradients flow only through selected
-    experts' weights.
+    the graph as a constant mask: gradients flow only through selected
+    experts' weights, and experts that no row selected are not computed.
     """
     dec = threshold_select(router, xf.data, tau)
-    a = ffn_hidden(params, i, xf)
-    return ffn_out(params, i, a, Tensor(dec.mask.astype(a.dtype))), dec
+    return sparse_exec.sparse_ffn_graph(params, i, xf, dec.mask), dec
 
 
 # --- baselines -----------------------------------------------------------------

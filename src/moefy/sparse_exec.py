@@ -8,7 +8,9 @@ of `slab.reshape(-1, d_model)`. The CPU kernel computes over the union of
 the experts any row of the call selected: one up matmul (two with a gate) and
 one down matmul per run of adjacent union experts, over all rows, with the
 bias, the activation and the selection mask applied once to the whole hidden
-buffer. A one-row call runs each selected expert as its own run.
+buffer. A one-row call runs each selected expert as its own run. The same
+kernel runs as one graph op (`sparse_ffn_graph`) over views of a model's
+parameters, so stage-2 training computes and differentiates only the union.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 from . import numerics
 from .autograd import Tensor, no_grad
 from .grouping import apply_partition, group_experts_random
-from .model import (D_FFN_AXIS, FfnLayer, ModelConfig, ffn_flops_per_token, ffn_hidden, ffn_out,
-                    get_ffn_layer, init_params, set_ffn_layer)
+from .model import (D_FFN_AXIS, FfnLayer, ModelConfig, TransformerParams, ffn_flops_per_token,
+                    ffn_hidden, ffn_out, ffn_param_names, get_ffn_layer, init_params,
+                    set_ffn_layer)
 from .numerics import Rng, blas_threads
 
 
@@ -46,10 +49,15 @@ class PackedExpertWeights:
         return self.up.shape[2]
 
 
-def _slab(w: np.ndarray, axis: int, n: int, e: int) -> np.ndarray:
-    # move the d_ffn axis to the front and split it into (n, e), contiguous
+def _slab_view(w: np.ndarray, axis: int, n: int, e: int) -> np.ndarray:
+    """A view of `w` with its d_ffn axis moved to the front and split into (n, e)."""
     w = np.moveaxis(w, axis, 0)
-    return np.ascontiguousarray(w.reshape((n, e) + w.shape[1:]))
+    return w.reshape((n, e) + w.shape[1:])
+
+
+def _unslab(g: np.ndarray, axis: int) -> np.ndarray:
+    """The inverse of `_slab_view`: an (n, e, ...) array in its role's own layout."""
+    return np.moveaxis(g.reshape((-1,) + g.shape[2:]), 0, axis)
 
 
 def pack(layer: FfnLayer) -> PackedExpertWeights:
@@ -58,7 +66,8 @@ def pack(layer: FfnLayer) -> PackedExpertWeights:
         raise ValueError("layer is not permuted; run apply_partition first")
     n, e = layer.partition.n_experts, layer.partition.expert_size
     w = layer.weights
-    slabs = {role: _slab(w[role], axis, n, e) for role, axis in D_FFN_AXIS.items() if role in w}
+    slabs = {role: np.ascontiguousarray(_slab_view(w[role], axis, n, e))
+             for role, axis in D_FFN_AXIS.items() if role in w}
     b2 = w["b2"].copy() if "b2" in w else None
     return PackedExpertWeights(layer.activation, n, e, b2=b2, **slabs)
 
@@ -115,9 +124,18 @@ def sparse_ffn_forward(
             f"{len(selections)} selections for input of shape {x.shape}"
         )
     mask = _selection_mask(selections, packed.n_experts)
-    union = mask.any(axis=0)
     # BLAS reads a strided x differently; a contiguous copy keeps the bytes
-    x = np.ascontiguousarray(x)
+    return _union_ffn(packed, mask, np.ascontiguousarray(x))[0]
+
+
+def _union_ffn(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> tuple:
+    """The union kernel of `sparse_ffn_forward` for a (T, n) selection mask.
+
+    Returns the output and the tape `_union_ffn_grads` reads: the union, the
+    hidden-buffer mask of unselected pairs, the up (after b1) and gate
+    pre-activations, the gate's activation, and the masked hidden layer.
+    """
+    union = mask.any(axis=0)
     n_tok, d, es = x.shape[0], packed.d_model, packed.expert_size
     runs, lo = [], 0  # (slab rows, hidden columns) per run
     for a, b in _expert_runs(union, n_tok):
@@ -135,18 +153,87 @@ def sparse_ffn_forward(
             np.matmul(x, gate_w[r].T, out=gate[:, c])
     if gate is None:
         up += packed.b1[union].reshape(-1)
-        h = numerics.activation(up, packed.activation)
+        s, h = None, numerics.activation(up, packed.activation)
     else:
-        h = numerics.activation(gate, packed.activation) * up
+        s = numerics.activation(gate, packed.activation)
+        h = s * up
     # where=, not a 0/1 multiply: NaN * 0 is NaN
-    np.copyto(h, 0, where=np.repeat(~mask[:, union], es, axis=1))
+    off = np.repeat(~mask[:, union], es, axis=1)
+    np.copyto(h, 0, where=off)
 
     out = np.zeros((n_tok, d), dtype=x.dtype)
+    part = np.empty_like(out)  # one buffer for every run's product
     for r, c in runs:
-        out += h[:, c] @ down_w[r]
+        out += np.matmul(h[:, c], down_w[r], out=part)
     if packed.b2 is not None:
         out += packed.b2
-    return out
+    return out, (union, off, up, gate, s, h)
+
+
+def _union_ffn_grads(packed: PackedExpertWeights, tape: tuple, x: np.ndarray,
+                     g: np.ndarray) -> tuple[np.ndarray, dict]:
+    """dx and the role -> gradient dict (in the packed layout) of `_union_ffn`
+    for the output gradient `g`. Each product spans the whole union, over a
+    copy of the union's weight rows. Experts outside the union get exact
+    zeros, and so does every unselected pair, as in the forward."""
+    union, off, up, gate, s, h = tape
+    d, es = packed.d_model, packed.expert_size
+    # the union's slab rows, in hidden-buffer order
+    rows = (np.flatnonzero(union)[:, None] * es + np.arange(es)).reshape(-1)
+    roles = [role for role in ("up", "gate", "down") if getattr(packed, role) is not None]
+    grads = {role: np.zeros(getattr(packed, role).shape, dtype=x.dtype) for role in roles}
+    w = {role: getattr(packed, role).reshape(-1, d)[rows] for role in roles}
+    dh = g @ w["down"].T
+    grads["down"].reshape(-1, d)[rows] = h.T @ g
+    if gate is None:
+        dz = {"up": np.multiply(dh, numerics.activation_grad(up, packed.activation), out=dh)}
+    else:  # h = s * up with s = activation(gate)
+        dz = {"up": dh * s}
+        np.multiply(dh, up, out=dh)
+        dz["gate"] = np.multiply(dh, numerics.activation_grad(gate, packed.activation), out=dh)
+    dx = np.zeros_like(x)
+    for role, dr in dz.items():
+        np.copyto(dr, 0, where=off)
+        grads[role].reshape(-1, d)[rows] = dr.T @ x
+        dx += dr @ w[role]
+    if packed.b1 is not None:
+        grads["b1"] = np.zeros(packed.b1.shape, dtype=x.dtype)
+        grads["b1"][union] = dz["up"].sum(axis=0).reshape(-1, es)
+    if packed.b2 is not None:
+        grads["b2"] = g.sum(axis=0)
+    return dx, grads
+
+
+def sparse_ffn_graph(params: TransformerParams, i: int, x: Tensor, mask: np.ndarray) -> Tensor:
+    """Block i's FFN under a constant (T, n_experts) selection mask, as one
+    graph node over the union kernel.
+
+    The forward is `sparse_ffn_forward`'s kernel over views of the permuted
+    parameters (no packed copy); the backward gives x and every FFN weight
+    a gradient over the union's columns only, with unselected pairs zeroed
+    as in the forward. The mask is data: no gradient flows through it.
+    """
+    cfg = params.config
+    n, es = cfg.n_experts, cfg.expert_size
+    if mask.dtype != bool or mask.shape != (x.shape[0], n):
+        raise numerics.ShapeError(f"mask of shape {mask.shape} and dtype {mask.dtype} for "
+                                  f"{x.shape[0]} rows and {n} experts; a bool mask is needed")
+    tensors = {role: params[name] for role, name in ffn_param_names(cfg, i).items()}
+    slabs = {role: _slab_view(tensors[role].data, axis, n, es)
+             for role, axis in D_FFN_AXIS.items() if role in tensors}
+    b2 = tensors["b2"].data if "b2" in tensors else None
+    packed = PackedExpertWeights(cfg.activation, n, es, b2=b2, **slabs)
+    xd = np.ascontiguousarray(x.data)
+    out, tape = _union_ffn(packed, mask, xd)
+
+    def back(g):
+        dx, grads = _union_ffn_grads(packed, tape, xd, g)
+        if x.requires_grad:
+            x._accum(dx)
+        for role, t in tensors.items():
+            if t.requires_grad:
+                t._accum(grads[role] if role == "b2" else _unslab(grads[role], D_FFN_AXIS[role]))
+    return Tensor._make(out, (x, *tensors.values()), back)
 
 
 @dataclass

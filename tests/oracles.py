@@ -1,10 +1,12 @@
-"""Test-only references: a central-difference gradient and the union
-sparsity of every token prefix."""
+"""Test-only references: a central-difference gradient, the union
+sparsity of every token prefix, and the masked-dense discrete FFN."""
 
 from typing import Callable
 
 import numpy as np
 
+from moefy.autograd import Tensor
+from moefy.model import ffn_hidden, ffn_out
 from moefy.numerics import F64, NumericError
 
 
@@ -39,3 +41,10 @@ def prefix_union_sparsity(mask: np.ndarray) -> np.ndarray:
         raise ValueError("empty batch")
     cum = np.maximum.accumulate(mask, axis=0)
     return 1.0 - cum.sum(axis=1) / mask.shape[1]
+
+
+def masked_dense_ffn(params, i: int, x: Tensor, mask: np.ndarray) -> Tensor:
+    """Block i's FFN as a masked-dense graph: every hidden unit is computed,
+    then the (T, n_experts) 0/1 mask scales each expert's units as a
+    constant. The reference for the discrete FFN's graph op; run it in float64."""
+    return ffn_out(params, i, ffn_hidden(params, i, x), Tensor(mask.astype(x.dtype)))

@@ -5,6 +5,7 @@ trained base models per seed. Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion lines.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -151,12 +152,20 @@ def toy_stage1_loss(params, routers, tokens, targets, hp):
     return task + eff * hp.eta + sep * hp.lam
 
 
+def toy_stage2_loss(params, routers, tokens, targets, hp):
+    # the graph-mode discrete FFN; stage 2 trains the model alone on the task
+    res = forward_lm(params, tokens, ffn_mode="moe_discrete", routers=routers, tau=hp.tau)
+    masks = np.concatenate([d.mask for d in res.decisions])
+    assert 0 < masks.mean() < 1, "the check needs mixed selections"
+    return res.logits.cross_entropy_mean(targets)
+
+
 def test_criterion_2_gradient_fidelity():
     cfg = ModelConfig(vocab_size=13, d_model=8, n_heads=2, n_layers=1, d_ffn=12,
                       max_seq_len=8, expert_size=4).validate()
     assert param_count(cfg) < 5000
     hp = LteHyperparams(eta=1.0, lam=0.5)
-    worst = 0.0
+    worst = {"stage 1": 0.0, "stage 2": 0.0}
     for seed in range(5):
         params = init_params(cfg, Rng(seed).split("init")).astype(F64)
         routers = []
@@ -167,30 +176,37 @@ def test_criterion_2_gradient_fidelity():
                                        Rng(seed).split(f"r{i}"), std=0.8, dtype=np.float64))
         tokens = Rng(seed).split("tok").integers(0, cfg.vocab_size, size=6)
         targets = Rng(seed).split("tgt").integers(0, cfg.vocab_size, size=6)
-        trainable = dict(params.tensors)
-        trainable["router.0.Wg"] = routers[0].Wg
+        # stage 1 trains the routers with the model; stage 2 freezes them
+        stage1 = dict(params.tensors)
+        stage1["router.0.Wg"] = routers[0].Wg
+        for stage, loss_fn, trainable in (("stage 1", toy_stage1_loss, stage1),
+                                          ("stage 2", toy_stage2_loss, dict(params.tensors))):
+            for t in stage1.values():
+                t.zero_grad()
+            loss = loss_fn(params, routers, tokens, targets, hp)
+            loss.backward()
+            analytic = np.concatenate([trainable[n].grad.ravel() for n in trainable])
+            base = np.concatenate([t.data.ravel() for t in trainable.values()])
 
-        loss = toy_stage1_loss(params, routers, tokens, targets, hp)
-        loss.backward()
-        analytic = np.concatenate([trainable[n].grad.ravel() for n in trainable])
-        base = np.concatenate([t.data.ravel() for t in trainable.values()])
+            def f(vec):
+                at = 0
+                for t in trainable.values():
+                    n = t.data.size
+                    t.data = vec[at:at + n].reshape(t.data.shape).copy()
+                    at += n
+                # stage 2 evaluates through the graph op, as it trains
+                with no_grad() if loss_fn is toy_stage1_loss else contextlib.nullcontext():
+                    out = float(loss_fn(params, routers, tokens, targets, hp).data)
+                return out
 
-        def f(vec):
-            at = 0
-            for t in trainable.values():
-                n = t.data.size
-                t.data = vec[at:at + n].reshape(t.data.shape).copy()
-                at += n
-            with no_grad():
-                out = float(toy_stage1_loss(params, routers, tokens, targets, hp).data)
-            return out
-
-        # eps 1e-6: the separability term's third derivative near the guard edge
-        # makes 1e-5 truncation-limited (error scales as eps^2, verified)
-        fd = finite_diff_grad(f, base, eps=1e-6)
-        denom = np.maximum(np.abs(fd), 1e-4 * np.abs(fd).max())
-        worst = max(worst, float((np.abs(analytic - fd) / denom).max()))
-    report(2, worst <= 1e-4, f"gradient fidelity: max relative error {worst:.2e} over 5 seeds (tol 1e-4)")
+            # eps 1e-6: the separability term's third derivative near the guard edge
+            # makes 1e-5 truncation-limited (error scales as eps^2, verified)
+            fd = finite_diff_grad(f, base, eps=1e-6)
+            f(base)  # put back the unperturbed values
+            denom = np.maximum(np.abs(fd), 1e-4 * np.abs(fd).max())
+            worst[stage] = max(worst[stage], float((np.abs(analytic - fd) / denom).max()))
+    report(2, max(worst.values()) <= 1e-4, "gradient fidelity: max relative error "
+           + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()) + " over 5 seeds (tol 1e-4)")
 
 
 def test_criterion_3_balanced_clustering():

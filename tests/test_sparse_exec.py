@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from moefy import numerics
+from moefy import numerics, sparse_exec
+from moefy.autograd import Tensor, param
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import ModelConfig, get_ffn_layer, init_params
+from moefy.model import ModelConfig, ffn_param_names, get_ffn_layer, init_params
 from moefy.numerics import Rng, activation
 from moefy.sparse_exec import (
     BENCH_COLUMNS,
@@ -13,9 +14,11 @@ from moefy.sparse_exec import (
     format_bench_report,
     pack,
     sparse_ffn_forward,
+    sparse_ffn_graph,
 )
 
-from ffn_blocks import KINDS, dense_ffn, expert_oracle, random_layer
+from ffn_blocks import KINDS, dense_ffn, expert_oracle, one_block, random_layer
+from oracles import masked_dense_ffn
 
 
 def packed_layer(rng, d=8, f=24, n=6, kind="two_matmul", dtype=np.float32, act="gelu_tanh"):
@@ -297,6 +300,94 @@ class TestUnionRuns:
         chose = np.array([2 in s for s in sels])
         assert np.isnan(y[chose]).all()
         assert y[~chose].tobytes() == clean[~chose].tobytes()
+
+
+def graph_mask(n_tok=9, n=6, seed=52):
+    """Mixed (T, n) selections with a row that selects nothing and an expert
+    (4) that no row selects, so the union splits into runs [0, 4) and [5, 6)."""
+    mask = Rng(seed).normal((n_tok, n)) > 0
+    mask[3] = False
+    mask[:, 4] = False
+    mask[0, 5] = True
+    assert 0 < mask.mean() < 1 and mask[:, :4].any(axis=0).all()
+    return mask
+
+
+def through_graph(ffn, kind, mask, poison=None, d=8, f=24):
+    """Run `ffn(params, 0, x, mask)` on a float64 one-block FFN and backpropagate
+    a fixed output gradient; returns the output, dx and each role's gradient.
+    `poison` sets one expert's up (or gate) columns to NaN first."""
+    rng = Rng(50)
+    layer = random_layer(rng, kind, d, f, std=0.3, bias_std=0.2, dtype=np.float64)
+    es = f // mask.shape[1]
+    params = one_block(layer, es)
+    if poison is not None:
+        role = "gate" if kind == "swiglu" else "up"
+        params[ffn_param_names(params.config, 0)[role]].data[:, poison * es:(poison + 1) * es] = np.nan
+    x = param(Rng(51).normal((mask.shape[0], d), dtype=np.float64))
+    out = ffn(params, 0, x, mask)
+    (out * Tensor(Rng(53).normal(out.shape, dtype=np.float64))).sum().backward()
+    names = ffn_param_names(params.config, 0)
+    return out.data, x.grad, {role: params[name].grad for role, name in names.items()}
+
+
+class TestSparseFfnGraph:
+    """The discrete FFN's graph op: the union kernel forward, and a backward
+    over the union's columns with unselected pairs zeroed."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_masked_dense_oracle(self, kind):
+        mask = graph_mask()
+        out, dx, grads = through_graph(sparse_ffn_graph, kind, mask)
+        ref_out, ref_dx, ref_grads = through_graph(masked_dense_ffn, kind, mask)
+        assert np.abs(out - ref_out).max() < 1e-10
+        assert np.abs(dx - ref_dx).max() < 1e-10
+        assert grads.keys() == ref_grads.keys()
+        for role, g in grads.items():
+            assert g.shape == ref_grads[role].shape, role
+            assert np.abs(g - ref_grads[role]).max() < 1e-10, role
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unselected_expert_and_empty_row_get_exact_zeros(self, kind):
+        mask = graph_mask()
+        out, dx, grads = through_graph(sparse_ffn_graph, kind, mask)
+        cols = slice(4 * 4, 5 * 4)  # expert 4, expert_size 4
+        for role in ("up", "gate"):
+            if role in grads:
+                assert not grads[role][:, cols].any(), role
+                assert grads[role][:, :cols.start].any(), role
+        assert not grads["down"][cols].any()
+        if "b1" in grads:
+            assert not grads["b1"][cols].any()
+        assert not dx[3].any()  # row 3 selects nothing
+        assert dx[0].any()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_expert_outside_the_union_is_never_read(self, kind):
+        mask = graph_mask()
+        clean = through_graph(sparse_ffn_graph, kind, mask)
+        poisoned = through_graph(sparse_ffn_graph, kind, mask, poison=4)
+        assert clean[0].tobytes() == poisoned[0].tobytes()
+        assert clean[1].tobytes() == poisoned[1].tobytes()
+        for role, g in clean[2].items():
+            assert g.tobytes() == poisoned[2][role].tobytes(), role
+
+    def test_neither_traced_kernel_nor_blocked_matmul(self, monkeypatch):
+        # a traced run counts sparse_ffn_forward's rows as gathered eval rows,
+        # and numerics.matmul's calls as the K-blocked products
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by the graph op")
+        monkeypatch.setattr(sparse_exec, "sparse_ffn_forward", refuse)
+        monkeypatch.setattr(numerics, "matmul", refuse)
+        out, dx, _ = through_graph(sparse_ffn_graph, "two_matmul", graph_mask())
+        assert np.isfinite(out).all() and np.isfinite(dx).all()
+
+    @pytest.mark.parametrize("shape,dtype", [((9, 4), bool), ((8, 6), bool), ((9, 6), np.int64)])
+    def test_mask_shape_and_dtype_checked(self, shape, dtype):
+        params = one_block(random_layer(Rng(54), "two_matmul", 8, 24, std=0.3), 4)  # 6 experts
+        x = param(Rng(55).normal((9, 8)))
+        with pytest.raises(numerics.ShapeError, match="mask of shape"):
+            sparse_ffn_graph(params, 0, x, np.ones(shape, dtype=dtype))
 
 
 class TestFlops:

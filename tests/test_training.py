@@ -433,3 +433,28 @@ class TestRuns:
             tracemalloc.stop()
         assert seen["forward"] > 28e6  # the step's activations, ~35 MB
         assert seen["peak"] < 1.25 * seen["forward"], seen
+
+    def test_stage2_ffn_makes_no_blocked_matmul(self, small_corpus, monkeypatch):
+        # the discrete FFN runs as the union kernel's graph op, whose products go
+        # to BLAS directly: a stage-2 step's K-blocked products are attention's
+        # six (q, k, v, scores, context, output) and the router per layer plus
+        # the LM head, and backward's two for each of them but the router
+        from moefy import numerics
+
+        layers = 2
+        st = make_state(small_corpus, seed=15, stage="stage2", steps=2, n_layers=layers)
+        calls, phase = {"forward": 0, "backward": 0}, ["forward"]
+        blocked, collect = numerics.matmul, training.collect_gradients
+
+        def counting(a, b):
+            calls[phase[0]] += 1
+            return blocked(a, b)
+
+        def backward_phase(loss, trainable):
+            phase[0] = "backward"
+            return collect(loss, trainable)
+
+        monkeypatch.setattr(numerics, "matmul", counting)
+        monkeypatch.setattr(training, "collect_gradients", backward_phase)
+        train_step(st, sample_batch(small_corpus.train, Rng(16), 4, 32))
+        assert calls == {"forward": layers * 7 + 1, "backward": 2 * (layers * 6 + 1)}
