@@ -14,6 +14,8 @@ Exit codes: 0 success, 2 config error, 3 runtime numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -326,7 +328,46 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# glibc mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# 32 MiB is the ceiling of glibc's own dynamic mmap threshold on 64-bit, and
+# glibc sets the trim threshold to twice the mmap threshold when it raises it
+HEAP_MMAP_BYTES = 32 << 20
+HEAP_TRIM_BYTES = 2 * HEAP_MMAP_BYTES
+
+
+@functools.cache
+def keep_freed_heap() -> bool:
+    """Keep freed heap mapped for reuse by this process; True if the C library took it.
+
+    A training step frees its tape and the temporaries of its products and
+    kernels (arrays of 1-4 MB at the default shape), and the next step
+    allocates the same sizes again. Under glibc's defaults those blocks are
+    mapped fresh or the freed top of the heap is given back to the OS, so
+    every step page-faults its working set in again (about 10k minor faults
+    for forty 1 MB arrays and one 4 MB array). With the trim threshold at
+    HEAP_TRIM_BYTES and the mmap threshold at HEAP_MMAP_BYTES, blocks below
+    32 MiB come from the heap and up to 64 MiB of freed heap stays mapped, so
+    the next step reuses pages that are already there. Both thresholds are
+    set: setting either one turns glibc's dynamic mmap threshold off.
+
+    Results are unchanged; only where the allocator gets memory moves. Where
+    the C library has no `mallopt` (macOS, Windows) or ignores it (musl
+    returns 0), nothing happens and False is returned.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_BYTES) == 1
+            and mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES) == 1)
+
+
 def main(argv=None) -> int:
+    keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -64,10 +64,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
     k = a.shape[-1]
-    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
-    for k0 in range(0, k, MATMUL_BLOCK):
-        k1 = min(k0 + MATMUL_BLOCK, k)
-        out += a[..., k0:k1] @ b[..., k0:k1, :]
+    out = a[..., :MATMUL_BLOCK] @ b[..., :MATMUL_BLOCK, :]
+    np.add(out, 0.0, out=out)  # as a sum started from zeros: -0.0 becomes +0.0
+    if k > MATMUL_BLOCK:
+        part = np.empty_like(out)
+        for k0 in range(MATMUL_BLOCK, k, MATMUL_BLOCK):
+            np.matmul(a[..., k0:k0 + MATMUL_BLOCK], b[..., k0:k0 + MATMUL_BLOCK, :], out=part)
+            out += part
     return out
 
 
@@ -90,10 +93,26 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(F64)
-    # exp(-x) where x >= 0 and exp(x) below (NaN keeps its sign): never overflows
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    # Selects on the integer views, since np.where on an unpredictable mask is
+    # several times slower than the arithmetic. Every step writes to an `out`
+    # array, so a 0-d input gives a 0-d array as np.where did.
+    ints = np.dtype(f"i{x.itemsize}")
+    bits = 8 * x.itemsize - 1
+    flip = np.greater_equal(x, 0, out=np.empty(x.shape, ints))
+    np.left_shift(flip, bits, out=flip)  # the sign bit where x >= 0
+    e = np.empty(x.shape, x.dtype)
+    np.bitwise_xor(x.view(ints), flip, out=e.view(ints))
+    np.exp(e, out=e)  # exp(-|x|) never overflows, and a NaN keeps its bytes
+    d = np.add(1.0, e, out=np.empty_like(e))
+    small = np.divide(e, d, out=e)  # the result where x < 0
+    big = np.divide(1.0, d, out=d)  # the result where x >= 0
+    # big where x >= 0, else small: small ^ ((big ^ small) & mask)
+    np.right_shift(flip, bits, out=flip)  # all ones where x >= 0
+    bi, si = big.view(ints), small.view(ints)
+    np.bitwise_xor(bi, si, out=bi)
+    np.bitwise_and(bi, flip, out=bi)
+    np.bitwise_xor(bi, si, out=bi)
+    return big
 
 
 def activation(h: np.ndarray, kind: str) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 import builtins
 import io
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -507,3 +511,33 @@ class TestBenchCli:
         assert main(["bench", "--out-dir", str(tmp_path), *flags]) == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "bench.tsv").exists()
+
+
+# After one `main` call, allocate and free a training step's tape several
+# times: forty 1 MB arrays and one 4 MB array, each written. Prints the mean
+# number of minor page faults per step once the heap has warmed up.
+HEAP_PROBE = """
+import resource, sys
+import numpy as np
+from moefy.cli import main
+assert main(["make-corpus", "--path", sys.argv[1], "--bytes", "4096"]) == 0
+def step():
+    tape = [np.ones(1 << 18, np.float32) for _ in range(40)] + [np.ones(1 << 20, np.float32)]
+    del tape
+step(); step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc mallopt")
+def test_main_keeps_freed_heap_mapped(tmp_path):
+    # Under glibc's default thresholds each step faults about 10k pages back in
+    # (the freed blocks are unmapped or trimmed); after `main` it reuses them.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    res = subprocess.run([sys.executable, "-c", HEAP_PROBE, str(tmp_path / "c.txt")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr[-4000:]
+    assert float(res.stdout.split()[-1]) < 100

@@ -46,7 +46,33 @@ def matmul_naive(a, b):
     return out
 
 
+def zero_start_matmul(a, b):
+    """The loop matmul replaced, kept as its bitwise oracle: a zero output plus each 64-wide block."""
+    k = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a, b))
+    for k0 in range(0, k, 64):
+        k1 = min(k0 + 64, k)
+        out += a[..., k0:k1] @ b[..., k0:k1, :]
+    return out
+
+
 class TestMatmul:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    @pytest.mark.parametrize("k", [0, 5, 64, 130])
+    def test_bitwise_equal_to_zero_start_loop(self, dtype, lead, k):
+        rng = Rng(8)
+        a = rng.normal(lead + (6, k), std=1.0, dtype=dtype)
+        b = rng.normal(lead + (k, 5), std=1.0, dtype=dtype)
+        # products that underflow to -0.0: BLAS can sum them to -0.0, the zero start to +0.0
+        tiny = np.finfo(dtype).tiny
+        a[..., ::3, :] = -tiny
+        b[..., :, ::2] = tiny
+        got = matmul(a, b)
+        assert got.dtype == dtype
+        assert got.tobytes() == zero_start_matmul(a, b).tobytes()
+        assert not np.signbit(got[..., ::3, ::2]).any()
+
     def test_identity(self):
         a = np.eye(2, dtype=np.float32)
         b = np.array([[1, 2], [3, 4]], dtype=np.float32)

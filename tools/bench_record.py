@@ -12,7 +12,9 @@ and a process that starts on a slow BLAS plateau costs one workload one
 seed. Then CHECKOUT's `perfbench/summarize.py --min-seed 600
 --baseline-out BENCH_TAG.json`, reading only the records these runs appended,
 writes the median, quartiles and spread of every metric. This script computes
-no statistics of its own.
+no statistics of its own: it then adds to each metric of that entry its raw
+`values`, one per seed of the workload's `seeds` list, read from the same
+records (summarize.py's `record_figures` names the `record.` figures).
 
 Run nothing else on the machine meanwhile: each run takes `run_seconds` plus
 its set-up, and the figures are wall times.
@@ -21,6 +23,7 @@ its set-up, and the figures are wall times.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
@@ -33,6 +36,27 @@ SEEDS = range(600, 603)
 def run_order(workloads: list[str], seeds: list[int]) -> list[tuple[str, int]]:
     """(workload, seed) pairs, seed by seed; with two or more workloads none runs twice in a row."""
     return [(w, s) for s in seeds for w in workloads]
+
+
+def add_seed_values(bench: Path, records: list[dict], record_figures) -> None:
+    """Add raw per-seed `values` to every metric of the last entry in `bench`.
+
+    `values[i]` is what the run of seed `seeds[i]` reported, or None where
+    that run reported no such metric.
+    """
+    doc = json.loads(bench.read_text())
+    entry = doc["entries"][-1]
+    for workload, row in entry["workloads"].items():
+        runs = {}
+        for rec in records:
+            meta = rec["meta"]
+            if meta["workload"] == workload and meta["source_sha256"] == entry["source_sha256"]:
+                runs[meta["seed"]] = {name: m["value"] for name, m in rec["result"]["metrics"].items()}
+                runs[meta["seed"]].update({"record." + label.split(" ")[0]: v
+                                           for label, v in record_figures(meta).items()})
+        for name, m in row["metrics"].items():
+            m["values"] = [runs[seed].get(name) for seed in row["seeds"]]
+    bench.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -60,10 +84,15 @@ def main(argv=None) -> int:
     # summarize.py groups every record it reads; give it only this recording's runs
     ours = src / ".perfbench_work" / f"bench_{args.tag}.jsonl"
     ours.write_text("".join(line + "\n" for line in records.read_text().splitlines()[start:]))
+    bench_file = ROOT / f"BENCH_{args.tag}.json"
     subprocess.run([sys.executable, "perfbench/summarize.py", "--records", str(ours),
-                    "--min-seed", str(SEEDS[0]),
-                    "--baseline-out", str(ROOT / f"BENCH_{args.tag}.json")],
+                    "--min-seed", str(SEEDS[0]), "--baseline-out", str(bench_file)],
                    cwd=src, check=True)
+    spec = importlib.util.spec_from_file_location("summarize", src / "perfbench" / "summarize.py")
+    summarize = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(summarize)
+    add_seed_values(bench_file, [json.loads(line) for line in ours.read_text().splitlines()],
+                    summarize.record_figures)
     return 0
 
 
