@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -337,9 +336,8 @@ HEAP_MMAP_BYTES = 32 << 20
 HEAP_TRIM_BYTES = 2 * HEAP_MMAP_BYTES
 
 
-@functools.cache
-def keep_freed_heap() -> bool:
-    """Keep freed heap mapped for reuse by this process; True if the C library took it.
+def keep_freed_heap() -> None:
+    """Keep freed heap mapped for reuse by this process.
 
     A training step frees its tape and the temporaries of its products and
     kernels (arrays of 1-4 MB at the default shape), and the next step
@@ -352,18 +350,17 @@ def keep_freed_heap() -> bool:
     the next step reuses pages that are already there. Both thresholds are
     set: setting either one turns glibc's dynamic mmap threshold off.
 
-    Results are unchanged; only where the allocator gets memory moves. Where
-    the C library has no `mallopt` (macOS, Windows) or ignores it (musl
-    returns 0), nothing happens and False is returned.
+    Results are unchanged; only where the allocator gets memory moves. Calling
+    it again sets the same values. Where the C library has no `mallopt`
+    (macOS, Windows) or ignores it (musl returns 0), nothing happens.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
-        return False
+        return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return (mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_BYTES) == 1
-            and mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES) == 1)
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_BYTES)
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_BYTES)
 
 
 def main(argv=None) -> int:

@@ -93,26 +93,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(F64)
-    # Selects on the integer views, since np.where on an unpredictable mask is
-    # several times slower than the arithmetic. Every step writes to an `out`
-    # array, so a 0-d input gives a 0-d array as np.where did.
-    ints = np.dtype(f"i{x.itemsize}")
-    bits = 8 * x.itemsize - 1
-    flip = np.greater_equal(x, 0, out=np.empty(x.shape, ints))
-    np.left_shift(flip, bits, out=flip)  # the sign bit where x >= 0
-    e = np.empty(x.shape, x.dtype)
-    np.bitwise_xor(x.view(ints), flip, out=e.view(ints))
-    np.exp(e, out=e)  # exp(-|x|) never overflows, and a NaN keeps its bytes
-    d = np.add(1.0, e, out=np.empty_like(e))
-    small = np.divide(e, d, out=e)  # the result where x < 0
-    big = np.divide(1.0, d, out=d)  # the result where x >= 0
-    # big where x >= 0, else small: small ^ ((big ^ small) & mask)
-    np.right_shift(flip, bits, out=flip)  # all ones where x >= 0
-    bi, si = big.view(ints), small.view(ints)
-    np.bitwise_xor(bi, si, out=bi)
-    np.bitwise_and(bi, flip, out=bi)
-    np.bitwise_xor(bi, si, out=bi)
-    return big
+    # exp(-x) where x >= 0 and exp(x) below (NaN keeps its sign): never overflows
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def activation(h: np.ndarray, kind: str) -> np.ndarray:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
 bench_record = importlib.util.module_from_spec(spec)
@@ -99,6 +101,17 @@ def test_seed_values_follow_the_entry_seeds(tmp_path):
     metrics = got["workloads"]["eval"]["metrics"]
     assert metrics["lte_tok_s"] == {"median": 1.0, "values": [604.0, None, 606.0]}
     assert metrics["record.host_slowdown"]["values"] == [6.0, 6.01, 6.02]
+
+
+@pytest.mark.parametrize("seeds, runs", [([600, 600], [600]), ([600, 601], [600, 601, 600])])
+def test_repeated_seed_rejected(tmp_path, seeds, runs):
+    # keyed by seed, a second run of one seed would overwrite the first
+    bench = tmp_path / "BENCH_t.json"
+    entry = {"source_sha256": "d1", "workloads": {"eval": {"seeds": seeds, "metrics": {}}}}
+    bench.write_text(json.dumps({"entries": [entry]}))
+    with pytest.raises(ValueError, match="seed"):
+        bench_record.add_seed_values(bench, [fake_record("eval", s) for s in runs], lambda meta: {})
+    assert json.loads(bench.read_text()) == {"entries": [entry]}
 
 
 def test_checkout_without_git_rejected_before_any_run(tmp_path, monkeypatch, capsys):

@@ -47,10 +47,14 @@ def add_seed_values(bench: Path, records: list[dict], record_figures) -> None:
     doc = json.loads(bench.read_text())
     entry = doc["entries"][-1]
     for workload, row in entry["workloads"].items():
+        if len(set(row["seeds"])) != len(row["seeds"]):
+            raise ValueError(f"{workload}: repeated seeds {row['seeds']}")
         runs = {}
         for rec in records:
             meta = rec["meta"]
             if meta["workload"] == workload and meta["source_sha256"] == entry["source_sha256"]:
+                if meta["seed"] in runs:
+                    raise ValueError(f"{workload}: two runs of seed {meta['seed']}")
                 runs[meta["seed"]] = {name: m["value"] for name, m in rec["result"]["metrics"].items()}
                 runs[meta["seed"]].update({"record." + label.split(" ")[0]: v
                                            for label, v in record_figures(meta).items()})
