@@ -81,8 +81,13 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
+    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` to `.grad`. `fresh` says that nothing else holds `g` and that
+        it has no -0.0 (a `numerics.matmul` result), so a first gradient of
+        this dtype is kept as it is instead of copied."""
+        if self.grad is None and fresh and g.dtype == self.data.dtype:
+            self.grad = g
+        elif self.grad is None:
             # adding 0.0 keeps the bytes of a zero-filled start (-0.0 becomes +0.0)
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
@@ -185,9 +190,9 @@ class Tensor:
             if bias is not None and bias.requires_grad:
                 bias._accum(g.sum(axis=0))
             if self.requires_grad:
-                self._accum(numerics.matmul(g, other.data.swapaxes(-1, -2)))
+                self._accum(numerics.matmul(g, other.data.swapaxes(-1, -2)), fresh=True)
             if other.requires_grad:
-                other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g))
+                other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g), fresh=True)
         return self._make(data, (self, other) if bias is None else (self, other, bias), back)
 
     def transpose(self) -> "Tensor":

@@ -51,6 +51,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Operands are 2-D, or stacked (..., m, k) @ (..., k, n) with equal leading
     shapes, one product per leading index. The K dimension is processed in
     ascending 64-column blocks, each block contribution accumulated in order.
+    As in a sum started from +0.0, the result holds no -0.0; the autograd
+    relies on that to keep a product as a gradient without copying it.
 
     The blocking buys no determinism that BLAS lacks at a fixed thread count;
     it stays because criterion 7 (`sparse_exec.bench`) times its dense

@@ -121,8 +121,9 @@ def optimizer_step(state: TrainingState, grads: GradientSet) -> None:
     trainable = state.trainable()
     for name, g in grads.items():
         p = trainable[name].data
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        if name not in state.m:  # not setdefault: it would fill new zeros every step
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         # m += (1 - BETA1) * (g - m); v += (1 - BETA2) * (g * g - v);
         # p -= lr_t * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS), in that order
         s = np.subtract(g, m)

@@ -72,6 +72,7 @@ class TestMatmul:
         assert got.dtype == dtype
         assert got.tobytes() == zero_start_matmul(a, b).tobytes()
         assert not np.signbit(got[..., ::3, ::2]).any()
+        assert not np.signbit(got[got == 0]).any()  # the autograd keeps it as a gradient
 
     def test_identity(self):
         a = np.eye(2, dtype=np.float32)
