@@ -12,12 +12,22 @@ Discrete expert selection in adaptation training is data in the same way:
 it is the constant mask of the union-kernel op `sparse_exec.sparse_ffn_graph`,
 and no gradient flows through the decision itself.
 
+The tape is made of nodes, not of values. A Tensor that requires grad holds
+its array and a small `_Node`: the gradient, the closure, the parents' nodes,
+and the shape, dtype and memory order of a first gradient. A closure holds
+only the arrays it reads (matmul and `*` their inputs, `act` and `square`
+theirs, softmax, sigmoid and reciprocal their output, layernorm `xhat`, the
+inverse deviation and the gain) and writes into the parents' nodes, so nodes
+outlive values: a forward value that no backward reads, such as an `+`
+output or the scores under `causal_softmax`, is freed as soon as the forward
+drops its Tensor.
+
 Backward consumes the tape: one backward per forward. As reverse mode
 passes an inner node it drops that node's gradient, its closure (and with
-it the inputs the closure saved, such as layernorm's `xhat`) and its parent
-links, so gradients and activations are freed as the walk moves down the
-graph. Leaves (parameters, routers) keep `.grad`; inner nodes keep none. A
-second backward through a consumed node raises `RuntimeError`.
+it the arrays the closure saved) and its parent links, so gradients and
+activations are freed as the walk moves down the graph. Leaves (parameters,
+routers) keep `.grad`; inner nodes keep none. A second backward through a
+consumed node raises `RuntimeError`.
 
 Buffer rule for the ops: forward and backward write only arrays they
 allocated themselves, never an input, `self.data` or a value a backward
@@ -59,42 +69,92 @@ def _spent(g=None):
     raise RuntimeError("backward already ran through this graph; run the forward pass again")
 
 
-class Tensor:
-    """Array node on the tape."""
+class _Node:
+    """The tape entry of a Tensor that requires grad; it holds no forward value.
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    `backward` is None on a leaf. `axes` is None for a C-contiguous value,
+    else the axis order, outermost first, in which `np.empty_like` would
+    lay out a copy of it (by descending absolute stride; F order reversed).
+    """
+
+    __slots__ = ("grad", "backward", "parents", "shape", "dtype", "axes")
+
+    def __init__(self, data: np.ndarray, backward=None, parents: tuple = ()):
+        self.grad: Optional[np.ndarray] = None
+        self.backward = backward
+        self.parents = parents
+        self.like(data)
+
+    def like(self, data: np.ndarray) -> None:
+        """Take the shape, dtype and memory order of a first gradient from `data`."""
+        self.shape, self.dtype = data.shape, data.dtype
+        if data.flags.c_contiguous:
+            self.axes = None
+        elif data.ndim > 1 and data.flags.f_contiguous:
+            self.axes = tuple(range(data.ndim))[::-1]
+        else:
+            self.axes = tuple(sorted(range(data.ndim), key=lambda i: -abs(data.strides[i])))
+
+    def empty(self) -> np.ndarray:
+        """An uninitialised array laid out as `np.empty_like` of the value."""
+        if self.axes is None:
+            return np.empty(self.shape, self.dtype)
+        return np.empty([self.shape[i] for i in self.axes],
+                        self.dtype).transpose(np.argsort(self.axes))
+
+    def accum(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` to `.grad`. `fresh` says that nothing else holds `g` and that
+        it has no -0.0 (a `numerics.matmul` result), so a first gradient of
+        this dtype is kept as it is instead of copied."""
+        if self.grad is None and fresh and g.dtype == self.dtype:
+            self.grad = g
+        elif self.grad is None:
+            # adding 0.0 keeps the bytes of a zero-filled start (-0.0 becomes +0.0)
+            self.grad = np.add(g, 0.0, out=self.empty())
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """An array, plus its tape node when it requires grad."""
+
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data)
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._backward = None
-        self._parents: tuple = ()
+        self._data = np.asarray(data)
+        self._node = _Node(self._data) if requires_grad else None
 
     # -- graph plumbing ------------------------------------------------
 
     @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value) -> None:
+        self._data = np.asarray(value)
+        if self._node is not None:
+            self._node.like(self._data)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._node is None else self._node.grad
+
+    @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def dtype(self):
-        return self.data.dtype
-
-    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add `g` to `.grad`. `fresh` says that nothing else holds `g` and that
-        it has no -0.0 (a `numerics.matmul` result), so a first gradient of
-        this dtype is kept as it is instead of copied."""
-        if self.grad is None and fresh and g.dtype == self.data.dtype:
-            self.grad = g
-        elif self.grad is None:
-            # adding 0.0 keeps the bytes of a zero-filled start (-0.0 becomes +0.0)
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
+        return self._data.dtype
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every leaf's `.grad`, consuming the tape.
@@ -104,13 +164,15 @@ class Tensor:
         the forward pass again before the next backward: reaching a consumed
         node raises `RuntimeError` before any gradient is written.
         """
-        if self.data.size != 1:
+        if self._data.size != 1:
             raise ShapeError("backward() expects a scalar loss")
-        if not np.isfinite(self.data).all():
-            raise NumericError(f"non-finite loss: {float(self.data)}")
-        topo: list[Tensor] = []
+        if not np.isfinite(self._data).all():
+            raise NumericError(f"non-finite loss: {float(self._data)}")
+        if self._node is None:
+            raise RuntimeError("backward() from a Tensor that does not require grad")
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -118,34 +180,39 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._backward is _spent:
+            if node.backward is _spent:
                 _spent()
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self._node.grad = np.ones_like(self._data)
         while topo:
             node = topo.pop()
-            if node._backward is None:  # a leaf or a constant
+            if node.backward is None:  # a leaf
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-            node.grad, node._backward, node._parents = None, _spent, ()
+                node.backward(node.grad)
+            node.grad, node.backward, node.parents = None, _spent, ()
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self._data)
 
     # -- op construction -----------------------------------------------
 
     @staticmethod
     def _make(data, parents, backward):
+        """The op's output; on the tape when recording and a parent requires grad.
+
+        `backward(g)` must reach the parents only through their nodes
+        (`p._node`, captured when the op runs), never through the Tensors.
+        """
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        if _grad_enabled:
+            nodes = tuple(p._node for p in parents if p._node is not None)
+            if nodes:
+                out._node = _Node(out._data, backward, nodes)
         return out
 
     # -- arithmetic ----------------------------------------------------
@@ -157,25 +224,31 @@ class Tensor:
             raise ShapeError(f"{op} needs equal shapes, got {self.data.shape} and {other.data.shape}")
 
     def __add__(self, other):
+        sn = self._node
         if isinstance(other, (int, float)):
-            return self._make(self.data + other, (self,), lambda g: self._accum(g))
+            return self._make(self.data + other, (self,), lambda g: sn.accum(g))
         self._check_operand(other, "+")
+        on = other._node
         def back(g):
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(g)
+            if sn is not None:
+                sn.accum(g)
+            if on is not None:
+                on.accum(g)
         return self._make(self.data + other.data, (self, other), back)
 
     def __mul__(self, other):
+        sn = self._node
         if isinstance(other, (int, float)):
-            return self._make(self.data * other, (self,), lambda g: self._accum(g * other))
+            return self._make(self.data * other, (self,), lambda g: sn.accum(g * other))
         self._check_operand(other, "*")
+        on = other._node
+        a = self.data if on is not None else None
+        b = other.data if sn is not None else None
         def back(g):
-            if self.requires_grad:
-                self._accum(g * other.data)
-            if other.requires_grad:
-                other._accum(g * self.data)
+            if sn is not None:
+                sn.accum(g * b)
+            if on is not None:
+                on.accum(g * a)
         return self._make(self.data * other.data, (self, other), back)
 
     def matmul(self, other: "Tensor", bias: Optional["Tensor"] = None) -> "Tensor":
@@ -186,72 +259,88 @@ class Tensor:
             if data.ndim != 2 or bias.data.shape != data.shape[1:]:
                 raise ShapeError(f"bias {bias.data.shape} for a {data.shape} product")
             data += bias.data
+        sn, on = self._node, other._node
+        bn = bias._node if bias is not None else None
+        a = self.data if on is not None else None
+        b = other.data if sn is not None else None
         def back(g):
-            if bias is not None and bias.requires_grad:
-                bias._accum(g.sum(axis=0))
-            if self.requires_grad:
-                self._accum(numerics.matmul(g, other.data.swapaxes(-1, -2)), fresh=True)
-            if other.requires_grad:
-                other._accum(numerics.matmul(self.data.swapaxes(-1, -2), g), fresh=True)
+            if bn is not None:
+                bn.accum(g.sum(axis=0))
+            if sn is not None:
+                sn.accum(numerics.matmul(g, b.swapaxes(-1, -2)), fresh=True)
+            if on is not None:
+                on.accum(numerics.matmul(a.swapaxes(-1, -2), g), fresh=True)
         return self._make(data, (self, other) if bias is None else (self, other, bias), back)
 
     def transpose(self) -> "Tensor":
         """Swap the last two axes."""
+        sn = self._node
         return self._make(self.data.swapaxes(-1, -2), (self,),
-                          lambda g: self._accum(g.swapaxes(-1, -2)))
+                          lambda g: sn.accum(g.swapaxes(-1, -2)))
 
     def reshape(self, *shape: int) -> "Tensor":
-        return self._make(self.data.reshape(shape), (self,),
-                          lambda g: self._accum(g.reshape(self.data.shape)))
+        sn, was = self._node, self.data.shape
+        return self._make(self.data.reshape(shape), (self,), lambda g: sn.accum(g.reshape(was)))
 
     def permute(self, *axes: int) -> "Tensor":
+        sn, back_axes = self._node, tuple(np.argsort(axes))
         return self._make(self.data.transpose(axes), (self,),
-                          lambda g: self._accum(g.transpose(tuple(np.argsort(axes)))))
+                          lambda g: sn.accum(g.transpose(back_axes)))
 
     # -- nonlinearities -------------------------------------------------
 
     def act(self, kind: str) -> "Tensor":
-        data = numerics.activation(self.data, kind)
-        def back(g):
-            self._accum(g * numerics.activation_grad(self.data, kind))
-        return self._make(data, (self,), back)
+        sn, h = self._node, self.data
+        return self._make(numerics.activation(h, kind), (self,),
+                          lambda g: sn.accum(g * numerics.activation_grad(h, kind)))
 
     def sigmoid(self) -> "Tensor":
-        y = numerics.sigmoid(self.data)
-        return self._make(y, (self,), lambda g: self._accum(g * y * (1.0 - y)))
+        sn, y = self._node, numerics.sigmoid(self.data)
+        return self._make(y, (self,), lambda g: sn.accum(g * y * (1.0 - y)))
 
     def square(self) -> "Tensor":
-        return self._make(self.data * self.data, (self,), lambda g: self._accum(2.0 * self.data * g))
+        sn, x = self._node, self.data
+        return self._make(x * x, (self,), lambda g: sn.accum(2.0 * x * g))
 
     def clamp_min(self, floor: float) -> "Tensor":
-        keep = self.data > floor
+        sn, keep = self._node, self.data > floor
         data = np.maximum(self.data, floor)
-        return self._make(data, (self,), lambda g: self._accum(g * keep))
+        return self._make(data, (self,), lambda g: sn.accum(g * keep))
 
     def reciprocal(self) -> "Tensor":
-        inv = 1.0 / self.data
-        return self._make(inv, (self,), lambda g: self._accum(-g * inv * inv))
+        sn, inv = self._node, 1.0 / self.data
+        return self._make(inv, (self,), lambda g: sn.accum(-g * inv * inv))
 
     # -- reductions ------------------------------------------------------
 
+    def _fill_back(self, div: Optional[int] = None):
+        """The backward of a full reduction: `g` (over `div`) in every entry,
+        as `np.full_like` of the input lays it out."""
+        sn = self._node
+        def back(g):
+            out = sn.empty()
+            np.copyto(out, g if div is None else g / div, casting="unsafe")
+            sn.accum(out)
+        return back
+
     def mean(self) -> "Tensor":
-        n = self.data.size
         data = np.asarray(self.data.mean(), dtype=self.data.dtype)
-        return self._make(data, (self,), lambda g: self._accum(np.full_like(self.data, g / n)))
+        return self._make(data, (self,), self._fill_back(self.data.size))
 
     def sum(self) -> "Tensor":
         data = np.asarray(self.data.sum(), dtype=self.data.dtype)
-        return self._make(data, (self,), lambda g: self._accum(np.full_like(self.data, g)))
+        return self._make(data, (self,), self._fill_back())
 
     # -- structure -------------------------------------------------------
 
     def rows(self, idx: np.ndarray) -> "Tensor":
         """Row gather (embedding lookup); duplicate indices accumulate."""
-        idx = np.asarray(idx)
+        sn, idx = self._node, np.asarray(idx)
         def back(g):
-            acc = np.zeros_like(self.data)
+            acc = sn.empty()
+            acc.fill(0)
             np.add.at(acc, idx, g)
-            self._accum(acc)
+            sn.accum(acc)
         return self._make(self.data[idx], (self,), back)
 
     def scale_blocks(self, scale: "Tensor") -> "Tensor":
@@ -265,12 +354,15 @@ class Tensor:
         blocks = (t, m, d // m)
         s = scale.data[:, :, None]
         data = np.multiply(self.data.reshape(blocks), s).reshape(t, d)
+        sn, cn = self._node, scale._node
+        xb = self.data.reshape(blocks) if cn is not None else None
+        s = s if sn is not None else None
         def back(g):
             gb = g.reshape(blocks)
-            if self.requires_grad:
-                self._accum(np.multiply(gb, s).reshape(t, d))
-            if scale.requires_grad:
-                scale._accum(np.multiply(gb, self.data.reshape(blocks)).sum(axis=2))
+            if sn is not None:
+                sn.accum(np.multiply(gb, s).reshape(t, d))
+            if cn is not None:
+                cn.accum(np.multiply(gb, xb).sum(axis=2))
         return self._make(data, (self, scale), back)
 
     # -- fused layers ------------------------------------------------------
@@ -289,17 +381,19 @@ class Tensor:
         np.sqrt(inv, out=inv)
         np.true_divide(1.0, inv, out=inv)
         np.multiply(xhat, inv, out=xhat)
-        data = np.multiply(gain.data, xhat)
+        gd = gain.data
+        data = np.multiply(gd, xhat)
         np.add(data, bias.data, out=data)
+        sn, gn, bn = self._node, gain._node, bias._node
         def back(g):
-            if gain.requires_grad:
-                gain._accum((g * xhat).sum(axis=0))
-            if bias.requires_grad:
-                bias._accum(g.sum(axis=0))
-            if self.requires_grad:
+            if gn is not None:
+                gn.accum((g * xhat).sum(axis=0))
+            if bn is not None:
+                bn.accum(g.sum(axis=0))
+            if sn is not None:
                 # standard layernorm backward, population variance:
                 # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
-                gxhat = np.multiply(g, gain.data)
+                gxhat = np.multiply(g, gd)
                 m1 = np.add.reduce(gxhat, axis=-1, keepdims=True)
                 np.true_divide(m1, d, out=m1)
                 r = np.multiply(gxhat, xhat)
@@ -308,7 +402,7 @@ class Tensor:
                 np.multiply(xhat, m2, out=r)
                 np.subtract(gxhat, m1, out=gxhat)
                 np.subtract(gxhat, r, out=gxhat)
-                self._accum(np.multiply(inv, gxhat, out=gxhat))
+                sn.accum(np.multiply(inv, gxhat, out=gxhat))
         return self._make(data, (self, gain, bias), back)
 
     def causal_softmax(self, scale: float) -> "Tensor":
@@ -320,11 +414,12 @@ class Tensor:
         np.subtract(y, np.maximum.reduce(y, axis=-1, keepdims=True), out=y)
         np.exp(y, out=y)
         np.true_divide(y, np.add.reduce(y, axis=-1, keepdims=True), out=y)
+        sn = self._node
         def back(g):
             r = np.multiply(g, y)
             np.subtract(g, np.add.reduce(r, axis=-1, keepdims=True), out=r)
             np.multiply(y, r, out=r)
-            self._accum(np.multiply(r, scale, out=r))
+            sn.accum(np.multiply(r, scale, out=r))
         return self._make(y, (self,), back)
 
     def cross_entropy_mean(self, targets: np.ndarray) -> "Tensor":
@@ -341,12 +436,13 @@ class Tensor:
         np.log(lse, out=lse)
         np.add(m.squeeze(-1), lse, out=lse)
         loss = np.subtract(lse, x[rows, t], out=lse).mean()
+        sn = self._node
         def back(g):
             p = np.subtract(x, m)
             np.exp(p, out=p)
             np.true_divide(p, np.add.reduce(p, axis=-1, keepdims=True), out=p)
             p[rows, t] -= 1.0
-            self._accum(np.multiply(g / x.shape[0], p, out=p))
+            sn.accum(np.multiply(g / x.shape[0], p, out=p))
         return self._make(np.asarray(loss, dtype=x.dtype), (self,), back)
 
     def __repr__(self):

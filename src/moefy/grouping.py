@@ -56,15 +56,15 @@ def _greedy_balanced_assign(dist: np.ndarray, capacity: int) -> np.ndarray:
     """Assign each neuron to a centroid, cheapest (neuron, centroid) pairs first.
 
     Stable sort on the flattened distance matrix breaks ties by lower neuron
-    index, then lower centroid index.
+    index, then lower centroid index. The walk reads plain lists, which
+    Python indexes faster than arrays.
     """
     d_ffn, n_experts = dist.shape
-    order = np.argsort(dist.ravel(), kind="stable")
-    assignment = np.full(d_ffn, -1, dtype=np.int64)
-    room = np.full(n_experts, capacity, dtype=np.int64)
+    neurons, experts = np.divmod(np.argsort(dist.ravel(), kind="stable"), n_experts)
+    assignment = [-1] * d_ffn
+    room = [capacity] * n_experts
     placed = 0
-    for flat in order:
-        neuron, expert = divmod(int(flat), n_experts)
+    for neuron, expert in zip(neurons.tolist(), experts.tolist()):
         if assignment[neuron] >= 0 or room[expert] == 0:
             continue
         assignment[neuron] = expert
@@ -72,7 +72,7 @@ def _greedy_balanced_assign(dist: np.ndarray, capacity: int) -> np.ndarray:
         placed += 1
         if placed == d_ffn:
             break
-    return assignment
+    return np.array(assignment, dtype=np.int64)
 
 
 def group_experts_kmeans(

@@ -36,6 +36,10 @@ GELU_CUBIC = 0.044715
 
 ACTIVATIONS = ("relu", "gelu_tanh", "silu")
 
+# `activation` and `activation_grad` run a 2-D input taller than this in
+# blocks of this many rows, so their temporaries stay block-sized
+ACT_BLOCK_ROWS = 256
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible."""
@@ -101,12 +105,29 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _by_row_blocks(fn, h: np.ndarray, kind: str) -> np.ndarray:
+    """`fn(h, kind)`, for a 2-D `h` taller than ACT_BLOCK_ROWS computed one
+    row block at a time into one output laid out as `fn`'s own result is."""
+    if h.ndim != 2 or h.shape[0] <= ACT_BLOCK_ROWS:
+        return fn(h, kind)
+    first = fn(h[:ACT_BLOCK_ROWS], kind)
+    out = np.empty_like(h, dtype=first.dtype)
+    out[:ACT_BLOCK_ROWS] = first
+    for r in range(ACT_BLOCK_ROWS, h.shape[0], ACT_BLOCK_ROWS):
+        out[r:r + ACT_BLOCK_ROWS] = fn(h[r:r + ACT_BLOCK_ROWS], kind)
+    return out
+
+
 def activation(h: np.ndarray, kind: str) -> np.ndarray:
     """Elementwise activation. kind is one of relu | gelu_tanh | silu.
 
     relu is max(h, 0), silu is h * sigmoid(h), and gelu_tanh is
     0.5 * h * (1 + tanh(GELU_COEF * (h + GELU_CUBIC * h * h * h))).
     """
+    return _by_row_blocks(_activation, h, kind)
+
+
+def _activation(h: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(h, 0)
     if kind == "silu":
@@ -137,6 +158,10 @@ def activation_grad(h: np.ndarray, kind: str) -> np.ndarray:
     t = tanh(u) and du = GELU_COEF * (1 + 3 * GELU_CUBIC * h * h):
     0.5 * (1 + t) + 0.5 * h * (1 - t * t) * du.
     """
+    return _by_row_blocks(_activation_grad, h, kind)
+
+
+def _activation_grad(h: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return (h > 0).astype(h.dtype)
     if kind == "silu":

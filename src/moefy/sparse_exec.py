@@ -226,13 +226,15 @@ def sparse_ffn_graph(params: TransformerParams, i: int, x: Tensor, mask: np.ndar
     xd = np.ascontiguousarray(x.data)
     out, tape = _union_ffn(packed, mask, xd)
 
+    xn, nodes = x._node, {role: t._node for role, t in tensors.items()}
+
     def back(g):
         dx, grads = _union_ffn_grads(packed, tape, xd, g)
-        if x.requires_grad:
-            x._accum(dx)
-        for role, t in tensors.items():
-            if t.requires_grad:
-                t._accum(grads[role] if role == "b2" else _unslab(grads[role], D_FFN_AXIS[role]))
+        if xn is not None:
+            xn.accum(dx)
+        for role, node in nodes.items():
+            if node is not None:
+                node.accum(grads[role] if role == "b2" else _unslab(grads[role], D_FFN_AXIS[role]))
     return Tensor._make(out, (x, *tensors.values()), back)
 
 

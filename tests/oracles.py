@@ -1,5 +1,6 @@
 """Test-only references: a central-difference gradient, the union
-sparsity of every token prefix, and the masked-dense discrete FFN."""
+sparsity of every token prefix, the masked-dense discrete FFN and the
+greedy balanced assignment loop."""
 
 from typing import Callable
 
@@ -48,3 +49,24 @@ def masked_dense_ffn(params, i: int, x: Tensor, mask: np.ndarray) -> Tensor:
     then the (T, n_experts) 0/1 mask scales each expert's units as a
     constant. The reference for the discrete FFN's graph op; run it in float64."""
     return ffn_out(params, i, ffn_hidden(params, i, x), Tensor(mask.astype(x.dtype)))
+
+
+def greedy_balanced_assign_loop(dist: np.ndarray, capacity: int) -> np.ndarray:
+    """The array-indexing loop `grouping._greedy_balanced_assign` replaced,
+    kept as its reference: cheapest (neuron, centroid) pairs first, ties by
+    lower neuron index, then lower centroid index."""
+    d_ffn, n_experts = dist.shape
+    order = np.argsort(dist.ravel(), kind="stable")
+    assignment = np.full(d_ffn, -1, dtype=np.int64)
+    room = np.full(n_experts, capacity, dtype=np.int64)
+    placed = 0
+    for flat in order:
+        neuron, expert = divmod(int(flat), n_experts)
+        if assignment[neuron] >= 0 or room[expert] == 0:
+            continue
+        assignment[neuron] = expert
+        room[expert] -= 1
+        placed += 1
+        if placed == d_ffn:
+            break
+    return assignment

@@ -335,7 +335,7 @@ class TestGraph:
         x = param(rnd((3,), 27))
         with no_grad():
             y = (x * x).sum()
-        assert y._backward is None and not y.requires_grad
+        assert y._node is None and not y.requires_grad
 
     def test_backward_needs_scalar(self):
         with pytest.raises(ShapeError):
@@ -357,6 +357,28 @@ class TestGraph:
         assert freed() is None
         assert x.grad is not None and w.grad is not None
         assert loss.grad is None
+
+    def test_tape_keeps_only_what_backward_reads(self):
+        # the embedding gather feeds only `+`, the `+` output only a layernorm
+        # (which keeps its own xhat), and the q @ k^T scores only the softmax,
+        # which keeps its output: none is read by a backward. The layernorm
+        # output is a matmul input, which the matmul's weight gradient reads.
+        wte, g, b = param(rnd((10, 8), 54)), param(np.ones(8)), param(np.zeros(8))
+        wq, wk = param(rnd((8, 8), 55)), param(rnd((8, 8), 56))
+        pos = param(rnd((6, 8), 57))
+        gather = wte.rows(np.array([1, 3, 3, 0, 9, 2]))
+        x = gather + pos
+        xn = x.layernorm(g, b)
+        scores = xn.matmul(wq).matmul(xn.matmul(wk).transpose())
+        loss = scores.causal_softmax(0.5).square().sum()
+        freed = {name: weakref.ref(t.data) for name, t in
+                 (("gather", gather), ("sum", x), ("scores", scores), ("matmul input", xn))}
+        del gather, x, xn, scores
+        assert {name: ref() is None for name, ref in freed.items()} == {
+            "gather": True, "sum": True, "scores": True, "matmul input": False}
+        loss.backward()
+        assert freed["matmul input"]() is None
+        assert all(t.grad is not None for t in (wte, g, b, wq, wk, pos))
 
     def test_second_backward_from_the_same_loss_raises(self):
         x = param(rnd((4,), 52))

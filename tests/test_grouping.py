@@ -13,6 +13,7 @@ from moefy.model import D_FFN_AXIS
 from moefy.numerics import Rng
 
 from ffn_blocks import KINDS, dense_ffn, random_layer as ffn_random_layer
+from oracles import greedy_balanced_assign_loop
 
 
 def random_layer(rng, d=6, f=12, kind="two_matmul", dtype=np.float32):
@@ -56,6 +57,19 @@ class TestKmeans:
         dist = Rng(7).normal((40, 5), std=1.0) ** 2
         dist[:, 2] -= 10.0
         assert (np.bincount(_greedy_balanced_assign(dist, 8), minlength=5) == 8).all()
+
+    @pytest.mark.parametrize("d_ffn, n_experts", [(6, 6), (40, 5), (512, 32)])
+    def test_greedy_step_equals_the_loop(self, d_ffn, n_experts):
+        # tie-heavy matrices take few distinct values, so the stable order
+        # decides; capacity 1 leaves neurons unplaced unless d_ffn = n_experts
+        rng = Rng(d_ffn + n_experts)
+        dists = [rng.normal((d_ffn, n_experts), std=1.0) ** 2,
+                 np.floor(rng.normal((d_ffn, n_experts), std=1.0) ** 2),
+                 np.zeros((d_ffn, n_experts))]
+        for dist in dists:
+            for capacity in (1, d_ffn // n_experts, d_ffn):
+                assert np.array_equal(_greedy_balanced_assign(dist, capacity),
+                                      greedy_balanced_assign_loop(dist, capacity))
 
     def test_assignment_is_the_one_sse_history_scores(self):
         feats = Rng(7).normal((40, 4), std=1.0).astype(np.float64)

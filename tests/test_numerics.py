@@ -190,11 +190,15 @@ def expression_activation_grad(h, kind):
 
 def activation_inputs(dtype):
     """Row counts the model runs (empty, one decode token, a window, a batch),
-    a 3-D array and a strided view."""
+    one that ends in a partial row block, a 3-D array and strided views, one
+    of them tall enough to run in row blocks."""
     rng = Rng(11)
-    out = {f"({n}, 512)": rng.normal((n, 512), std=3.0, dtype=dtype) for n in (0, 1, 40, 2048)}
+    out = {f"({n}, 512)": rng.normal((n, 512), std=3.0, dtype=dtype)
+           for n in (0, 1, 40, 2048, 2 * numerics.ACT_BLOCK_ROWS + 37)}
     out["3-D"] = rng.normal((4, 10, 96), std=3.0, dtype=dtype)
     out["strided"] = rng.normal((40, 1024), std=3.0, dtype=dtype)[:, ::2]
+    out["tall strided"] = rng.normal((1500, 192), std=3.0, dtype=dtype)[::2, ::3]
+    out["tall Fortran"] = np.asfortranarray(rng.normal((300, 64), std=3.0, dtype=dtype))
     return out
 
 
@@ -210,6 +214,7 @@ class TestActivationBitwise:
             assert h.tobytes() == before, name
             assert got.dtype == want.dtype == dtype, name
             assert got.shape == want.shape == h.shape, name
+            assert got.strides == want.strides, name
             assert got.tobytes() == want.tobytes(), name
 
 

@@ -406,9 +406,10 @@ class TestRuns:
             assert 0.0 <= sparsity <= 1.0
 
     def test_stage1_backward_peak_stays_near_forward_memory(self, small_corpus, monkeypatch):
-        # backward consumes the tape, so a default-shape B=8 stage-1 step holds
-        # little beyond its forward activations at the backward peak (about
-        # 1.1x); a tape kept whole until the step returns peaks near 2.2x
+        # the tape keeps only the arrays backward reads (about 25 MB here;
+        # keeping every op's output would take about 35), and backward
+        # consumes it, so the backward peak stays near the forward memory
+        # (about 1.13x); a tape kept whole until the step returns peaks near 2.2x
         params = init_params(ModelConfig().validate(), Rng(0).split("init"))
         routers, _ = moefy_params(params)
         st = TrainingState(params=params, hyper=TrainHyper(), rng=Rng(0), stage="stage1",
@@ -431,7 +432,7 @@ class TestRuns:
             train_step(st, batch)
         finally:
             tracemalloc.stop()
-        assert seen["forward"] > 28e6  # the step's activations, ~35 MB
+        assert 20e6 < seen["forward"] < 29e6, seen
         assert seen["peak"] < 1.25 * seen["forward"], seen
 
     def test_stage2_ffn_makes_no_blocked_matmul(self, small_corpus, monkeypatch):

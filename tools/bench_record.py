@@ -63,31 +63,48 @@ def add_seed_values(bench: Path, records: list[dict], record_figures) -> None:
     bench.write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def is_checkout(src: Path, tool: str) -> bool:
+    """Whether `src` is a git checkout; if not, say how to make one."""
+    if (src / ".git").exists():
+        return True
+    # perfbench records the checkout's commit; a plain copy records "unknown"
+    print(f"{tool}: {src} has no .git; make a checkout of the commit to measure "
+          f"with `git worktree add DIR COMMIT`", file=sys.stderr)
+    return False
+
+
+def run_perfbench(src: Path, workload: str, seed: int, seconds) -> str:
+    """Run `src`'s perfbench once, untraced, and return the record line it appended."""
+    records = src / ".perfbench_work" / "records.jsonl"
+    start = len(records.read_text().splitlines()) if records.exists() else 0
+    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                    "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                   cwd=src, check=True)
+    new = records.read_text().splitlines()[start:]
+    if len(new) != 1:
+        raise RuntimeError(f"perfbench appended {len(new)} records to {records}, not one")
+    return new[0]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
     ap.add_argument("--src", type=Path, default=ROOT, help="repository root to benchmark")
     args = ap.parse_args(argv)
     src = args.src.resolve()
-    if not (src / ".git").exists():
-        # perfbench records the checkout's commit; a plain copy records "unknown"
-        print(f"bench_record: {src} has no .git; make a checkout of the commit to measure "
-              f"with `git worktree add DIR COMMIT`", file=sys.stderr)
+    if not is_checkout(src, "bench_record"):
         return 2
     bench = json.loads((src / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    records = src / ".perfbench_work" / "records.jsonl"
-    start = len(records.read_text().splitlines()) if records.exists() else 0
 
+    lines = []
     for workload, seed in run_order(workloads, list(SEEDS)):
         print(f"bench_record: {workload} seed {seed}", file=sys.stderr, flush=True)
-        subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                        "--seed", str(seed), "--seconds", str(bench["run_seconds"]), "--trace", "0"],
-                       cwd=src, check=True)
+        lines.append(run_perfbench(src, workload, seed, bench["run_seconds"]))
 
     # summarize.py groups every record it reads; give it only this recording's runs
     ours = src / ".perfbench_work" / f"bench_{args.tag}.jsonl"
-    ours.write_text("".join(line + "\n" for line in records.read_text().splitlines()[start:]))
+    ours.write_text("".join(line + "\n" for line in lines))
     bench_file = ROOT / f"BENCH_{args.tag}.json"
     subprocess.run([sys.executable, "perfbench/summarize.py", "--records", str(ours),
                     "--min-seed", str(SEEDS[0]), "--baseline-out", str(bench_file)],
