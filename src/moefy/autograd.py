@@ -220,13 +220,13 @@ class Tensor:
     def _check_operand(self, other, op: str) -> None:
         if not isinstance(other, Tensor):
             raise TypeError(f"{op} takes a Tensor or a Python scalar, got {type(other).__name__}")
-        if other.data.shape != self.data.shape:
-            raise ShapeError(f"{op} needs equal shapes, got {self.data.shape} and {other.data.shape}")
+        if other._data.shape != self._data.shape:
+            raise ShapeError(f"{op} needs equal shapes, got {self._data.shape} and {other._data.shape}")
 
     def __add__(self, other):
         sn = self._node
         if isinstance(other, (int, float)):
-            return self._make(self.data + other, (self,), lambda g: sn.accum(g))
+            return self._make(self._data + other, (self,), lambda g: sn.accum(g))
         self._check_operand(other, "+")
         on = other._node
         def back(g):
@@ -234,35 +234,35 @@ class Tensor:
                 sn.accum(g)
             if on is not None:
                 on.accum(g)
-        return self._make(self.data + other.data, (self, other), back)
+        return self._make(self._data + other._data, (self, other), back)
 
     def __mul__(self, other):
         sn = self._node
         if isinstance(other, (int, float)):
-            return self._make(self.data * other, (self,), lambda g: sn.accum(g * other))
+            return self._make(self._data * other, (self,), lambda g: sn.accum(g * other))
         self._check_operand(other, "*")
         on = other._node
-        a = self.data if on is not None else None
-        b = other.data if sn is not None else None
+        a = self._data if on is not None else None
+        b = other._data if sn is not None else None
         def back(g):
             if sn is not None:
                 sn.accum(g * b)
             if on is not None:
                 on.accum(g * a)
-        return self._make(self.data * other.data, (self, other), back)
+        return self._make(self._data * other._data, (self, other), back)
 
     def matmul(self, other: "Tensor", bias: Optional["Tensor"] = None) -> "Tensor":
         """2-D or stacked (..., m, k) @ (..., k, n) product via numerics.matmul,
         plus an optional (n,) `bias` on every row of a 2-D product."""
-        data = numerics.matmul(self.data, other.data)
+        data = numerics.matmul(self._data, other._data)
         if bias is not None:
-            if data.ndim != 2 or bias.data.shape != data.shape[1:]:
-                raise ShapeError(f"bias {bias.data.shape} for a {data.shape} product")
-            data += bias.data
+            if data.ndim != 2 or bias._data.shape != data.shape[1:]:
+                raise ShapeError(f"bias {bias._data.shape} for a {data.shape} product")
+            data += bias._data
         sn, on = self._node, other._node
         bn = bias._node if bias is not None else None
-        a = self.data if on is not None else None
-        b = other.data if sn is not None else None
+        a = self._data if on is not None else None
+        b = other._data if sn is not None else None
         def back(g):
             if bn is not None:
                 bn.accum(g.sum(axis=0))
@@ -275,40 +275,40 @@ class Tensor:
     def transpose(self) -> "Tensor":
         """Swap the last two axes."""
         sn = self._node
-        return self._make(self.data.swapaxes(-1, -2), (self,),
+        return self._make(self._data.swapaxes(-1, -2), (self,),
                           lambda g: sn.accum(g.swapaxes(-1, -2)))
 
     def reshape(self, *shape: int) -> "Tensor":
-        sn, was = self._node, self.data.shape
-        return self._make(self.data.reshape(shape), (self,), lambda g: sn.accum(g.reshape(was)))
+        sn, was = self._node, self._data.shape
+        return self._make(self._data.reshape(shape), (self,), lambda g: sn.accum(g.reshape(was)))
 
     def permute(self, *axes: int) -> "Tensor":
-        sn, back_axes = self._node, tuple(np.argsort(axes))
-        return self._make(self.data.transpose(axes), (self,),
-                          lambda g: sn.accum(g.transpose(back_axes)))
+        sn = self._node
+        return self._make(self._data.transpose(axes), (self,),
+                          lambda g: sn.accum(g.transpose(tuple(np.argsort(axes)))))
 
     # -- nonlinearities -------------------------------------------------
 
     def act(self, kind: str) -> "Tensor":
-        sn, h = self._node, self.data
+        sn, h = self._node, self._data
         return self._make(numerics.activation(h, kind), (self,),
                           lambda g: sn.accum(g * numerics.activation_grad(h, kind)))
 
     def sigmoid(self) -> "Tensor":
-        sn, y = self._node, numerics.sigmoid(self.data)
+        sn, y = self._node, numerics.sigmoid(self._data)
         return self._make(y, (self,), lambda g: sn.accum(g * y * (1.0 - y)))
 
     def square(self) -> "Tensor":
-        sn, x = self._node, self.data
+        sn, x = self._node, self._data
         return self._make(x * x, (self,), lambda g: sn.accum(2.0 * x * g))
 
     def clamp_min(self, floor: float) -> "Tensor":
-        sn, keep = self._node, self.data > floor
-        data = np.maximum(self.data, floor)
+        sn, keep = self._node, self._data > floor
+        data = np.maximum(self._data, floor)
         return self._make(data, (self,), lambda g: sn.accum(g * keep))
 
     def reciprocal(self) -> "Tensor":
-        sn, inv = self._node, 1.0 / self.data
+        sn, inv = self._node, 1.0 / self._data
         return self._make(inv, (self,), lambda g: sn.accum(-g * inv * inv))
 
     # -- reductions ------------------------------------------------------
@@ -324,11 +324,11 @@ class Tensor:
         return back
 
     def mean(self) -> "Tensor":
-        data = np.asarray(self.data.mean(), dtype=self.data.dtype)
-        return self._make(data, (self,), self._fill_back(self.data.size))
+        data = np.asarray(self._data.mean(), dtype=self._data.dtype)
+        return self._make(data, (self,), self._fill_back(self._data.size))
 
     def sum(self) -> "Tensor":
-        data = np.asarray(self.data.sum(), dtype=self.data.dtype)
+        data = np.asarray(self._data.sum(), dtype=self._data.dtype)
         return self._make(data, (self,), self._fill_back())
 
     # -- structure -------------------------------------------------------
@@ -341,21 +341,21 @@ class Tensor:
             acc.fill(0)
             np.add.at(acc, idx, g)
             sn.accum(acc)
-        return self._make(self.data[idx], (self,), back)
+        return self._make(self._data[idx], (self,), back)
 
     def scale_blocks(self, scale: "Tensor") -> "Tensor":
         """(T, d) times a (T, m) scale: column j of `scale` multiplies the j-th
         block of d / m adjacent columns (expert score -> its neurons), read
         through a broadcast view rather than repeated to (T, d)."""
-        t, d = self.data.shape
-        m = scale.data.shape[1]
+        t, d = self._data.shape
+        m = scale._data.shape[1]
         if d % m != 0:
             raise ShapeError(f"{d} columns not divisible into {m} scale blocks")
         blocks = (t, m, d // m)
-        s = scale.data[:, :, None]
-        data = np.multiply(self.data.reshape(blocks), s).reshape(t, d)
+        s = scale._data[:, :, None]
+        data = np.multiply(self._data.reshape(blocks), s).reshape(t, d)
         sn, cn = self._node, scale._node
-        xb = self.data.reshape(blocks) if cn is not None else None
+        xb = self._data.reshape(blocks) if cn is not None else None
         s = s if sn is not None else None
         def back(g):
             gb = g.reshape(blocks)
@@ -370,7 +370,7 @@ class Tensor:
     def layernorm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-5) -> "Tensor":
         # population mean and variance as np.mean/np.var compute them: a
         # pairwise sum, then a true divide by the intp row length
-        x = self.data
+        x = self._data
         d = np.intp(x.shape[-1])
         mu = np.add.reduce(x, axis=-1, keepdims=True)
         np.true_divide(mu, d, out=mu)
@@ -381,9 +381,9 @@ class Tensor:
         np.sqrt(inv, out=inv)
         np.true_divide(1.0, inv, out=inv)
         np.multiply(xhat, inv, out=xhat)
-        gd = gain.data
+        gd = gain._data
         data = np.multiply(gd, xhat)
-        np.add(data, bias.data, out=data)
+        np.add(data, bias._data, out=data)
         sn, gn, bn = self._node, gain._node, bias._node
         def back(g):
             if gn is not None:
@@ -408,8 +408,8 @@ class Tensor:
     def causal_softmax(self, scale: float) -> "Tensor":
         """Softmax over the last axis of `self * scale`, where key j > query i
         first gets -1e30 added: exp() underflows, so its probability is 0."""
-        q, k = self.data.shape[-2:]
-        y = np.multiply(self.data, scale)
+        q, k = self._data.shape[-2:]
+        y = np.multiply(self._data, scale)
         np.add(y, -1e30, out=y, where=np.arange(k) > np.arange(q)[:, None])
         np.subtract(y, np.maximum.reduce(y, axis=-1, keepdims=True), out=y)
         np.exp(y, out=y)
@@ -424,7 +424,7 @@ class Tensor:
 
     def cross_entropy_mean(self, targets: np.ndarray) -> "Tensor":
         """Mean token cross-entropy of row logits against integer targets."""
-        x = self.data
+        x = self._data
         t = np.asarray(targets)
         if t.shape[0] != x.shape[0]:
             raise ShapeError(f"{t.shape[0]} targets for {x.shape[0]} logit rows")
@@ -446,7 +446,7 @@ class Tensor:
         return self._make(np.asarray(loss, dtype=x.dtype), (self,), back)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={'yes' if self.grad is not None else 'no'})"
+        return f"Tensor(shape={self._data.shape}, dtype={self._data.dtype}, grad={'yes' if self.grad is not None else 'no'})"
 
 
 def param(data: np.ndarray) -> Tensor:
