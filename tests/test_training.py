@@ -409,7 +409,7 @@ class TestRuns:
         # the tape keeps only the arrays backward reads (about 25 MB here;
         # keeping every op's output would take about 35), and backward
         # consumes it, so the backward peak stays near the forward memory
-        # (about 1.13x); a tape kept whole until the step returns peaks near 2.2x
+        # (about 1.1x); a tape kept whole until the step returns peaks near 2.2x
         params = init_params(ModelConfig().validate(), Rng(0).split("init"))
         routers, _ = moefy_params(params)
         st = TrainingState(params=params, hyper=TrainHyper(), rng=Rng(0), stage="stage1",
