@@ -5,13 +5,13 @@ through a sigmoid, thresholded at tau for discrete selection. Soft mode
 passes the scores as the per-expert scale that `model.ffn_out` applies to the
 FFN hidden layer (differentiable; used while the routers learn). Discrete
 mode takes a constant 0/1 mask from `threshold_select` and runs the union
-kernel: in a graph as one op over the parameters themselves, without one
-over weights the caller packed once. Baselines only pick a constant scale
-for `forward_lm` to apply: noisy top-k softmax weights and frozen random
-routers rank the block input, per-neuron magnitude keep (exact-value stand-in
-for a trained predictor) and ground-truth expert top-k the hidden layer. Each
-returns (scale, RoutingDecision) whose mask is the selection it applied, so
-eval measures all methods from their masks.
+kernel on it: in a graph, as one op over the parameters themselves; without
+a graph, over the weights the caller packed once. Baselines only pick a
+constant scale for `forward_lm` to apply: noisy top-k softmax weights and
+frozen random routers rank the block input, per-neuron magnitude keep
+(exact-value stand-in for a trained predictor) and ground-truth expert top-k
+the hidden layer. Each returns (scale, RoutingDecision) whose mask is the
+selection it applied, so eval measures all methods from their masks.
 """
 
 from __future__ import annotations
@@ -66,16 +66,15 @@ def threshold_select(router: RouterLayer, x: np.ndarray, tau: float) -> RoutingD
 
 def moe_forward_discrete(packed: sparse_exec.PackedExpertWeights, partition, router: RouterLayer,
                          x: np.ndarray, tau: float) -> tuple[np.ndarray, RoutingDecision]:
-    """Threshold selection over the gather kernel of one layer's packed expert slabs.
+    """Threshold selection; the router's mask runs the union kernel over one
+    layer's packed expert slabs, with no graph.
 
     The kernel reads only `packed`; `partition`, the ExpertPartition it was
     packed from, names the layer (`layer_index`) to callers that trace it.
     """
     dec = threshold_select(router, x, tau)
-    _, ids = np.nonzero(dec.mask)
-    ends = np.cumsum(dec.mask.sum(axis=1)).tolist()
-    selections = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    return sparse_exec.sparse_ffn_forward(packed, selections, x), dec
+    # BLAS reads a strided x differently; a contiguous copy keeps the bytes
+    return sparse_exec._union_ffn(packed, dec.mask, np.ascontiguousarray(x))[0], dec
 
 
 def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,

@@ -8,9 +8,13 @@ of `slab.reshape(-1, d_model)`. The CPU kernel computes over the union of
 the experts any row of the call selected: one up matmul (two with a gate) and
 one down matmul per run of adjacent union experts, over all rows, with the
 bias, the activation and the selection mask applied once to the whole hidden
-buffer. A one-row call runs each selected expert as its own run. The same
-kernel runs as one graph op (`sparse_ffn_graph`) over views of a model's
-parameters, so stage-2 training computes and differentiates only the union.
+buffer. A one-row call runs each selected expert as its own run. The
+kernel, `_union_ffn`, takes a (T, n_experts) bool selection mask:
+`routing.moe_forward_discrete` (no graph, over packed slabs) and
+`sparse_ffn_graph` (one graph op over views of a model's parameters, so
+stage-2 training computes and differentiates only the union) pass their
+masks to it directly. `sparse_ffn_forward` is the entry for callers that
+hold per-token expert ids: `bench` and acceptance criteria 1 and 7.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,9 +77,10 @@ def pack(layer: FfnLayer) -> PackedExpertWeights:
 
 def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
     """(T, n) bool mask of per-token integer expert ids, in any order; a repeat counts once."""
-    if not set(map(attrgetter("dtype.kind"), selections)) <= {"i", "u"}:
-        t = next(t for t, s in enumerate(selections) if s.dtype.kind not in "iu")
-        raise ValueError(f"expert ids must be integers: token {t}: {selections[t]}")
+    t = next((t for t, s in enumerate(selections) if not isinstance(s, np.ndarray)
+              or s.ndim != 1 or s.dtype.kind not in "iu"), None)
+    if t is not None:
+        raise ValueError(f"expert ids must be a 1-D integer array: token {t}: {selections[t]!r}")
     counts = np.fromiter(map(len, selections), dtype=np.int64, count=len(selections))
     ids = np.concatenate([np.zeros(0, np.int64), *selections]).astype(np.int64, copy=False)
     tok = np.repeat(np.arange(len(selections)), counts)
@@ -106,9 +110,10 @@ def sparse_ffn_forward(
     selections: Sequence[np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """Gather-free FFN over the union of the experts the rows selected.
+    """Gather-free FFN over the union of the experts the rows selected, for
+    callers that hold per-token expert ids.
 
-    selections[t] is an integer array of that token's expert ids, in any
+    selections[t] is a 1-D integer array of that token's expert ids, in any
     order; a repeated id counts once. Every row runs through the union U of
     all selected experts, laid out in one (T, |U| * expert_size) hidden
     buffer. Each run of adjacent union experts costs one up matmul (two with
@@ -129,7 +134,7 @@ def sparse_ffn_forward(
 
 
 def _union_ffn(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> tuple:
-    """The union kernel of `sparse_ffn_forward` for a (T, n) selection mask.
+    """The union kernel for a (T, n) bool selection mask (see `sparse_ffn_forward`).
 
     Returns the output and the tape `_union_ffn_grads` reads: the union, the
     hidden-buffer mask of unselected pairs, the up (after b1) and gate
@@ -208,7 +213,7 @@ def sparse_ffn_graph(params: TransformerParams, i: int, x: Tensor, mask: np.ndar
     """Block i's FFN under a constant (T, n_experts) selection mask, as one
     graph node over the union kernel.
 
-    The forward is `sparse_ffn_forward`'s kernel over views of the permuted
+    The forward is `_union_ffn` on the mask, over views of the permuted
     parameters (no packed copy); the backward gives x and every FFN weight
     a gradient over the union's columns only, with unselected pairs zeroed
     as in the forward. The mask is data: no gradient flows through it.

@@ -150,29 +150,35 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="tau must be in"):
             discrete_ffn_graph(params, 0, r, param(x), tau)
 
-    def test_gather_kernel_receives_per_token_id_arrays(self, monkeypatch):
-        # the benchmark's traced observer reads sparse_ffn_forward's args[1] as
-        # one sorted id array per token; a mask argument would break its counts
-        seen = []
-        kernel = routing.sparse_exec.sparse_ffn_forward
-
-        def spy(packed, selections, x):
-            seen.append(selections)
-            return kernel(packed, selections, x)
-
-        monkeypatch.setattr(routing.sparse_exec, "sparse_ffn_forward", spy)
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    @pytest.mark.parametrize("rows", [[0], [1], list(range(9))])
+    def test_no_grad_mask_goes_straight_to_union_kernel(self, monkeypatch, kind, rows):
+        # no id lists on the serving path: the router's mask is the kernel's input
         rng = Rng(12)
-        params, part = make_layer(rng, n_experts=4)
-        r = router_init(6, 4, rng.split("r"), std=1.5)
-        x = rng.normal((9, 6), std=1.0)
-        _, dec = discrete(params, part, r, x, tau=0.5)
-        assert 0 < dec.mask.mean() < 1 and len(seen) == 1
-        sels = seen[0]
-        assert isinstance(sels, list) and len(sels) == 9
-        for t, sel in enumerate(sels):
-            assert isinstance(sel, np.ndarray) and sel.ndim == 1
-            assert np.issubdtype(sel.dtype, np.integer)
-            assert np.array_equal(sel, np.flatnonzero(dec.mask[t]))
+        params, part = make_layer(rng, kind=kind, n_experts=4)
+        wg = rng.split("g").normal((6, 4), std=2.0)
+        wg[:, 1] = -50.0  # positive inputs never select expert 1
+        r = RouterLayer(Wg=param(wg))
+        x = np.abs(rng.normal((9, 6), std=1.0)) + 0.1
+        x[0] = 0.0  # every score exactly tau: row 0 selects nothing
+        x = x[rows]
+        packed = pack(get_ffn_layer(params, 0, part))
+
+        def fail(*args):
+            raise AssertionError("id-list path called")
+
+        monkeypatch.setattr(routing.sparse_exec, "sparse_ffn_forward", fail)
+        monkeypatch.setattr(routing.sparse_exec, "_selection_mask", fail)
+        with no_grad():
+            y, dec = moe_forward_discrete(packed, part, r, x, tau=0.5)
+        monkeypatch.undo()
+        assert dec.mask[0].any() == (rows[0] != 0)
+        if len(rows) > 1:  # a union of two runs around the unselected expert
+            assert dec.mask.any(axis=0).tolist() == [True, False, True, True]
+            assert 0 < dec.mask.mean() < 1
+        ref = routing.sparse_exec.sparse_ffn_forward(
+            packed, [np.flatnonzero(m) for m in dec.mask], x)
+        assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
 
 
 class TestSoft:

@@ -168,12 +168,13 @@ class TestExpertMajorDispatch:
         first = sparse_ffn_forward(packed, sels, x)
         assert first.tobytes() == sparse_ffn_forward(packed, sels, x).tobytes()
 
-    @pytest.mark.parametrize("bad", [[32], [-1], [0, 31, 32],
-                                     [1.7, 2.2], [False, True]])
+    @pytest.mark.parametrize("bad", [np.array([32]), np.array([-1]), np.array([0, 31, 32]),
+                                     np.array([1.7, 2.2]), np.array([False, True]),
+                                     [1, 2], np.array([[1, 2]])])
     def test_one_bad_token_in_a_batch_rejected(self, bad):
         _, packed = model_shape_layer("two_matmul", np.float32)
         sels = distinct_selections()
-        sels[37] = np.array(bad)
+        sels[37] = bad
         x = np.zeros((len(sels), 128), dtype=np.float32)
         with pytest.raises(ValueError, match="token 37"):
             sparse_ffn_forward(packed, sels, x)
