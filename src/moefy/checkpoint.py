@@ -104,8 +104,9 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     exactly the table's tensors, no name may repeat, and the model tensors
     must carry the names and shapes of `model.param_shapes` for the
     manifest's config. Partitions and routers, when present, must
-    number n_layers, partition i must carry layer_index i, and routers must
-    fit the config; a partition's n_experts and expert_size are the config's.
+    number n_layers, partition i must carry layer_index i, router i must be
+    named `router.{i}.Wg`, and routers must fit the config; a partition's
+    n_experts and expert_size are the config's.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -156,13 +157,12 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
         tensors[entry["name"]] = np.frombuffer(blob, "<f4", n, a).reshape(entry["shape"]).copy()
         a += 4 * n
 
-    router_names = sorted(
-        (n for n in tensors if n.startswith("router.")),
-        key=lambda n: int(n.split(".")[1]),
-    )
-    routers = None
-    if router_names:
-        routers = [RouterLayer(Wg=param(tensors.pop(n))) for n in router_names]
+    router_names = [f"router.{i}.Wg" for i in range(cfg.n_layers)]
+    stray = next((n for n in tensors if n.startswith("router.") and n not in router_names), None)
+    if stray is not None:
+        raise ValueError(f"tensor {stray} is not a router name router.{{i}}.Wg with i < "
+                         f"n_layers={cfg.n_layers}")
+    routers = [RouterLayer(Wg=param(tensors.pop(n))) for n in router_names if n in tensors] or None
 
     _check_model_tensors(cfg, tensors)
     params = TransformerParams(cfg, {n: param(a) for n, a in tensors.items()})

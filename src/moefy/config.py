@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import checkpoint
 from .losses import LteHyperparams
 from .model import ModelConfig
 from .numerics import Rng
@@ -181,7 +182,7 @@ def make_synthetic_corpus(path: str, n_bytes: int = 1_000_000, seed: int = 7) ->
     a few hundred word types, occasional numbers, casing, and punctuation.
 
     A size whose corpus `load_corpus` would reject raises ConfigError and
-    writes nothing.
+    writes nothing; the write itself is atomic (`checkpoint.write_atomic`).
     """
     rng = Rng(seed)
     chunks: list[str] = []
@@ -199,6 +200,5 @@ def make_synthetic_corpus(path: str, n_bytes: int = 1_000_000, seed: int = 7) ->
         size += len(s)
     raw = "".join(chunks)[:n_bytes].encode()
     _corpus(raw, f"a corpus of {n_bytes} bytes")
-    with open(path, "wb") as fh:
-        fh.write(raw)
+    checkpoint.write_atomic(path, [raw])
     return path

@@ -1,17 +1,20 @@
 """Expert selection: sigmoid threshold routers, soft mode, and oracle baselines.
 
 The learned router is a single linear map producing one score per expert
-through a sigmoid, thresholded at tau for discrete selection. Soft mode
-passes the scores as the per-expert scale that `model.ffn_out` applies to the
-FFN hidden layer (differentiable; used while the routers learn). Discrete
-mode takes a constant 0/1 mask from `threshold_select` and runs the union
-kernel on it: in a graph, as one op over the parameters themselves; without
-a graph, over the weights the caller packed once. Baselines only pick a
-constant scale for `forward_lm` to apply: noisy top-k softmax weights and
-frozen random routers rank the block input, per-neuron magnitude keep
-(exact-value stand-in for a trained predictor) and ground-truth expert top-k
-the hidden layer. Each returns (scale, RoutingDecision) whose mask is the
-selection it applied, so eval measures all methods from their masks.
+through a sigmoid, thresholded at tau for discrete selection. Soft mode passes
+the scores as the per-expert scale that `model.ffn_out` applies to the FFN
+hidden layer (differentiable; used while the routers learn). Discrete mode
+takes a constant bool mask from `threshold_select` and hands it to the union
+kernel, whose one selection format it is: in a graph, as one op over the
+parameters themselves (`sparse_exec.sparse_ffn_graph`); without a graph, over
+the weights the caller packed once, through `sparse_exec._union_ffn` rather
+than `sparse_ffn_forward`, whose calls perfbench's trace counts as id lists.
+Baselines only pick a constant scale for `forward_lm` to apply: noisy top-k
+softmax weights and frozen random routers rank the block input, per-neuron
+magnitude keep (exact-value stand-in for a trained predictor) and ground-truth
+expert top-k the hidden layer. Each returns (scale, RoutingDecision) whose
+mask is the selection it applied, so eval measures all methods from their
+masks.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ def moe_forward_discrete(packed: sparse_exec.PackedExpertWeights, partition, rou
     packed from, names the layer (`layer_index`) to callers that trace it.
     """
     dec = threshold_select(router, x, tau)
-    # BLAS reads a strided x differently; a contiguous copy keeps the bytes
-    return sparse_exec._union_ffn(packed, dec.mask, np.ascontiguousarray(x))[0], dec
+    # not sparse_ffn_forward: perfbench's trace reads its args[1] as per-token id arrays
+    return sparse_exec._union_ffn(packed, dec.mask, x)[0], dec
 
 
 def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,

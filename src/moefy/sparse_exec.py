@@ -9,12 +9,15 @@ the experts any row of the call selected: one up matmul (two with a gate) and
 one down matmul per run of adjacent union experts, over all rows, with the
 bias, the activation and the selection mask applied once to the whole hidden
 buffer. A one-row call runs each selected expert as its own run. The
-kernel, `_union_ffn`, takes a (T, n_experts) bool selection mask:
-`routing.moe_forward_discrete` (no graph, over packed slabs) and
-`sparse_ffn_graph` (one graph op over views of a model's parameters, so
-stage-2 training computes and differentiates only the union) pass their
-masks to it directly. `sparse_ffn_forward` is the entry for callers that
-hold per-token expert ids: `bench` and acceptance criteria 1 and 7.
+kernel, `_union_ffn`, takes one selection format, a (T, n_experts) bool
+mask, and checks its inputs in that one place. Three callers reach it:
+`sparse_ffn_forward` (no graph, over packed slabs) for `bench` and
+acceptance criteria 1 and 7; `routing.moe_forward_discrete` (the no-grad
+serving path, also over packed slabs), which calls `_union_ffn` itself
+because perfbench's trace reads the second argument of `sparse_ffn_forward`
+as per-token id arrays and would count a mask row as every expert selected;
+and `sparse_ffn_graph` (one graph op over views of a model's parameters, so
+stage-2 training computes and differentiates only the union).
 """
 
 from __future__ import annotations
@@ -75,23 +78,6 @@ def pack(layer: FfnLayer) -> PackedExpertWeights:
     return PackedExpertWeights(layer.activation, n, e, b2=b2, **slabs)
 
 
-def _selection_mask(selections: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """(T, n) bool mask of per-token integer expert ids, in any order; a repeat counts once."""
-    t = next((t for t, s in enumerate(selections) if not isinstance(s, np.ndarray)
-              or s.ndim != 1 or s.dtype.kind not in "iu"), None)
-    if t is not None:
-        raise ValueError(f"expert ids must be a 1-D integer array: token {t}: {selections[t]!r}")
-    counts = np.fromiter(map(len, selections), dtype=np.int64, count=len(selections))
-    ids = np.concatenate([np.zeros(0, np.int64), *selections]).astype(np.int64, copy=False)
-    tok = np.repeat(np.arange(len(selections)), counts)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        t = int(tok[(ids < 0) | (ids >= n)][0])
-        raise ValueError(f"expert id out of range [0, {n}): token {t}: {selections[t]}")
-    mask = np.zeros((len(selections), n), dtype=bool)
-    mask[tok, ids] = True
-    return mask
-
-
 def _expert_runs(union: np.ndarray, n_tok: int) -> list[tuple[int, int]]:
     """[a, b) runs of the experts in `union`, ascending: maximal runs of
     adjacent experts, or one run per expert for a one-row call, where merged
@@ -105,43 +91,40 @@ def _expert_runs(union: np.ndarray, n_tok: int) -> list[tuple[int, int]]:
     return runs
 
 
-def sparse_ffn_forward(
-    packed: PackedExpertWeights,
-    selections: Sequence[np.ndarray],
-    x: np.ndarray,
-) -> np.ndarray:
-    """Gather-free FFN over the union of the experts the rows selected, for
-    callers that hold per-token expert ids.
-
-    selections[t] is a 1-D integer array of that token's expert ids, in any
-    order; a repeated id counts once. Every row runs through the union U of
-    all selected experts, laid out in one (T, |U| * expert_size) hidden
-    buffer. Each run of adjacent union experts costs one up matmul (two with
-    a gate) on one contiguous slab block, and the bias and the activation
-    run once. Each (token, expert) pair the token did not select is then set
-    to exactly 0, so a non-finite value in that expert's up, gate or b1 slab
-    never reaches the token (one in a `down` slab reaches every row of a
-    call whose union holds the expert). Runs add their down matmuls into the
-    output in ascending order, then `b2` is added.
-    """
-    if x.ndim != 2 or len(selections) != x.shape[0]:
-        raise numerics.ShapeError(
-            f"{len(selections)} selections for input of shape {x.shape}"
-        )
-    mask = _selection_mask(selections, packed.n_experts)
-    # BLAS reads a strided x differently; a contiguous copy keeps the bytes
-    return _union_ffn(packed, mask, np.ascontiguousarray(x))[0]
+def sparse_ffn_forward(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The union kernel's output for a (T, n_experts) bool selection mask,
+    outside a graph: the entry for `bench` and acceptance criteria 1 and 7."""
+    return _union_ffn(packed, mask, x)[0]
 
 
 def _union_ffn(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> tuple:
-    """The union kernel for a (T, n) bool selection mask (see `sparse_ffn_forward`).
+    """Gather-free FFN over the union of the experts the rows of `x` selected.
 
-    Returns the output and the tape `_union_ffn_grads` reads: the union, the
-    hidden-buffer mask of unselected pairs, the up (after b1) and gate
+    x is (T, d_model) and mask, the selection, is (T, n_experts) bool; every
+    entry comes through here, so this is the one place that checks them. Every
+    row runs through the union U of all selected experts, laid out in one
+    (T, |U| * expert_size) hidden buffer. Each run of adjacent union experts
+    costs one up matmul (two with a gate) on one contiguous slab block, and
+    the bias and the activation run once. Each (token, expert) pair the token
+    did not select is then set to exactly 0, so a non-finite value in that
+    expert's up, gate or b1 slab never reaches the token (one in a `down` slab
+    reaches every row of a call whose union holds the expert). Runs add their
+    down matmuls into the output in ascending order, then `b2` is added.
+
+    Returns the output and the tape `_union_ffn_grads` reads: x, the union,
+    the hidden-buffer mask of unselected pairs, the up (after b1) and gate
     pre-activations, the gate's activation, and the masked hidden layer.
     """
+    n, d, es = packed.n_experts, packed.d_model, packed.expert_size
+    if x.ndim != 2 or x.shape[1] != d:
+        raise numerics.ShapeError(f"x of shape {x.shape} for d_model {d}")
+    if mask.dtype != bool or mask.shape != (x.shape[0], n):
+        raise numerics.ShapeError(f"mask of shape {mask.shape} and dtype {mask.dtype} for "
+                                  f"{x.shape[0]} rows and {n} experts; a bool mask is needed")
+    # BLAS reads a strided x differently; a contiguous copy keeps the bytes
+    x = np.ascontiguousarray(x)
     union = mask.any(axis=0)
-    n_tok, d, es = x.shape[0], packed.d_model, packed.expert_size
+    n_tok = x.shape[0]
     runs, lo = [], 0  # (slab rows, hidden columns) per run
     for a, b in _expert_runs(union, n_tok):
         runs.append((slice(es * a, es * b), slice(lo, lo + es * (b - a))))
@@ -172,16 +155,16 @@ def _union_ffn(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> 
         out += np.matmul(h[:, c], down_w[r], out=part)
     if packed.b2 is not None:
         out += packed.b2
-    return out, (union, off, up, gate, s, h)
+    return out, (x, union, off, up, gate, s, h)
 
 
-def _union_ffn_grads(packed: PackedExpertWeights, tape: tuple, x: np.ndarray,
+def _union_ffn_grads(packed: PackedExpertWeights, tape: tuple,
                      g: np.ndarray) -> tuple[np.ndarray, dict]:
     """dx and the role -> gradient dict (in the packed layout) of `_union_ffn`
     for the output gradient `g`. Each product spans the whole union, over a
     copy of the union's weight rows. Experts outside the union get exact
     zeros, and so does every unselected pair, as in the forward."""
-    union, off, up, gate, s, h = tape
+    x, union, off, up, gate, s, h = tape
     d, es = packed.d_model, packed.expert_size
     # the union's slab rows, in hidden-buffer order
     rows = (np.flatnonzero(union)[:, None] * es + np.arange(es)).reshape(-1)
@@ -220,21 +203,17 @@ def sparse_ffn_graph(params: TransformerParams, i: int, x: Tensor, mask: np.ndar
     """
     cfg = params.config
     n, es = cfg.n_experts, cfg.expert_size
-    if mask.dtype != bool or mask.shape != (x.shape[0], n):
-        raise numerics.ShapeError(f"mask of shape {mask.shape} and dtype {mask.dtype} for "
-                                  f"{x.shape[0]} rows and {n} experts; a bool mask is needed")
     tensors = {role: params[name] for role, name in ffn_param_names(cfg, i).items()}
     slabs = {role: _slab_view(tensors[role].data, axis, n, es)
              for role, axis in D_FFN_AXIS.items() if role in tensors}
     b2 = tensors["b2"].data if "b2" in tensors else None
     packed = PackedExpertWeights(cfg.activation, n, es, b2=b2, **slabs)
-    xd = np.ascontiguousarray(x.data)
-    out, tape = _union_ffn(packed, mask, xd)
+    out, tape = _union_ffn(packed, mask, x.data)
 
     xn, nodes = x._node, {role: t._node for role, t in tensors.items()}
 
     def back(g):
-        dx, grads = _union_ffn_grads(packed, tape, xd, g)
+        dx, grads = _union_ffn_grads(packed, tape, g)
         if xn is not None:
             xn.accum(dx)
         for role, node in nodes.items():
@@ -349,13 +328,15 @@ def bench(
             for sparsity in sparsity_grid:
                 k = max(1, int(round((1.0 - sparsity) * n)))
                 srng = rng.split(f"sel_{shape_tag}_{sparsity}")
-                selections = [srng.choice(n, k) for _ in range(batch)]
+                mask = np.zeros((batch, n), dtype=bool)
+                for row in mask:
+                    row[srng.choice(n, k)] = True
                 with no_grad():
                     med_d, iqr_d = _time_call(
                         lambda: ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x))),
                         warmups, trials)
                 med_s, iqr_s = _time_call(
-                    lambda: sparse_ffn_forward(packed, selections, x), warmups, trials
+                    lambda: sparse_ffn_forward(packed, mask, x), warmups, trials
                 )
                 for path, med, iqr in (("dense", med_d, iqr_d), ("sparse", med_s, iqr_s)):
                     if med < 100 * resolution_ns:

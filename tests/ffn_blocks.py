@@ -75,9 +75,7 @@ def scaled_ffn_oracle(layer, x, neuron_scale):
     return out + w["b2"] if "b2" in w else out
 
 
-def expert_oracle(layer, x, expert_sel, expert_size):
-    """`scaled_ffn_oracle` with only the selected experts' hidden units kept."""
-    scale = np.zeros(layer.weights["down"].shape[0], dtype=x.dtype)
-    for e in expert_sel:
-        scale[e * expert_size:(e + 1) * expert_size] = 1.0
-    return scaled_ffn_oracle(layer, x, scale)
+def expert_oracle(layer, x, expert_mask, expert_size):
+    """`scaled_ffn_oracle` keeping only the hidden units of the experts that the
+    (n_experts,) bool `expert_mask` selects."""
+    return scaled_ffn_oracle(layer, x, np.repeat(expert_mask, expert_size).astype(x.dtype))

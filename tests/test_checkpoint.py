@@ -260,6 +260,16 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("name", ["router.01.Wg", "router.1.extra", "router.2.Wg",
+                                      "router.x.Wg", "router.1"])
+    def test_malformed_router_name_rejected(self, tmp_path, name):
+        # "router.01.Wg" and "router.1.extra" once loaded as layer 1's router
+        path = self.saved(tmp_path)
+        rewrite_manifest(path, edit_entry("router.1.Wg", name=name))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: tensor {name} is not a router "
+                                                       "name router.{i}.Wg with i < n_layers=2")):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("defect,message", [
         (lambda p: drop_tensor(p, "block0.ffn.b2"), "missing block0.ffn.b2$"),
         (lambda p: rewrite_manifest(p, edit_entry("block0.attn.Wq", name="block0.attn.Wx")),

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,19 @@ class TestCorpus:
         make_synthetic_corpus(str(p2), n_bytes=5000, seed=11)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.stat().st_size == 5000
+
+    def test_synthetic_write_is_atomic(self, tmp_path, monkeypatch):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"the corpus before")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            make_synthetic_corpus(str(p), n_bytes=5000, seed=11)
+        assert p.read_bytes() == b"the corpus before"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["s.txt"]
 
     def test_hash_matches_content(self, tmp_path):
         import hashlib

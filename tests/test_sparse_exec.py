@@ -64,13 +64,20 @@ class TestPack:
                 pack(layer)
 
 
+def random_mask(rng, n_tok, n, low=1):
+    """(n_tok, n) bool mask; each row selects `rng.choice(n, k)`, k in [low, n)."""
+    mask = np.zeros((n_tok, n), dtype=bool)
+    for row in mask:
+        row[rng.choice(n, int(rng.integers(low, n)))] = True
+    return mask
+
+
 class TestSparseForward:
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_all_experts_matches_dense(self, kind):
         layer, packed = packed_layer(Rng(3), kind=kind)
         x = Rng(4).normal((5, 8), std=1.0)
-        sel = [np.arange(6)] * 5
-        y = sparse_ffn_forward(packed, sel, x)
+        y = sparse_ffn_forward(packed, np.ones((5, 6), dtype=bool), x)
         dense = dense_ffn(layer, x)
         assert np.abs(y - dense).max() < 1e-5
 
@@ -78,14 +85,14 @@ class TestSparseForward:
         # an empty union runs no matmul: every row is exactly b2
         layer, packed = packed_layer(Rng(5))
         x = Rng(6).normal((3, 8), std=1.0)
-        y = sparse_ffn_forward(packed, [np.array([], dtype=np.int64)] * 3, x)
+        y = sparse_ffn_forward(packed, np.zeros((3, 6), dtype=bool), x)
         assert y.tobytes() == np.tile(layer.weights["b2"], (3, 1)).tobytes()
 
     @pytest.mark.parametrize("n_tok", [1, 3])
     def test_empty_selection_swiglu_zero(self, n_tok):
         _, packed = packed_layer(Rng(7), kind="swiglu")
         x = Rng(8).normal((n_tok, 8), std=1.0)
-        y = sparse_ffn_forward(packed, [np.array([], dtype=np.int64)] * n_tok, x)
+        y = sparse_ffn_forward(packed, np.zeros((n_tok, 6), dtype=bool), x)
         assert y.tobytes() == np.zeros((n_tok, 8), np.float32).tobytes()
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
@@ -95,36 +102,18 @@ class TestSparseForward:
         for trial in range(20):
             srng = Rng(100 + trial)
             x = srng.normal((4, 8), std=1.0)
-            sels = [np.sort(srng.choice(6, int(srng.integers(1, 6)))) for _ in range(4)]
-            y = sparse_ffn_forward(packed, sels, x)
+            mask = random_mask(srng, 4, 6)
+            y = sparse_ffn_forward(packed, mask, x)
             for t in range(4):
-                ref = expert_oracle(layer, x[t:t + 1], sels[t], packed.expert_size)
+                ref = expert_oracle(layer, x[t:t + 1], mask[t], packed.expert_size)
                 assert np.abs(y[t] - ref[0]).max() < 1e-5
-
-    def test_reordered_and_repeated_ids_same_bits(self):
-        # the kernel reads a selection as a set: order and repeats change no bit
-        _, packed = model_shape_layer("two_matmul", np.float32)
-        sels = distinct_selections()
-        rng = Rng(26)
-        shuffled = [np.concatenate([s[::-1], s[: len(s) // 2]]) for s in sels]
-        shuffled = [s[rng.permutation(len(s))] for s in shuffled]
-        x = Rng(27).normal((len(sels), 128), std=1.0)
-        y = sparse_ffn_forward(packed, sels, x)
-        assert np.array_equal(sparse_ffn_forward(packed, shuffled, x), y)
-        assert np.array_equal(sparse_ffn_forward(packed, [sels[5][::-1].repeat(2)], x[5:6]),
-                              sparse_ffn_forward(packed, [sels[5]], x[5:6]))
-
-    def test_out_of_range_rejected(self):
-        _, packed = packed_layer(Rng(12))
-        with pytest.raises(ValueError):
-            sparse_ffn_forward(packed, [np.array([6])], np.zeros((1, 8), np.float32))
 
     def test_identical_masks_batched_same_result(self):
         _, packed = packed_layer(Rng(13))
         x = Rng(14).normal((6, 8), std=1.0)
-        sel = np.array([1, 3])
-        batched = sparse_ffn_forward(packed, [sel] * 6, x)
-        single = np.vstack([sparse_ffn_forward(packed, [sel], x[t:t + 1]) for t in range(6)])
+        row = np.isin(np.arange(6), [1, 3])
+        batched = sparse_ffn_forward(packed, np.tile(row, (6, 1)), x)
+        single = np.vstack([sparse_ffn_forward(packed, row[None], x[t:t + 1]) for t in range(6)])
         assert np.abs(batched - single).max() < 1e-6
 
 
@@ -137,13 +126,12 @@ def model_shape_layer(kind, dtype, d=128, f=512, n=32):
     return permuted, pack(permuted)
 
 
-def distinct_selections(n=32, t=64, seed=21):
-    """One distinct sorted selection per token, including empty and all-expert ones."""
-    rng = Rng(seed)
-    sels = [np.array([], dtype=np.int64), np.arange(n)]
-    sels += [np.sort(rng.choice(n, int(rng.integers(1, n)))) for _ in range(t - 3)]
-    sels.append(np.array([], dtype=np.int64))
-    return sels
+def distinct_masks(n=32, t=64, seed=21):
+    """One distinct selection per token, including empty and all-expert ones."""
+    mask = np.zeros((t, n), dtype=bool)
+    mask[1] = True
+    mask[2:t - 1] = random_mask(Rng(seed), t - 3, n)
+    return mask
 
 
 class TestExpertMajorDispatch:
@@ -151,44 +139,30 @@ class TestExpertMajorDispatch:
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
     def test_model_shape_matches_dense_mask_oracle(self, kind, dtype, tol):
         layer, packed = model_shape_layer(kind, dtype)
-        sels = distinct_selections()
-        assert len({s.tobytes() for s in sels}) == len(sels) - 1  # only the two empties repeat
-        x = Rng(22).normal((len(sels), 128), std=1.0, dtype=dtype)
-        y = sparse_ffn_forward(packed, sels, x)
+        mask = distinct_masks()
+        assert len({m.tobytes() for m in mask}) == len(mask) - 1  # only the two empties repeat
+        x = Rng(22).normal((len(mask), 128), std=1.0, dtype=dtype)
+        y = sparse_ffn_forward(packed, mask, x)
         assert y.dtype == dtype
-        for t, sel in enumerate(sels):
-            ref = expert_oracle(layer, x[t:t + 1], sel, packed.expert_size)
+        for t, row in enumerate(mask):
+            ref = expert_oracle(layer, x[t:t + 1], row, packed.expert_size)
             assert np.abs(y[t] - ref[0]).max() < tol, t
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_repeat_calls_bitwise_identical(self, kind):
         _, packed = model_shape_layer(kind, np.float32)
-        sels = distinct_selections()
-        x = Rng(23).normal((len(sels), 128), std=1.0)
-        first = sparse_ffn_forward(packed, sels, x)
-        assert first.tobytes() == sparse_ffn_forward(packed, sels, x).tobytes()
-
-    @pytest.mark.parametrize("bad", [np.array([32]), np.array([-1]), np.array([0, 31, 32]),
-                                     np.array([1.7, 2.2]), np.array([False, True]),
-                                     [1, 2], np.array([[1, 2]])])
-    def test_one_bad_token_in_a_batch_rejected(self, bad):
-        _, packed = model_shape_layer("two_matmul", np.float32)
-        sels = distinct_selections()
-        sels[37] = bad
-        x = np.zeros((len(sels), 128), dtype=np.float32)
-        with pytest.raises(ValueError, match="token 37"):
-            sparse_ffn_forward(packed, sels, x)
+        mask = distinct_masks()
+        x = Rng(23).normal((len(mask), 128), std=1.0)
+        first = sparse_ffn_forward(packed, mask, x)
+        assert first.tobytes() == sparse_ffn_forward(packed, mask, x).tobytes()
 
 
-def union_run_oracle(packed, selections, x):
+def union_run_oracle(packed, mask, x):
     """The union-run kernel in plain numpy, one run at a time in ascending
     order: runs of adjacent experts any row selected (single experts for one
     row), each run's hidden block masked to the pairs its rows selected."""
     x = np.ascontiguousarray(x)
     n_tok, d, es = x.shape[0], packed.d_model, packed.expert_size
-    mask = np.zeros((n_tok, packed.n_experts), dtype=bool)
-    for t, sel in enumerate(selections):
-        mask[t, sel] = True
     union, runs, e = mask.any(axis=0), [], 0
     while e < packed.n_experts:
         if not union[e]:
@@ -234,10 +208,9 @@ class TestKernelByteIdentity:
     def test_matches_union_run_oracle_bitwise(self, kind, dtype, n_tok, variant):
         _, packed = model_shape_layer(kind, dtype)
         mask = seeded_mask(n_tok, variant)
-        sels = [np.flatnonzero(row) for row in mask]
         x = Rng(31).normal((n_tok, 128), std=1.0, dtype=dtype)
-        y = sparse_ffn_forward(packed, sels, x)
-        ref = union_run_oracle(packed, sels, x)
+        y = sparse_ffn_forward(packed, mask, x)
+        ref = union_run_oracle(packed, mask, x)
         assert y.dtype == ref.dtype == dtype
         assert y.tobytes() == ref.tobytes()
 
@@ -246,10 +219,9 @@ class TestKernelByteIdentity:
     def test_strided_input_matches_union_run_oracle_bitwise(self, kind, n_tok):
         _, packed = model_shape_layer(kind, np.float32)
         mask = seeded_mask(n_tok, "columns")
-        sels = [np.flatnonzero(row) for row in mask]
         x = Rng(33).normal((n_tok, 256), std=1.0)[:, ::2]
-        y = sparse_ffn_forward(packed, sels, x)
-        assert y.tobytes() == union_run_oracle(packed, sels, x).tobytes()
+        y = sparse_ffn_forward(packed, mask, x)
+        assert y.tobytes() == union_run_oracle(packed, mask, x).tobytes()
 
     def test_masks_cover_the_edge_cases(self):
         cols, rows = seeded_mask(40, "columns"), seeded_mask(40, "rows")
@@ -268,8 +240,7 @@ class TestKernelByteIdentity:
 
         monkeypatch.setattr(numerics, "activation", counting)
         mask = seeded_mask(40, "columns")
-        sparse_ffn_forward(packed, [np.flatnonzero(r) for r in mask],
-                           Rng(32).normal((40, 128), std=1.0))
+        sparse_ffn_forward(packed, mask, Rng(32).normal((40, 128), std=1.0))
         # one call over every row and every expert some row selected
         assert calls == [(40, int(mask.any(axis=0).sum()) * packed.expert_size)]
 
@@ -290,15 +261,17 @@ class TestUnionRuns:
         # expert 2 sits inside a merged run [1, 4), so every row computes its slab
         _, packed = packed_layer(Rng(40), kind=kind)
         x = Rng(41).normal((4, 8), std=1.0)
-        sels = [np.array([1, 2, 3]), np.array([1, 3]), np.array([2]), np.array([3])]
-        clean = sparse_ffn_forward(packed, sels, x)
+        mask = np.zeros((4, 6), dtype=bool)
+        for t, sel in enumerate(([1, 2, 3], [1, 3], [2], [3])):
+            mask[t, sel] = True
+        clean = sparse_ffn_forward(packed, mask, x)
         packed.up[2] = np.nan
         if kind == "swiglu":
             packed.gate[2] = np.nan
         else:
             packed.b1[2] = np.nan
-        y = sparse_ffn_forward(packed, sels, x)
-        chose = np.array([2 in s for s in sels])
+        y = sparse_ffn_forward(packed, mask, x)
+        chose = mask[:, 2]
         assert np.isnan(y[chose]).all()
         assert y[~chose].tobytes() == clean[~chose].tobytes()
 
@@ -383,12 +356,20 @@ class TestSparseFfnGraph:
         out, dx, _ = through_graph(sparse_ffn_graph, "two_matmul", graph_mask())
         assert np.isfinite(out).all() and np.isfinite(dx).all()
 
-    @pytest.mark.parametrize("shape,dtype", [((9, 4), bool), ((8, 6), bool), ((9, 6), np.int64)])
-    def test_mask_shape_and_dtype_checked(self, shape, dtype):
-        params = one_block(random_layer(Rng(54), "two_matmul", 8, 24, std=0.3), 4)  # 6 experts
-        x = param(Rng(55).normal((9, 8)))
-        with pytest.raises(numerics.ShapeError, match="mask of shape"):
-            sparse_ffn_graph(params, 0, x, np.ones(shape, dtype=dtype))
+    @pytest.mark.parametrize("mask_shape,dtype,x_shape,message", [
+        ((9, 4), bool, (9, 8), "mask of shape"),
+        ((8, 6), bool, (9, 8), "mask of shape"),
+        ((9, 6), np.int64, (9, 8), "mask of shape"),
+        ((9, 6), bool, (9, 7), "x of shape"),
+        ((9, 6), bool, (9,), "x of shape"),
+    ], ids=["few_experts", "few_rows", "int_mask", "x_width", "x_1d"])
+    def test_mask_and_x_checked_through_both_entries(self, mask_shape, dtype, x_shape, message):
+        layer, packed = packed_layer(Rng(54))  # d_model 8, 6 experts
+        mask, x = np.ones(mask_shape, dtype=dtype), Rng(55).normal(x_shape)
+        with pytest.raises(numerics.ShapeError, match=message):
+            sparse_ffn_forward(packed, mask, x)
+        with pytest.raises(numerics.ShapeError, match=message):
+            sparse_ffn_graph(one_block(layer, packed.expert_size), 0, param(x), mask)
 
 
 class TestFlops:
