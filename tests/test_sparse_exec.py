@@ -363,13 +363,16 @@ class TestSparseFfnGraph:
         ((9, 6), bool, (9, 7), "x of shape"),
         ((9, 6), bool, (9,), "x of shape"),
     ], ids=["few_experts", "few_rows", "int_mask", "x_width", "x_1d"])
-    def test_mask_and_x_checked_through_both_entries(self, mask_shape, dtype, x_shape, message):
+    @pytest.mark.parametrize("entry", ["forward", "graph"])
+    def test_mask_shape_and_dtype_checked(self, entry, mask_shape, dtype, x_shape, message):
+        # both entries reach the one input check in _union_ffn
         layer, packed = packed_layer(Rng(54))  # d_model 8, 6 experts
         mask, x = np.ones(mask_shape, dtype=dtype), Rng(55).normal(x_shape)
         with pytest.raises(numerics.ShapeError, match=message):
-            sparse_ffn_forward(packed, mask, x)
-        with pytest.raises(numerics.ShapeError, match=message):
-            sparse_ffn_graph(one_block(layer, packed.expert_size), 0, param(x), mask)
+            if entry == "forward":
+                sparse_ffn_forward(packed, mask, x)
+            else:
+                sparse_ffn_graph(one_block(layer, packed.expert_size), 0, param(x), mask)
 
 
 class TestFlops:
