@@ -34,7 +34,7 @@ from .config import (
     section,
 )
 from .losses import LteHyperparams
-from .model import ModelConfig, get_ffn_layer, init_params, set_ffn_layer
+from .model import ModelConfig, get_ffn_layer, init_params
 from .numerics import NumericError, Rng, blas_threads
 from .training import TrainHyper, TrainingState
 
@@ -145,16 +145,16 @@ def cmd_moefy(args) -> int:
     rng = Rng(cfg.seed)
     partitions, routers = [], []
     for i in range(mc.n_layers):
-        layer = get_ffn_layer(bundle.params, i)
         if method == "kmeans":
-            w = layer.weights
-            feats = (w["gate"] if "gate" in w else w["up"]).T
+            layer = get_ffn_layer(bundle.params, i)
+            slabs = layer.up if layer.gate is None else layer.gate
+            feats = slabs.reshape(mc.d_ffn, mc.d_model)  # one row per hidden unit
             p = grouping.group_experts_kmeans(feats, mc.n_experts, rng.split(f"group{i}"),
                                               layer_index=i)
         else:
             p = grouping.group_experts_random(mc.d_ffn, mc.n_experts, rng.split(f"group{i}"),
                                               layer_index=i)
-        set_ffn_layer(bundle.params, i, grouping.apply_partition(layer, p))
+        grouping.apply_partition(bundle.params, i, p)
         partitions.append(p)
         routers.append(routing.router_init(mc.d_model, mc.n_experts, rng.split(f"router{i}")))
     bundle.partitions = partitions

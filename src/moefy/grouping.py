@@ -3,8 +3,8 @@
 Balanced k-means on the columns of the `gate` role when the layer has one,
 else of the `up` role, plus a random-chop baseline, and the weight
 permutation that makes each expert's neurons contiguous so the sparse
-execution path can gather whole slabs. The permutation reorders each role
-along its d_ffn axis (`model.D_FFN_AXIS`) and copies the others.
+execution path can gather whole slabs. The permutation reorders a block's
+parameters in place, each role along its d_ffn axis (`model.D_FFN_AXIS`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import D_FFN_AXIS, FfnLayer
+from .model import D_FFN_AXIS, TransformerParams, ffn_param_names
 from .numerics import Rng
 
 KMEANS_MAX_ITERS = 50
@@ -142,16 +142,18 @@ def group_experts_random(
     ).validate()
 
 
-def apply_partition(layer: FfnLayer, p: ExpertPartition) -> FfnLayer:
-    """Reorder neurons so each expert's slice is contiguous (pure permutation).
+def apply_partition(params: TransformerParams, i: int, p: ExpertPartition) -> None:
+    """Reorder block i's hidden units in place so each expert's slice is
+    contiguous (a pure permutation).
 
-    Every role with a d_ffn axis is reordered by `p.permutation`; the others
-    are copied. The result carries `p` as its partition.
+    Every FFN role with a d_ffn axis is reordered by `p.permutation`; `b2`
+    has none and is left as it is.
     """
     perm = p.permutation
-    d_ffn = layer.weights["up"].shape[1]
+    d_ffn = params.config.d_ffn
     if d_ffn != perm.shape[0]:
         raise ValueError(f"permutation length {perm.shape[0]} != d_ffn {d_ffn}")
-    weights = {role: np.take(w, perm, axis=D_FFN_AXIS[role]) if role in D_FFN_AXIS else w.copy()
-               for role, w in layer.weights.items()}
-    return FfnLayer(weights, layer.activation, partition=p)
+    for role, name in ffn_param_names(params.config, i).items():
+        if role in D_FFN_AXIS:
+            w = params[name].data
+            w[...] = np.take(w, perm, axis=D_FFN_AXIS[role])

@@ -11,6 +11,8 @@ selection runs the union kernel of `sparse_exec` instead, in a graph or not.
 `FFN_LAYOUTS` is the one place that knows how an FFN kind lays out its
 weights: it maps each weight role (up, gate, down, b1, b2) to the parameter
 suffix, in checkpoint order. Everything else reads roles, never the kind.
+`get_ffn_layer` gives one block's FFN weights as `FfnLayer` expert slabs,
+the layout the union kernel reads, as views of the parameters themselves.
 """
 
 from __future__ import annotations
@@ -32,6 +34,17 @@ FFN_LAYOUTS = {
 }
 # the axis of each role that runs over the d_ffn hidden units; b2 has none
 D_FFN_AXIS = {"up": 1, "gate": 1, "down": 0, "b1": 0}
+
+
+def _slab_view(w: np.ndarray, axis: int, n: int, e: int) -> np.ndarray:
+    """A view of `w` with its d_ffn axis moved to the front and split into (n, e)."""
+    w = np.moveaxis(w, axis, 0)
+    return w.reshape((n, e) + w.shape[1:])
+
+
+def _unslab(g: np.ndarray, axis: int) -> np.ndarray:
+    """The inverse of `_slab_view`: an (n, e, ...) array in its role's own layout."""
+    return np.moveaxis(g.reshape((-1,) + g.shape[2:]), 0, axis)
 
 
 @dataclass
@@ -76,14 +89,34 @@ class ModelConfig:
 
 @dataclass
 class FfnLayer:
-    """One block's FFN weights by role (views into the parameter dict).
+    """One block's FFN weights as expert slabs, the layout the union kernel reads.
 
-    With a `gate` the hidden layer is activation(x @ gate) * (x @ up), and
-    `activation` is silu; otherwise it is activation(x @ up + b1).
+    Each role with a d_ffn axis has it moved to the front and split into
+    experts (`_slab_view`): `up`, `gate` and `down` are (n_experts,
+    expert_size, d_model) and `b1` is (n_experts, expert_size); the shared
+    `b2` is (d_model,). With a `gate` the hidden layer is
+    activation(x @ gate) * (x @ up), and `activation` is silu; otherwise it
+    is activation(x @ up + b1).
     """
-    weights: dict            # role -> ndarray, in checkpoint order
+    up: np.ndarray
+    down: np.ndarray
     activation: str
+    gate: Optional[np.ndarray] = None
+    b1: Optional[np.ndarray] = None
+    b2: Optional[np.ndarray] = None
     partition: object = None  # ExpertPartition once permuted
+
+    @property
+    def n_experts(self) -> int:
+        return self.up.shape[0]
+
+    @property
+    def expert_size(self) -> int:
+        return self.up.shape[1]
+
+    @property
+    def d_model(self) -> int:
+        return self.up.shape[2]
 
 
 class TransformerParams:
@@ -98,9 +131,6 @@ class TransformerParams:
 
     def names(self) -> list[str]:
         return list(self.tensors)
-
-    def element_count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
 
     def astype(self, dtype) -> "TransformerParams":
         return TransformerParams(
@@ -119,13 +149,13 @@ def _ffn_tensors(params: TransformerParams, i: int) -> dict[str, Tensor]:
 
 
 def get_ffn_layer(params: TransformerParams, i: int, partition=None) -> FfnLayer:
-    weights = {role: t.data for role, t in _ffn_tensors(params, i).items()}
-    return FfnLayer(weights, params.config.activation, partition)
-
-
-def set_ffn_layer(params: TransformerParams, i: int, layer: FfnLayer) -> None:
-    for role, t in _ffn_tensors(params, i).items():
-        t.data = layer.weights[role]
+    """Block i's FFN weights as expert slabs that are views of its parameters,
+    so a write to either shows in the other. `partition` is the
+    ExpertPartition the parameters were permuted by, if any."""
+    cfg = params.config
+    slabs = {role: _slab_view(t.data, D_FFN_AXIS[role], cfg.n_experts, cfg.expert_size)
+             if role in D_FFN_AXIS else t.data for role, t in _ffn_tensors(params, i).items()}
+    return FfnLayer(activation=cfg.activation, partition=partition, **slabs)
 
 
 def ffn_hidden(params: TransformerParams, i: int, x: Tensor) -> Tensor:
@@ -158,13 +188,8 @@ def ffn_flops_per_token(cfg: ModelConfig) -> int:
 
 
 def param_count(cfg: ModelConfig) -> int:
-    """Analytic element count; must match allocation exactly."""
-    d, f, v, s = cfg.d_model, cfg.d_ffn, cfg.vocab_size, cfg.max_seq_len
-    attn = 4 * (d * d + d)
-    norms = 4 * d  # ln1 + ln2 gains and biases
-    ffn = 2 * d * f + f + d if cfg.ffn_kind == "two_matmul" else 3 * d * f
-    per_block = attn + norms + ffn
-    return v * d + s * d + cfg.n_layers * per_block + 2 * d + d * v + v
+    """Element count of the `param_shapes` table."""
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -202,10 +227,7 @@ def init_params(cfg: ModelConfig, rng: numerics.Rng) -> TransformerParams:
             t[name] = param(rng.split(name).normal(shape, std=std, dtype=F32))
         else:
             t[name] = param((np.ones if name.endswith(".g") else np.zeros)(shape, dtype=F32))
-
-    p = TransformerParams(cfg, t)
-    assert p.element_count() == param_count(cfg)
-    return p
+    return TransformerParams(cfg, t)
 
 
 @dataclass

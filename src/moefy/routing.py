@@ -7,8 +7,9 @@ hidden layer (differentiable; used while the routers learn). Discrete mode
 takes a constant bool mask from `threshold_select` and hands it to the union
 kernel, whose one selection format it is: in a graph, as one op over the
 parameters themselves (`sparse_exec.sparse_ffn_graph`); without a graph, over
-the weights the caller packed once, through `sparse_exec._union_ffn` rather
-than `sparse_ffn_forward`, whose calls perfbench's trace counts as id lists.
+the `model.FfnLayer` slabs the caller packed once, through
+`sparse_exec._union_ffn` rather than `sparse_ffn_forward`, whose calls
+perfbench's trace counts as id lists.
 Baselines only pick a constant scale for `forward_lm` to apply: noisy top-k
 softmax weights and frozen random routers rank the block input, per-neuron
 magnitude keep (exact-value stand-in for a trained predictor) and ground-truth
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import numerics, sparse_exec
 from .autograd import Tensor, param
-from .model import TransformerParams, ffn_hidden, ffn_out
+from .model import FfnLayer, TransformerParams, ffn_hidden, ffn_out
 from .numerics import F32, Rng, ShapeError
 
 
@@ -67,8 +68,8 @@ def threshold_select(router: RouterLayer, x: np.ndarray, tau: float) -> RoutingD
     return RoutingDecision(scores=scores, mask=scores > tau)
 
 
-def moe_forward_discrete(packed: sparse_exec.PackedExpertWeights, partition, router: RouterLayer,
-                         x: np.ndarray, tau: float) -> tuple[np.ndarray, RoutingDecision]:
+def moe_forward_discrete(packed: FfnLayer, partition, router: RouterLayer, x: np.ndarray,
+                         tau: float) -> tuple[np.ndarray, RoutingDecision]:
     """Threshold selection; the router's mask runs the union kernel over one
     layer's packed expert slabs, with no graph.
 
@@ -85,7 +86,7 @@ def soft_ffn_graph(params: TransformerParams, i: int, router: RouterLayer,
     """Every expert runs, scaled by its score; returns (ffn_out, score_tensor, decision)."""
     g = xf.matmul(router.Wg).sigmoid()
     out = ffn_out(params, i, ffn_hidden(params, i, xf), g)
-    dec = RoutingDecision(scores=g.data.copy(), mask=np.ones_like(g.data, dtype=bool))
+    dec = RoutingDecision(scores=g.data, mask=np.ones_like(g.data, dtype=bool))
     return out, g, dec
 
 

@@ -1,81 +1,49 @@
-"""Structured-sparsity execution: packed expert slabs, the sparse FFN kernel, FLOPs, bench.
+"""Structured-sparsity execution: the sparse FFN kernel over expert slabs, FLOPs, bench.
 
-Weights are stored expert-major and hidden-unit-major: each expert's share of
-every role that runs over d_ffn (`model.D_FFN_AXIS`) forms one contiguous
-(expert_size x d_model) slab for `up`, `gate` and `down`, and (expert_size,)
-for `b1`, so a run of adjacent experts [a, b) is one contiguous row block
-of `slab.reshape(-1, d_model)`. The CPU kernel computes over the union of
-the experts any row of the call selected: one up matmul (two with a gate) and
-one down matmul per run of adjacent union experts, over all rows, with the
-bias, the activation and the selection mask applied once to the whole hidden
-buffer. A one-row call runs each selected expert as its own run. The
-kernel, `_union_ffn`, takes one selection format, a (T, n_experts) bool
-mask, and checks its inputs in that one place. Three callers reach it:
+The kernel reads a layer as `model.FfnLayer` expert slabs, so a run of
+adjacent experts [a, b) is one row block of `slab.reshape(-1, d_model)`.
+`model.get_ffn_layer` gives the slabs as views of a model's parameters, and
+`pack` copies them into contiguous arrays once. The CPU kernel computes over
+the union of the experts any row of the call selected: one up matmul (two
+with a gate) and one down matmul per run of adjacent union experts, over all
+rows, with the bias, the activation and the selection mask applied once to
+the whole hidden buffer. A one-row call runs each selected expert as its own
+run. The kernel, `_union_ffn`, takes one selection format, a (T, n_experts)
+bool mask, and checks its inputs in that one place. Three callers reach it:
 `sparse_ffn_forward` (no graph, over packed slabs) for `bench` and
 acceptance criteria 1 and 7; `routing.moe_forward_discrete` (the no-grad
 serving path, also over packed slabs), which calls `_union_ffn` itself
 because perfbench's trace reads the second argument of `sparse_ffn_forward`
 as per-token id arrays and would count a mask row as every expert selected;
-and `sparse_ffn_graph` (one graph op over views of a model's parameters, so
-stage-2 training computes and differentiates only the union).
+and `sparse_ffn_graph` (one graph op over the parameter views, so stage-2
+training computes and differentiates only the union).
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import numerics
 from .autograd import Tensor, no_grad
 from .grouping import apply_partition, group_experts_random
-from .model import (D_FFN_AXIS, FfnLayer, ModelConfig, TransformerParams, ffn_flops_per_token,
-                    ffn_hidden, ffn_out, ffn_param_names, get_ffn_layer, init_params,
-                    set_ffn_layer)
+from .model import (D_FFN_AXIS, FfnLayer, ModelConfig, TransformerParams, _unslab,
+                    ffn_flops_per_token, ffn_hidden, ffn_out, ffn_param_names, get_ffn_layer,
+                    init_params)
 from .numerics import Rng, blas_threads
 
 
-@dataclass
-class PackedExpertWeights:
-    """A permuted layer's weights as expert slabs; each slab field is named by its role."""
-    activation: str
-    n_experts: int
-    expert_size: int
-    up: np.ndarray                 # (n, expert_size, d_model), used transposed
-    down: np.ndarray               # (n, expert_size, d_model)
-    gate: Optional[np.ndarray] = None   # same layout as up, gated layers only
-    b1: Optional[np.ndarray] = None     # (n, expert_size)
-    b2: Optional[np.ndarray] = None     # (d_model,), shared, added once
-
-    @property
-    def d_model(self) -> int:
-        return self.up.shape[2]
-
-
-def _slab_view(w: np.ndarray, axis: int, n: int, e: int) -> np.ndarray:
-    """A view of `w` with its d_ffn axis moved to the front and split into (n, e)."""
-    w = np.moveaxis(w, axis, 0)
-    return w.reshape((n, e) + w.shape[1:])
-
-
-def _unslab(g: np.ndarray, axis: int) -> np.ndarray:
-    """The inverse of `_slab_view`: an (n, e, ...) array in its role's own layout."""
-    return np.moveaxis(g.reshape((-1,) + g.shape[2:]), 0, axis)
-
-
-def pack(layer: FfnLayer) -> PackedExpertWeights:
-    """Pack a permuted layer into contiguous expert slabs (lossless)."""
+def pack(layer: FfnLayer) -> FfnLayer:
+    """C-contiguous copies of a permuted layer's slabs (lossless), so that
+    each run the kernel reads is one contiguous block."""
     if layer.partition is None:
         raise ValueError("layer is not permuted; run apply_partition first")
-    n, e = layer.partition.n_experts, layer.partition.expert_size
-    w = layer.weights
-    slabs = {role: np.ascontiguousarray(_slab_view(w[role], axis, n, e))
-             for role, axis in D_FFN_AXIS.items() if role in w}
-    b2 = w["b2"].copy() if "b2" in w else None
-    return PackedExpertWeights(layer.activation, n, e, b2=b2, **slabs)
+    return replace(layer, **{role: getattr(layer, role).copy() for role in (*D_FFN_AXIS, "b2")
+                             if getattr(layer, role) is not None})
 
 
 def _expert_runs(union: np.ndarray, n_tok: int) -> list[tuple[int, int]]:
@@ -91,13 +59,13 @@ def _expert_runs(union: np.ndarray, n_tok: int) -> list[tuple[int, int]]:
     return runs
 
 
-def sparse_ffn_forward(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+def sparse_ffn_forward(packed: FfnLayer, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The union kernel's output for a (T, n_experts) bool selection mask,
     outside a graph: the entry for `bench` and acceptance criteria 1 and 7."""
     return _union_ffn(packed, mask, x)[0]
 
 
-def _union_ffn(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> tuple:
+def _union_ffn(packed: FfnLayer, mask: np.ndarray, x: np.ndarray) -> tuple:
     """Gather-free FFN over the union of the experts the rows of `x` selected.
 
     x is (T, d_model) and mask, the selection, is (T, n_experts) bool; every
@@ -158,7 +126,7 @@ def _union_ffn(packed: PackedExpertWeights, mask: np.ndarray, x: np.ndarray) -> 
     return out, (x, union, off, up, gate, s, h)
 
 
-def _union_ffn_grads(packed: PackedExpertWeights, tape: tuple,
+def _union_ffn_grads(packed: FfnLayer, tape: tuple,
                      g: np.ndarray) -> tuple[np.ndarray, dict]:
     """dx and the role -> gradient dict (in the packed layout) of `_union_ffn`
     for the output gradient `g`. Each product spans the whole union, over a
@@ -196,24 +164,20 @@ def sparse_ffn_graph(params: TransformerParams, i: int, x: Tensor, mask: np.ndar
     """Block i's FFN under a constant (T, n_experts) selection mask, as one
     graph node over the union kernel.
 
-    The forward is `_union_ffn` on the mask, over views of the permuted
-    parameters (no packed copy); the backward gives x and every FFN weight
-    a gradient over the union's columns only, with unselected pairs zeroed
-    as in the forward. The mask is data: no gradient flows through it.
+    The forward is `_union_ffn` on the mask, over `get_ffn_layer`'s views of
+    the permuted parameters (no packed copy); the backward gives x and every
+    FFN weight a gradient over the union's columns only, with unselected
+    pairs zeroed as in the forward. The mask is data: no gradient flows
+    through it.
     """
-    cfg = params.config
-    n, es = cfg.n_experts, cfg.expert_size
-    tensors = {role: params[name] for role, name in ffn_param_names(cfg, i).items()}
-    slabs = {role: _slab_view(tensors[role].data, axis, n, es)
-             for role, axis in D_FFN_AXIS.items() if role in tensors}
-    b2 = tensors["b2"].data if "b2" in tensors else None
-    packed = PackedExpertWeights(cfg.activation, n, es, b2=b2, **slabs)
-    out, tape = _union_ffn(packed, mask, x.data)
+    tensors = {role: params[name] for role, name in ffn_param_names(params.config, i).items()}
+    layer = get_ffn_layer(params, i)
+    out, tape = _union_ffn(layer, mask, x.data)
 
     xn, nodes = x._node, {role: t._node for role, t in tensors.items()}
 
     def back(g):
-        dx, grads = _union_ffn_grads(packed, tape, g)
+        dx, grads = _union_ffn_grads(layer, tape, g)
         if xn is not None:
             xn.accum(dx)
         for role, node in nodes.items():
@@ -319,9 +283,8 @@ def bench(
                           max_seq_len=1, activation=BENCH_ACTIVATION, expert_size=expert_size)
         params = init_params(cfg, rng.split(f"weights_{d_model}_{d_ffn}"))
         part = group_experts_random(d_ffn, n, rng.split(f"partition_{d_model}_{d_ffn}"))
-        layer = apply_partition(get_ffn_layer(params, 0), part)
-        set_ffn_layer(params, 0, layer)  # the dense reference times the permuted weights too
-        packed = pack(layer)
+        apply_partition(params, 0, part)  # the dense reference times the permuted weights too
+        packed = pack(get_ffn_layer(params, 0, part))
         for batch in batch_sizes:
             x = rng.split(f"x_{d_model}_{d_ffn}_{batch}").normal((batch, d_model), std=1.0)
             shape_tag = f"T{batch}_d{d_model}_f{d_ffn}"

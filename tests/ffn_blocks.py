@@ -1,20 +1,20 @@
-"""Test helpers: build FFN layer views by role, wrap one in a one-block
-TransformerParams, pack a model's layers for the gather path, and a
-plain-numpy reference FFN."""
+"""Test helpers: one-block TransformerParams holding FFN weights by role, a
+block's weights by role in parameter layout, a permuted block and its packed
+slabs, every layer's packed slabs for the gather path, and a plain-numpy
+reference FFN."""
 
 import numpy as np
 
 from moefy.autograd import Tensor, no_grad, param
+from moefy.grouping import apply_partition, group_experts_random
 from moefy.model import (
     FFN_LAYOUTS,
-    FfnLayer,
     ModelConfig,
     TransformerParams,
     ffn_hidden,
     ffn_out,
     ffn_param_names,
     get_ffn_layer,
-    set_ffn_layer,
 )
 from moefy.numerics import F32, activation as apply_activation
 from moefy.sparse_exec import pack
@@ -22,34 +22,43 @@ from moefy.sparse_exec import pack
 KINDS = tuple(FFN_LAYOUTS)
 
 
-def ffn_layer(kind, *arrays, activation="gelu_tanh"):
-    """An FfnLayer of `kind` from its weight arrays in checkpoint order
-    (two_matmul: W1, b1, W2, b2; swiglu: Wgate, Wup, Wdown)."""
+def one_block(kind, *arrays, expert_size=1, activation="gelu_tanh"):
+    """One-block TransformerParams holding an FFN of `kind`, its parameters
+    the given weight arrays in checkpoint order (two_matmul: W1, b1, W2, b2;
+    swiglu: Wgate, Wup, Wdown)."""
     roles = list(FFN_LAYOUTS[kind])
     assert len(arrays) == len(roles), (kind, len(arrays))
-    return FfnLayer(dict(zip(roles, arrays)), "silu" if "gate" in roles else activation)
+    d, f = arrays[roles.index("up")].shape
+    cfg = ModelConfig(d_model=d, n_heads=1, n_layers=1, d_ffn=f, expert_size=expert_size,
+                      ffn_kind=kind, activation="silu" if "gate" in roles else activation)
+    names = ffn_param_names(cfg, 0).values()
+    return TransformerParams(cfg, {n: param(w) for n, w in zip(names, arrays)})
 
 
-def random_layer(rng, kind, d, f, std, bias_std=None, down_std=None, dtype=F32,
-                 activation="gelu_tanh"):
-    """Normal weights drawn role by role in checkpoint order; `std` for up and gate."""
+def random_block(rng, kind, d, f, std, bias_std=None, down_std=None, dtype=F32,
+                 activation="gelu_tanh", expert_size=1):
+    """`one_block` of normal weights drawn role by role in checkpoint order;
+    `std` for up and gate."""
     shapes = {"up": (d, f), "gate": (d, f), "down": (f, d), "b1": (f,), "b2": (d,)}
     stds = {"up": std, "gate": std, "down": down_std or std,
             "b1": bias_std or std, "b2": bias_std or std}
-    return ffn_layer(kind, *(rng.normal(shapes[r], std=stds[r], dtype=dtype)
-                             for r in FFN_LAYOUTS[kind]), activation=activation)
+    return one_block(kind, *(rng.normal(shapes[r], std=stds[r], dtype=dtype)
+                             for r in FFN_LAYOUTS[kind]),
+                     expert_size=expert_size, activation=activation)
 
 
-def one_block(layer, expert_size=1):
-    """One-block TransformerParams holding the weights of an FFN layer view."""
-    kind = next(k for k, roles in FFN_LAYOUTS.items() if roles.keys() == layer.weights.keys())
-    d, f = layer.weights["up"].shape
-    cfg = ModelConfig(d_model=d, n_heads=1, n_layers=1, d_ffn=f, expert_size=expert_size,
-                      ffn_kind=kind, activation=layer.activation)
-    params = TransformerParams(cfg, {n: param(np.zeros(0))
-                                     for n in ffn_param_names(cfg, 0).values()})
-    set_ffn_layer(params, 0, layer)
-    return params
+def ffn_weights(params, i=0):
+    """Block i's FFN weight arrays by role, in parameter layout."""
+    return {role: params[name].data for role, name in ffn_param_names(params.config, i).items()}
+
+
+def permuted_block(rng, kind, d, f, n, **weights):
+    """A `random_block` with n experts, permuted by a random partition drawn
+    from `rng.split("p")`, and its packed slabs: (params, packed)."""
+    params = random_block(rng, kind, d, f, expert_size=f // n, **weights)
+    part = group_experts_random(f, n, rng.split("p"))
+    apply_partition(params, 0, part)
+    return params, pack(get_ffn_layer(params, 0, part))
 
 
 def packed_layers(params, partitions):
@@ -57,25 +66,24 @@ def packed_layers(params, partitions):
     return [pack(get_ffn_layer(params, i, partition=p)) for i, p in enumerate(partitions)]
 
 
-def dense_ffn(layer, x):
-    """The model's dense FFN (ffn_hidden, then ffn_out) applied to `layer`."""
-    params = one_block(layer)
+def dense_ffn(params, x):
+    """The model's dense FFN (ffn_hidden, then ffn_out) of block 0."""
     with no_grad():
         return ffn_out(params, 0, ffn_hidden(params, 0, Tensor(x))).data
 
 
-def scaled_ffn_oracle(layer, x, neuron_scale):
-    """Plain-numpy FFN from the layer's weight arrays, each hidden unit scaled."""
-    w = layer.weights
+def scaled_ffn_oracle(params, x, neuron_scale):
+    """Plain-numpy FFN from block 0's weight arrays, each hidden unit scaled."""
+    w = ffn_weights(params)
     if "gate" in w:
         a = apply_activation(x @ w["gate"], "silu") * (x @ w["up"])
     else:
-        a = apply_activation(x @ w["up"] + w["b1"], layer.activation)
+        a = apply_activation(x @ w["up"] + w["b1"], params.config.activation)
     out = (a * neuron_scale) @ w["down"]
     return out + w["b2"] if "b2" in w else out
 
 
-def expert_oracle(layer, x, expert_mask, expert_size):
+def expert_oracle(params, x, expert_mask, expert_size):
     """`scaled_ffn_oracle` keeping only the hidden units of the experts that the
     (n_experts,) bool `expert_mask` selects."""
-    return scaled_ffn_oracle(layer, x, np.repeat(expert_mask, expert_size).astype(x.dtype))
+    return scaled_ffn_oracle(params, x, np.repeat(expert_mask, expert_size).astype(x.dtype))

@@ -31,17 +31,15 @@ from moefy.model import (
     ModelConfig,
     TransformerParams,
     forward_lm,
-    get_ffn_layer,
     init_params,
     param_count,
-    set_ffn_layer,
 )
 from moefy.numerics import F64, Rng
 from moefy.routing import router_init
-from moefy.sparse_exec import bench, flops_per_token, pack, sparse_ffn_forward
+from moefy.sparse_exec import bench, flops_per_token, sparse_ffn_forward
 from moefy.training import TrainHyper, TrainingState, run_training
 
-from ffn_blocks import expert_oracle, random_layer
+from ffn_blocks import expert_oracle, ffn_weights, permuted_block
 from oracles import finite_diff_grad, prefix_union_sparsity
 
 MODEL = dict(vocab_size=256, d_model=64, n_heads=4, n_layers=2, d_ffn=256,
@@ -88,10 +86,9 @@ class Runs:
         params = TransformerParams(self.cfg, {k: mkparam(v.copy()) for k, v in blob.items()})
         parts, routers = [], []
         for i in range(self.cfg.n_layers):
-            layer = get_ffn_layer(params, i)
-            p = group_experts_kmeans(layer.weights["up"].T, self.cfg.n_experts,
+            p = group_experts_kmeans(ffn_weights(params, i)["up"].T, self.cfg.n_experts,
                                      Rng(seed).split(f"g{i}"), layer_index=i)
-            set_ffn_layer(params, i, apply_partition(layer, p))
+            apply_partition(params, i, p)
             parts.append(p)
             routers.append(router_init(self.cfg.d_model, self.cfg.n_experts,
                                        Rng(seed).split(f"r{i}")))
@@ -118,10 +115,7 @@ def runs(corpus):
 
 
 def random_packed(kind: str, dtype, seed: int, d=32, f=64, n=8):
-    rng = Rng(seed)
-    layer = random_layer(rng, kind, d, f, std=0.3, bias_std=0.2, dtype=dtype)
-    permuted = apply_partition(layer, group_experts_random(f, n, rng.split("p")))
-    return permuted, pack(permuted)
+    return permuted_block(Rng(seed), kind, d, f, n, std=0.3, bias_std=0.2, dtype=dtype)
 
 
 def test_criterion_1_sparse_dense_equivalence():
@@ -130,7 +124,7 @@ def test_criterion_1_sparse_dense_equivalence():
         for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-10)):
             err = 0.0
             for trial in range(100):
-                layer, packed = random_packed(kind, dtype, 10_000 + trial)
+                params, packed = random_packed(kind, dtype, 10_000 + trial)
                 srng = Rng(20_000 + trial)
                 x = srng.normal((3, 32), std=1.0, dtype=dtype)
                 mask = np.zeros((3, 8), dtype=bool)
@@ -138,7 +132,7 @@ def test_criterion_1_sparse_dense_equivalence():
                     row[srng.choice(8, int(srng.integers(0, 9)))] = True
                 y = sparse_ffn_forward(packed, mask, x)
                 for t in range(3):
-                    ref = expert_oracle(layer, x[t:t + 1], mask[t], 8)
+                    ref = expert_oracle(params, x[t:t + 1], mask[t], 8)
                     err = max(err, float(np.abs(y[t] - ref[0]).max()))
             worst[(kind, np.dtype(dtype).name)] = (err, tol)
     ok = all(err <= tol for err, tol in worst.values())
@@ -173,7 +167,7 @@ def test_criterion_2_gradient_fidelity():
         routers = []
         for i in range(cfg.n_layers):
             p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(seed).split(f"g{i}"))
-            set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+            apply_partition(params, i, p)
             routers.append(router_init(cfg.d_model, cfg.n_experts,
                                        Rng(seed).split(f"r{i}"), std=0.8, dtype=np.float64))
         tokens = Rng(seed).split("tok").integers(0, cfg.vocab_size, size=6)

@@ -22,7 +22,7 @@ from moefy.autograd import no_grad, param
 from moefy.losses import task_loss
 from moefy.checkpoint import CheckpointBundle
 from moefy.grouping import apply_partition, group_experts_random
-from moefy.model import ModelConfig, forward_lm, get_ffn_layer, init_params, set_ffn_layer
+from moefy.model import ModelConfig, forward_lm, init_params
 from moefy.numerics import Rng
 from moefy.routing import RouterLayer, magnitude_select, router_init
 from moefy.sparse_exec import flops_per_token
@@ -41,7 +41,7 @@ def build_bundle(seed=0, score_bias=None):
     partitions, routers = [], []
     for i in range(cfg.n_layers):
         p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(seed).split(f"g{i}"))
-        set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+        apply_partition(params, i, p)
         partitions.append(p)
         if score_bias is None:
             routers.append(router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"r{i}"),

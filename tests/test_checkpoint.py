@@ -9,9 +9,11 @@ import pytest
 from moefy.autograd import no_grad
 from moefy.checkpoint import MAGIC, CheckpointBundle, load_checkpoint, save_checkpoint
 from moefy.grouping import apply_partition, group_experts_kmeans
-from moefy.model import ModelConfig, forward_lm, get_ffn_layer, init_params, set_ffn_layer
+from moefy.model import ModelConfig, forward_lm, init_params
 from moefy.numerics import Rng
 from moefy.routing import router_init
+
+from ffn_blocks import ffn_weights
 
 
 def build_bundle(seed=0, with_routers=True):
@@ -22,10 +24,9 @@ def build_bundle(seed=0, with_routers=True):
     if with_routers:
         partitions, routers = [], []
         for i in range(cfg.n_layers):
-            layer = get_ffn_layer(params, i)
-            p = group_experts_kmeans(layer.weights["up"].T, cfg.n_experts, Rng(seed).split(f"g{i}"),
-                                     layer_index=i)
-            set_ffn_layer(params, i, apply_partition(layer, p))
+            p = group_experts_kmeans(ffn_weights(params, i)["up"].T, cfg.n_experts,
+                                     Rng(seed).split(f"g{i}"), layer_index=i)
+            apply_partition(params, i, p)
             partitions.append(p)
             routers.append(router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"r{i}")))
     return CheckpointBundle(config=cfg, params=params, partitions=partitions,

@@ -12,12 +12,12 @@ from moefy.grouping import (
 from moefy.model import D_FFN_AXIS
 from moefy.numerics import Rng
 
-from ffn_blocks import KINDS, dense_ffn, random_layer as ffn_random_layer
+from ffn_blocks import KINDS, dense_ffn, ffn_weights, random_block
 from oracles import greedy_balanced_assign_loop
 
 
 def random_layer(rng, d=6, f=12, kind="two_matmul", dtype=np.float32):
-    return ffn_random_layer(rng, kind, d, f, std=1.0, dtype=dtype)
+    return random_block(rng, kind, d, f, std=1.0, dtype=dtype)
 
 
 class TestKmeans:
@@ -111,39 +111,54 @@ class TestRandomGrouping:
 
 class TestApplyPartition:
     def test_identity_permutation(self):
-        layer = random_layer(Rng(1))
-        p = ExpertPartition(0, 3, 4, np.arange(12), "random").validate()
-        out = apply_partition(layer, p)
-        for role, w in layer.weights.items():
-            assert np.array_equal(out.weights[role], w)
-        assert out.partition is p
+        params = random_layer(Rng(1))
+        before = {role: w.copy() for role, w in ffn_weights(params).items()}
+        apply_partition(params, 0, ExpertPartition(0, 3, 4, np.arange(12), "random").validate())
+        for role, w in ffn_weights(params).items():
+            assert np.array_equal(w, before[role])
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_forward_invariant(self, kind):
         # f64: the check targets the permutation, not f32 resummation noise
-        layer = random_layer(Rng(2), kind=kind, dtype=np.float64)
+        params = random_layer(Rng(2), kind=kind, dtype=np.float64)
         p = group_experts_random(12, 3, Rng(3))
-        permuted = apply_partition(layer, p)
         x = Rng(4).normal((5, 6), std=1.0, dtype=np.float64)
-        assert np.abs(dense_ffn(layer, x) - dense_ffn(permuted, x)).max() < 1e-6
+        before = dense_ffn(params, x)
+        apply_partition(params, 0, p)
+        assert np.abs(before - dense_ffn(params, x)).max() < 1e-6
 
     def test_round_trip_bit_identical(self):
-        layer = random_layer(Rng(5))
+        params = random_layer(Rng(5))
+        before = {role: w.copy() for role, w in ffn_weights(params).items()}
         p = group_experts_random(12, 4, Rng(6))
-        permuted = apply_partition(layer, p)
-        assert permuted.weights.keys() == layer.weights.keys()
+        apply_partition(params, 0, p)
         undo = np.argsort(p.permutation)
-        for role, w in layer.weights.items():
-            back = permuted.weights[role]
+        for role, w in before.items():
+            back = ffn_weights(params)[role]
             if role in D_FFN_AXIS:
                 back = np.take(back, undo, axis=D_FFN_AXIS[role])
             assert np.array_equal(back, w)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_takes_each_d_ffn_role_in_place(self, kind):
+        params = random_layer(Rng(11), kind=kind)
+        old = ffn_weights(params)
+        before = {role: w.copy() for role, w in old.items()}
+        p = group_experts_random(12, 4, Rng(12))
+        apply_partition(params, 0, p)
+        for role, w in ffn_weights(params).items():
+            assert w is old[role], role  # the parameter's own buffer
+            if role in D_FFN_AXIS:
+                want = np.take(before[role], p.permutation, axis=D_FFN_AXIS[role])
+                assert w.tobytes() == want.tobytes(), role
+            else:
+                assert w.tobytes() == before[role].tobytes(), role
 
     def test_length_mismatch(self):
         p = group_experts_random(8, 2, Rng(8))
         for kind in KINDS:
             with pytest.raises(ValueError, match="permutation length 8 != d_ffn 12"):
-                apply_partition(random_layer(Rng(7), kind=kind), p)
+                apply_partition(random_layer(Rng(7), kind=kind), 0, p)
 
     def test_contiguity_after_permutation(self):
         p = group_experts_kmeans(Rng(9).normal((24, 4), std=1.0), 4, Rng(10))

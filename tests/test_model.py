@@ -6,6 +6,7 @@ import pytest
 from moefy import routing
 from moefy.autograd import Tensor, no_grad, param
 from moefy.model import (
+    D_FFN_AXIS,
     ModelConfig,
     TransformerParams,
     ffn_hidden,
@@ -18,7 +19,8 @@ from moefy.model import (
 )
 from moefy.numerics import F64, Rng, ShapeError, activation, sigmoid
 
-from ffn_blocks import dense_ffn, ffn_layer, one_block, packed_layers, random_layer
+from ffn_blocks import (dense_ffn, ffn_weights, one_block, packed_layers,
+                        random_block as ffn_random_block)
 from oracles import finite_diff_grad
 
 
@@ -77,24 +79,24 @@ class TestFfnOps:
         w1[:, :d] = np.eye(d)
         w2 = np.zeros((f, d), dtype=np.float32)
         w2[:d, :] = np.eye(d)
-        layer = ffn_layer("two_matmul", w1, np.zeros(f, np.float32), w2, np.zeros(d, np.float32),
-                          activation="relu")
+        params = one_block("two_matmul", w1, np.zeros(f, np.float32), w2, np.zeros(d, np.float32),
+                           activation="relu")
         x = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
-        assert np.allclose(dense_ffn(layer, x), x)
+        assert np.allclose(dense_ffn(params, x), x)
 
     def test_zero_weights_bias_only(self):
         d, f = 4, 8
         c = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
-        layer = ffn_layer("two_matmul", np.zeros((d, f), np.float32), np.zeros(f, np.float32),
-                          np.zeros((f, d), np.float32), c)
-        y = dense_ffn(layer, Rng(0).normal((3, d), std=1.0))
+        params = one_block("two_matmul", np.zeros((d, f), np.float32), np.zeros(f, np.float32),
+                           np.zeros((f, d), np.float32), c)
+        y = dense_ffn(params, Rng(0).normal((3, d), std=1.0))
         assert np.allclose(y, np.tile(c, (3, 1)))
 
     def test_matches_scalar_reference(self):
         rng = Rng(4)
         d, f = 5, 9
-        layer = random_layer(rng, "two_matmul", d, f, std=0.5)
-        w1, b1, w2, b2 = (layer.weights[r] for r in ("up", "b1", "down", "b2"))
+        params = ffn_random_block(rng, "two_matmul", d, f, std=0.5)
+        w1, b1, w2, b2 = (ffn_weights(params)[r] for r in ("up", "b1", "down", "b2"))
         x = rng.normal((3, d), std=1.0)
         ref = np.zeros((3, d))
         for ti in range(3):
@@ -104,25 +106,25 @@ class TestFfnOps:
             for j in range(d):
                 ref[ti, j] = sum(float(act[a]) * float(w2[a, j]) for a in range(f)) \
                     + float(b2[j])
-        assert np.abs(dense_ffn(layer, x) - ref).max() < 1e-6
+        assert np.abs(dense_ffn(params, x) - ref).max() < 1e-6
 
     def test_glu_zero_input(self):
         rng = Rng(6)
-        layer = random_layer(rng, "swiglu", 4, 8, std=1.0)
-        assert np.allclose(dense_ffn(layer, np.zeros((2, 4), np.float32)), 0.0)
+        params = ffn_random_block(rng, "swiglu", 4, 8, std=1.0)
+        assert np.allclose(dense_ffn(params, np.zeros((2, 4), np.float32)), 0.0)
 
     def test_glu_zero_up_columns(self):
         rng = Rng(7)
-        layer = ffn_layer("swiglu", rng.normal((4, 8), std=1.0), np.zeros((4, 8), np.float32),
-                          rng.normal((8, 4), std=1.0))
+        params = one_block("swiglu", rng.normal((4, 8), std=1.0), np.zeros((4, 8), np.float32),
+                           rng.normal((8, 4), std=1.0))
         x = rng.normal((3, 4), std=1.0)
-        assert np.allclose(dense_ffn(layer, x), 0.0)
+        assert np.allclose(dense_ffn(params, x), 0.0)
 
     def test_glu_matches_scalar_reference(self):
         rng = Rng(8)
         d, f = 4, 6
-        layer = random_layer(rng, "swiglu", d, f, std=0.7)
-        w_gate, w_up, w_down = (layer.weights[r] for r in ("gate", "up", "down"))
+        params = ffn_random_block(rng, "swiglu", d, f, std=0.7)
+        w_gate, w_up, w_down = (ffn_weights(params)[r] for r in ("gate", "up", "down"))
         x = rng.normal((2, d), std=1.0)
         ref = np.zeros((2, d))
         for ti in range(2):
@@ -133,20 +135,43 @@ class TestFfnOps:
             prod = (hg * sigmoid(hg)) * hu
             for j in range(d):
                 ref[ti, j] = sum(float(prod[a]) * float(w_down[a, j]) for a in range(f))
-        assert np.abs(dense_ffn(layer, x) - ref).max() < 1e-6
+        assert np.abs(dense_ffn(params, x) - ref).max() < 1e-6
 
     def test_shape_error(self):
-        layer = ffn_layer("two_matmul", np.zeros((3, 6), np.float32), np.zeros(6, np.float32),
-                          np.zeros((6, 3), np.float32), np.zeros(3, np.float32))
+        params = one_block("two_matmul", np.zeros((3, 6), np.float32), np.zeros(6, np.float32),
+                           np.zeros((6, 3), np.float32), np.zeros(3, np.float32))
         with pytest.raises(ShapeError):
-            dense_ffn(layer, np.zeros((2, 4), np.float32))
+            dense_ffn(params, np.zeros((2, 4), np.float32))
+
+
+class TestGetFfnLayer:
+    @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
+    def test_slabs_are_views_of_the_parameters(self, kind):
+        cfg = toy_config(ffn_kind=kind, d_ffn=24)  # 6 experts of 4, d_model 8
+        params = init_params(cfg, Rng(3))
+        layer = get_ffn_layer(params, 1)
+        assert (layer.n_experts, layer.expert_size, layer.d_model) == (6, 4, 8)
+        names = ffn_param_names(cfg, 1)
+        for role in {"up", "gate", "down", "b1", "b2"} - names.keys():
+            assert getattr(layer, role) is None, role
+        for role, name in names.items():
+            w, slab = params[name].data, getattr(layer, role)
+            assert np.shares_memory(slab, w), role
+            if role == "b2":
+                assert slab is w
+                continue
+            assert slab.shape == (6, 4, 8)[:w.ndim + 1], role
+            # hidden unit 5 is expert 1's unit 1: a write to it shows in the slab
+            unit = np.moveaxis(w, D_FFN_AXIS[role], 0)[5:6]
+            unit[...] = 7.0
+            assert (slab[1, 1] == 7.0).all() and (slab == 7.0).sum() == unit.size, role
 
 
 def random_block(kind, dtype, seed=40, d=6, f=12, expert_size=4):
     rng = Rng(seed)
-    layer = random_layer(rng, kind, d, f, std=0.6, bias_std=0.3, dtype=dtype)
-    x = rng.split("x").normal((5, d), std=1.0, dtype=dtype)
-    return one_block(layer, expert_size), x
+    params = ffn_random_block(rng, kind, d, f, std=0.6, bias_std=0.3, dtype=dtype,
+                              expert_size=expert_size)
+    return params, rng.split("x").normal((5, d), std=1.0, dtype=dtype)
 
 
 KINDS_DTYPES = [(k, t) for k in ("two_matmul", "swiglu") for t in (np.float32, np.float64)]
@@ -266,14 +291,13 @@ class TestForwardLm:
 
     def test_soft_mode_with_scores_near_one_matches_dense(self):
         from moefy.grouping import apply_partition, group_experts_random
-        from moefy.model import set_ffn_layer
 
         cfg = toy_config()
         params = init_params(cfg, Rng(17))
         routers = []
         for i in range(cfg.n_layers):
             p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(20 + i))
-            set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+            apply_partition(params, i, p)
             # router input is ln2's output: zero gain and unit bias make it all ones,
             # so a constant positive Wg gives every expert logit 30 (sigmoid -> ~1)
             params[f"block{i}.ln2.g"].data[:] = 0.0
@@ -289,14 +313,13 @@ class TestForwardLm:
 
     def test_discrete_all_selected_matches_dense(self):
         from moefy.grouping import apply_partition, group_experts_random
-        from moefy.model import set_ffn_layer
 
         cfg = toy_config()
         params = init_params(cfg, Rng(19))
         partitions, routers = [], []
         for i in range(cfg.n_layers):
             p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(40 + i))
-            set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+            apply_partition(params, i, p)
             partitions.append(p)
             routers.append(routing.router_init(cfg.d_model, cfg.n_experts, Rng(50 + i)))
         tokens = Rng(20).integers(0, cfg.vocab_size, size=6)
@@ -312,14 +335,13 @@ class TestForwardLm:
 def moefied_f64(kind, seed=60):
     """Float64 toy model with random partitions and routers giving mixed masks."""
     from moefy.grouping import apply_partition, group_experts_random
-    from moefy.model import set_ffn_layer
 
     cfg = toy_config(ffn_kind=kind, d_ffn=16 if kind == "two_matmul" else 12)
     params = init_params(cfg, Rng(seed)).astype(F64)
     partitions, routers = [], []
     for i in range(cfg.n_layers):
         p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(seed).split(f"g{i}"))
-        set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+        apply_partition(params, i, p)
         partitions.append(p)
         routers.append(routing.router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"r{i}"),
                                            std=1.0, dtype=np.float64))
@@ -402,14 +424,13 @@ def test_discrete_call_args1_carries_layer_index(monkeypatch):
     # the benchmark's per-layer kept-fraction trace keys each
     # moe_forward_discrete call by args[1].layer_index
     from moefy.grouping import apply_partition, group_experts_random
-    from moefy.model import set_ffn_layer
 
     cfg = toy_config(n_layers=3)
     params = init_params(cfg, Rng(63))
     partitions, routers = [], []
     for i in range(cfg.n_layers):
         p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(63).split(f"g{i}"), layer_index=i)
-        set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+        apply_partition(params, i, p)
         partitions.append(p)
         routers.append(routing.router_init(cfg.d_model, cfg.n_experts, Rng(63).split(f"r{i}")))
     seen = []
@@ -465,15 +486,18 @@ def test_gather_without_packed_weights_raises(missing):
 
 
 class TestParamCount:
-    @pytest.mark.parametrize("kw", [
-        {},
-        {"ffn_kind": "swiglu", "d_ffn": 12},
-        {"n_layers": 3, "d_model": 16, "n_heads": 4, "d_ffn": 32, "expert_size": 8},
+    # counted by hand: wte + wpe, then per block ln1 + attention (four d x d
+    # matrices and four d biases) + ln2 + the FFN, then ln_f + head.W + head.b
+    @pytest.mark.parametrize("kw,count", [
+        ({}, 1601),  # 136 + 96 + 2 * (16 + 288 + 16 + 280) + 16 + 136 + 17
+        ({"ffn_kind": "swiglu", "d_ffn": 12}, 1617),  # FFN 3 * 8 * 12 = 288 per block
+        ({"n_layers": 3, "d_model": 16, "n_heads": 4, "d_ffn": 32, "expert_size": 8},
+         7457),  # 272 + 192 + 3 * (32 + 1088 + 32 + 1072) + 32 + 272 + 17
     ])
-    def test_formula_matches_allocation(self, kw):
+    def test_matches_hand_count_and_allocation(self, kw, count):
         cfg = toy_config(**kw)
-        params = init_params(cfg, Rng(1))
-        assert params.element_count() == param_count(cfg)
+        assert param_count(cfg) == count
+        assert sum(t.data.size for t in init_params(cfg, Rng(1)).tensors.values()) == count
 
 
 BLOCK0_PREFIX = ["wte", "wpe", "block0.ln1.g", "block0.ln1.b", "block0.attn.Wq", "block0.attn.Wk",

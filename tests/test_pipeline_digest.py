@@ -28,3 +28,4 @@ def test_two_runs_print_identical_digests(tmp_path):
             assert f"{kind}/{ckpt}.ckpt#manifest" in labels
             assert f"{kind}/{ckpt}.ckpt#tensors" in labels
         assert f"{kind}/results.tsv" in labels
+        assert f"{kind}/serving_logits.f32" in labels

@@ -22,16 +22,18 @@ from moefy.routing import (
 )
 from moefy.sparse_exec import pack
 
-from ffn_blocks import ffn_layer, one_block, random_layer, scaled_ffn_oracle
+from ffn_blocks import ffn_weights, one_block, random_block, scaled_ffn_oracle
 
 logit = lambda p: math.log(p / (1 - p))
 
 
 def make_layer(rng, d=6, f=16, kind="two_matmul", act="gelu_tanh", n_experts=4):
     """(one-block params with an expert-permuted random FFN, its partition)."""
-    layer = random_layer(rng, kind, d, f, std=0.8, bias_std=0.5, activation=act)
+    params = random_block(rng, kind, d, f, std=0.8, bias_std=0.5, activation=act,
+                          expert_size=f // n_experts)
     p = group_experts_random(f, n_experts, rng.split("part"))
-    return one_block(apply_partition(layer, p), f // n_experts), p
+    apply_partition(params, 0, p)
+    return params, p
 
 
 def discrete(params, part, router, x, tau):
@@ -46,7 +48,7 @@ def soft(params, router, x):
 
 def dense_mask_oracle(params, x, neuron_scale):
     """Plain-numpy dense FFN of block 0 with each intermediate neuron scaled."""
-    return scaled_ffn_oracle(get_ffn_layer(params, 0), x, neuron_scale)
+    return scaled_ffn_oracle(params, x, neuron_scale)
 
 
 def hidden(params, x):
@@ -262,12 +264,12 @@ class TestNoisyTopk:
 class TestMagnitudeSelect:
     def test_example_ranking(self):
         # swiglu intermediate ~ [3, -5, 0.1]: |-5| > |3| > |0.1|
-        params = one_block(ffn_layer(
+        params = one_block(
             "swiglu",
             np.full((1, 3), 20.0),               # gate: silu(20) ~= 20
             np.array([[0.15, -0.25, 0.005]]),    # up
             np.eye(3, 1),                        # down
-        ), expert_size=1)
+            expert_size=1)
         _, dec = magnitude_select(hidden(params, np.array([[1.0]])), keep_fraction=2 / 3)
         assert dec.mask.tolist() == [[True, True, False]]
 
@@ -318,11 +320,11 @@ class TestGroundtruthTopk:
         # only expert 0's neurons can fire (relu kills the rest via -inf-ish bias)
         d, f, n = 3, 8, 4
         rng = Rng(27)
-        layer = ffn_layer("two_matmul", rng.normal((d, f), std=1.0), np.zeros(f, np.float32),
-                          rng.normal((f, d), std=1.0), rng.normal((d,), std=1.0),
-                          activation="relu")
-        layer.weights["b1"][2:] = -1e9
-        params = one_block(layer, expert_size=f // n)
+        b1 = np.zeros(f, np.float32)
+        b1[2:] = -1e9
+        params = one_block("two_matmul", rng.normal((d, f), std=1.0), b1,
+                           rng.normal((f, d), std=1.0), rng.normal((d,), std=1.0),
+                           expert_size=f // n, activation="relu")
         x = np.abs(rng.normal((5, d), std=1.0))
         scale, dec = groundtruth_topk_select(hidden(params, x), n, k=1)
         y = scaled_out(params, x, scale)
@@ -335,8 +337,8 @@ class TestGroundtruthTopk:
         params, part = make_layer(rng)
         x = rng.normal((6, 6), std=1.0)
         _, dec = groundtruth_topk_select(hidden(params, x), 4, k=2)
-        layer = get_ffn_layer(params, 0)
-        inter = activation(x @ layer.weights["up"] + layer.weights["b1"], layer.activation)
+        w = ffn_weights(params)
+        inter = activation(x @ w["up"] + w["b1"], params.config.activation)
         for t in range(6):
             norms = [np.linalg.norm(inter[t, e * 4:(e + 1) * 4]) for e in range(4)]
             top2 = set(np.argsort([-v for v in norms], kind="stable")[:2])

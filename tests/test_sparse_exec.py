@@ -17,23 +17,22 @@ from moefy.sparse_exec import (
     sparse_ffn_graph,
 )
 
-from ffn_blocks import KINDS, dense_ffn, expert_oracle, one_block, random_layer
+from ffn_blocks import (KINDS, dense_ffn, expert_oracle, ffn_weights, permuted_block,
+                        random_block)
 from oracles import masked_dense_ffn
 
 
 def packed_layer(rng, d=8, f=24, n=6, kind="two_matmul", dtype=np.float32, act="gelu_tanh"):
     # init-scale weights keep outputs O(1) so absolute tolerances are meaningful
-    layer = random_layer(rng, kind, d, f, std=0.3, bias_std=0.2, dtype=dtype, activation=act)
-    permuted = apply_partition(layer, group_experts_random(f, n, rng.split("p")))
-    return permuted, pack(permuted)
+    return permuted_block(rng, kind, d, f, n, std=0.3, bias_std=0.2, dtype=dtype, activation=act)
 
 
 class TestPack:
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_round_trip_bit_identical(self, kind):
         # every slab is its expert's dense rows / transposed columns, bit for bit
-        layer, packed = packed_layer(Rng(0), kind=kind)
-        w, e = layer.weights, packed.expert_size
+        params, packed = packed_layer(Rng(0), kind=kind)
+        w, e = ffn_weights(params), packed.expert_size
         assert packed.up.shape == packed.down.shape == (packed.n_experts, e, 8)
         for x in range(packed.n_experts):
             cols = slice(x * e, (x + 1) * e)
@@ -49,10 +48,28 @@ class TestPack:
             assert packed.b1 is None and packed.b2 is None
 
     def test_expert_zero_slice_is_leading_columns(self):
-        layer, packed = packed_layer(Rng(1))
-        e = packed.expert_size
-        assert np.array_equal(packed.up[0], layer.weights["up"][:, :e].T)
-        assert np.array_equal(packed.down[0], layer.weights["down"][:e, :])
+        params, packed = packed_layer(Rng(1))
+        e, w = packed.expert_size, ffn_weights(params)
+        assert np.array_equal(packed.up[0], w["up"][:, :e].T)
+        assert np.array_equal(packed.down[0], w["down"][:e, :])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_contiguous_copies_of_the_parameter_views(self, kind):
+        params = random_block(Rng(2), kind, 8, 24, std=0.3, bias_std=0.2, expert_size=4)
+        part = group_experts_random(24, 6, Rng(3))
+        apply_partition(params, 0, part)
+        view = get_ffn_layer(params, 0, part)
+        packed = pack(view)
+        assert packed.partition is part and packed.activation == view.activation
+        for role in ("up", "gate", "down", "b1", "b2"):
+            v, c = getattr(view, role), getattr(packed, role)
+            if v is None:
+                assert c is None, role
+                continue
+            assert c.flags.c_contiguous, role
+            assert c.shape == v.shape and c.tobytes() == v.tobytes(), role
+            for w in ffn_weights(params).values():
+                assert not np.shares_memory(c, w), role
 
     def test_requires_permuted_layer(self):
         # an unpermuted view of either kind, straight from the parameters
@@ -75,18 +92,18 @@ def random_mask(rng, n_tok, n, low=1):
 class TestSparseForward:
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_all_experts_matches_dense(self, kind):
-        layer, packed = packed_layer(Rng(3), kind=kind)
+        params, packed = packed_layer(Rng(3), kind=kind)
         x = Rng(4).normal((5, 8), std=1.0)
         y = sparse_ffn_forward(packed, np.ones((5, 6), dtype=bool), x)
-        dense = dense_ffn(layer, x)
+        dense = dense_ffn(params, x)
         assert np.abs(y - dense).max() < 1e-5
 
     def test_empty_selection(self):
         # an empty union runs no matmul: every row is exactly b2
-        layer, packed = packed_layer(Rng(5))
+        params, packed = packed_layer(Rng(5))
         x = Rng(6).normal((3, 8), std=1.0)
         y = sparse_ffn_forward(packed, np.zeros((3, 6), dtype=bool), x)
-        assert y.tobytes() == np.tile(layer.weights["b2"], (3, 1)).tobytes()
+        assert y.tobytes() == np.tile(ffn_weights(params)["b2"], (3, 1)).tobytes()
 
     @pytest.mark.parametrize("n_tok", [1, 3])
     def test_empty_selection_swiglu_zero(self, n_tok):
@@ -98,14 +115,14 @@ class TestSparseForward:
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     def test_random_subsets_match_dense_mask_oracle(self, kind):
         rng = Rng(9)
-        layer, packed = packed_layer(rng, kind=kind)
+        params, packed = packed_layer(rng, kind=kind)
         for trial in range(20):
             srng = Rng(100 + trial)
             x = srng.normal((4, 8), std=1.0)
             mask = random_mask(srng, 4, 6)
             y = sparse_ffn_forward(packed, mask, x)
             for t in range(4):
-                ref = expert_oracle(layer, x[t:t + 1], mask[t], packed.expert_size)
+                ref = expert_oracle(params, x[t:t + 1], mask[t], packed.expert_size)
                 assert np.abs(y[t] - ref[0]).max() < 1e-5
 
     def test_identical_masks_batched_same_result(self):
@@ -119,11 +136,8 @@ class TestSparseForward:
 
 def model_shape_layer(kind, dtype, d=128, f=512, n=32):
     """The trained model's FFN shape (expert_size 16) with fan-in scaled weights."""
-    rng = Rng(20)
-    layer = random_layer(rng, kind, d, f, std=1.0 / np.sqrt(d), bias_std=0.2,
-                         down_std=1.0 / np.sqrt(f), dtype=dtype)
-    permuted = apply_partition(layer, group_experts_random(f, n, rng.split("p")))
-    return permuted, pack(permuted)
+    return permuted_block(Rng(20), kind, d, f, n, std=1.0 / np.sqrt(d), bias_std=0.2,
+                          down_std=1.0 / np.sqrt(f), dtype=dtype)
 
 
 def distinct_masks(n=32, t=64, seed=21):
@@ -138,14 +152,14 @@ class TestExpertMajorDispatch:
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
     def test_model_shape_matches_dense_mask_oracle(self, kind, dtype, tol):
-        layer, packed = model_shape_layer(kind, dtype)
+        params, packed = model_shape_layer(kind, dtype)
         mask = distinct_masks()
         assert len({m.tobytes() for m in mask}) == len(mask) - 1  # only the two empties repeat
         x = Rng(22).normal((len(mask), 128), std=1.0, dtype=dtype)
         y = sparse_ffn_forward(packed, mask, x)
         assert y.dtype == dtype
         for t, row in enumerate(mask):
-            ref = expert_oracle(layer, x[t:t + 1], row, packed.expert_size)
+            ref = expert_oracle(params, x[t:t + 1], row, packed.expert_size)
             assert np.abs(y[t] - ref[0]).max() < tol, t
 
     @pytest.mark.parametrize("kind", ["two_matmul", "swiglu"])
@@ -291,10 +305,9 @@ def through_graph(ffn, kind, mask, poison=None, d=8, f=24):
     """Run `ffn(params, 0, x, mask)` on a float64 one-block FFN and backpropagate
     a fixed output gradient; returns the output, dx and each role's gradient.
     `poison` sets one expert's up (or gate) columns to NaN first."""
-    rng = Rng(50)
-    layer = random_layer(rng, kind, d, f, std=0.3, bias_std=0.2, dtype=np.float64)
-    es = f // mask.shape[1]
-    params = one_block(layer, es)
+    params = random_block(Rng(50), kind, d, f, std=0.3, bias_std=0.2, dtype=np.float64,
+                          expert_size=f // mask.shape[1])
+    es = params.config.expert_size
     if poison is not None:
         role = "gate" if kind == "swiglu" else "up"
         params[ffn_param_names(params.config, 0)[role]].data[:, poison * es:(poison + 1) * es] = np.nan
@@ -366,13 +379,13 @@ class TestSparseFfnGraph:
     @pytest.mark.parametrize("entry", ["forward", "graph"])
     def test_mask_shape_and_dtype_checked(self, entry, mask_shape, dtype, x_shape, message):
         # both entries reach the one input check in _union_ffn
-        layer, packed = packed_layer(Rng(54))  # d_model 8, 6 experts
+        params, packed = packed_layer(Rng(54))  # d_model 8, 6 experts
         mask, x = np.ones(mask_shape, dtype=dtype), Rng(55).normal(x_shape)
         with pytest.raises(numerics.ShapeError, match=message):
             if entry == "forward":
                 sparse_ffn_forward(packed, mask, x)
             else:
-                sparse_ffn_graph(one_block(layer, packed.expert_size), 0, param(x), mask)
+                sparse_ffn_graph(params, 0, param(x), mask)
 
 
 class TestFlops:

@@ -8,7 +8,7 @@ from moefy.autograd import no_grad, param
 from moefy.config import make_synthetic_corpus, load_corpus
 from moefy.grouping import apply_partition, group_experts_random
 from moefy.losses import LteHyperparams, aux_loss_graph
-from moefy.model import ModelConfig, TransformerParams, forward_lm, get_ffn_layer, init_params, param_count, set_ffn_layer
+from moefy.model import ModelConfig, TransformerParams, forward_lm, init_params, param_count
 from moefy.numerics import F64, Rng
 from moefy.routing import router_init
 from moefy.training import (
@@ -39,7 +39,7 @@ def moefy_params(params, seed=0, router_std=None):
     routers, partitions = [], []
     for i in range(cfg.n_layers):
         p = group_experts_random(cfg.d_ffn, cfg.n_experts, Rng(seed).split(f"g{i}"))
-        set_ffn_layer(params, i, apply_partition(get_ffn_layer(params, i), p))
+        apply_partition(params, i, p)
         partitions.append(p)
         routers.append(router_init(cfg.d_model, cfg.n_experts, Rng(seed).split(f"r{i}"),
                                    std=router_std, dtype=params["wte"].data.dtype))

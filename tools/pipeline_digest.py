@@ -6,7 +6,10 @@ CHECKOUT is a repository root (its `src/` is put on PYTHONPATH). The script
 writes one synthetic corpus, then for each FFN kind (`two_matmul`, `swiglu`)
 runs train-base, moefy, train-lte stage 1 and stage 2, eval with `lte` then
 `dense`, and report (`report.txt` and both SVGs), each as its own
-`python -m moefy.cli` process. It prints one `sha256  path` line per
+`python -m moefy.cli` process. Then `tools/serving_logits.py`, run with
+the checkout's `src`, writes `serving_logits.f32`: the stage-2
+checkpoint's raw dense and `lte` logits (without and with a graph) at T=1,
+T=40 and a (4, 64) batch. It prints one `sha256  path` line per
 artifact, sorted by path. A checkpoint gets two lines instead, `path#manifest`
 (magic, length and JSON manifest) and `path#tensors` (the tensor blob), so a
 change to the manifest alone still shows identical tensor bytes. Two
@@ -36,13 +39,21 @@ FFN_KINDS = ("two_matmul", "swiglu")
 SETTINGS = ("d_model=64", "n_layers=2", "d_ffn=256", "n_heads=4", "expert_size=16",
             "seq_len=64", "max_seq_len=128", "lr=0.003", "batch_size=4", "eval_windows=8",
             "eta=0.3", "tau=0.48")
+TAU = dict(s.split("=") for s in SETTINGS)["tau"]
+
+
+SERVING_LOGITS = Path(__file__).resolve().parent / "serving_logits.py"
+
+
+def _run(src: Path, *argv: str) -> None:
+    """Run `python argv...` with the checkout's `src` on the path and one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(src / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    subprocess.run([sys.executable, *argv], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def _cli(src: Path, *argv: str) -> None:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-m", "moefy.cli", *argv], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    _run(src, "-m", "moefy.cli", *argv)
 
 
 def run_pipeline(src: Path, out: Path) -> list[Path]:
@@ -66,6 +77,8 @@ def run_pipeline(src: Path, out: Path) -> list[Path]:
             _cli(src, "eval", "--checkpoint", str(d / "stage2.ckpt"), "--method", method,
                  *common)
         _cli(src, "report", "--checkpoint", str(d / "stage2.ckpt"), *common)
+        _run(src, str(SERVING_LOGITS), str(d / "stage2.ckpt"), str(corpus), TAU,
+             str(d / "serving_logits.f32"))
     return sorted(p for p in out.rglob("*") if p.is_file())
 
 
