@@ -4,7 +4,8 @@ A small tape: each op records its parents and a closure that scatters the
 output gradient back to them. The op set is what the program records (the
 language model, the routed FFN paths and the three loss terms), plus `sum`,
 which the float64 gradient checks reduce with. `+` and `*` never broadcast:
-a bias rides in `matmul`, attention's scale and mask in `causal_softmax`.
+a bias rides in `matmul`, and attention (head split, scores, scale, causal
+mask, softmax, context and head merge) is the one node `causal_attention`.
 
 Gradients are exact. A constant Tensor (one that does not require grad)
 receives none, so a constant 0/1 scale of `scale_blocks` passes no gradient.
@@ -16,11 +17,11 @@ The tape is made of nodes, not of values. A Tensor that requires grad holds
 its array and a small `_Node`: the gradient, the closure, the parents' nodes,
 and the shape, dtype and memory order of a first gradient. A closure holds
 only the arrays it reads (matmul and `*` their inputs, `act` and `square`
-theirs, softmax, sigmoid and reciprocal their output, layernorm `xhat`, the
-inverse deviation and the gain) and writes into the parents' nodes, so nodes
-outlive values: a forward value that no backward reads, such as an `+`
-output or the scores under `causal_softmax`, is freed as soon as the forward
-drops its Tensor.
+theirs, sigmoid and reciprocal their output, layernorm `xhat`, the inverse
+deviation and the gain, attention its q, k and v and its softmax weights)
+and writes into the parents' nodes, so nodes outlive values: a forward
+value that no backward reads, such as an `+` output or attention's output,
+is freed as soon as the forward drops its Tensor.
 
 Backward consumes the tape: one backward per forward. As reverse mode
 passes an inner node it drops that node's gradient, its closure (and with
@@ -38,6 +39,7 @@ order of the plain numpy expression, so results are byte-identical to it.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Optional
 
 import numpy as np
@@ -272,21 +274,6 @@ class Tensor:
                 on.accum(numerics.matmul(a.swapaxes(-1, -2), g), fresh=True)
         return self._make(data, (self, other) if bias is None else (self, other, bias), back)
 
-    def transpose(self) -> "Tensor":
-        """Swap the last two axes."""
-        sn = self._node
-        return self._make(self._data.swapaxes(-1, -2), (self,),
-                          lambda g: sn.accum(g.swapaxes(-1, -2)))
-
-    def reshape(self, *shape: int) -> "Tensor":
-        sn, was = self._node, self._data.shape
-        return self._make(self._data.reshape(shape), (self,), lambda g: sn.accum(g.reshape(was)))
-
-    def permute(self, *axes: int) -> "Tensor":
-        sn = self._node
-        return self._make(self._data.transpose(axes), (self,),
-                          lambda g: sn.accum(g.transpose(tuple(np.argsort(axes)))))
-
     # -- nonlinearities -------------------------------------------------
 
     def act(self, kind: str) -> "Tensor":
@@ -405,22 +392,69 @@ class Tensor:
                 sn.accum(np.multiply(inv, gxhat, out=gxhat))
         return self._make(data, (self, gain, bias), back)
 
-    def causal_softmax(self, scale: float) -> "Tensor":
-        """Softmax over the last axis of `self * scale`, where key j > query i
-        first gets -1e30 added: exp() underflows, so its probability is 0."""
-        q, k = self._data.shape[-2:]
-        y = np.multiply(self._data, scale)
-        np.add(y, -1e30, out=y, where=np.arange(k) > np.arange(q)[:, None])
-        np.subtract(y, np.maximum.reduce(y, axis=-1, keepdims=True), out=y)
+    def causal_attention(self, k: "Tensor", v: "Tensor", n_heads: int,
+                         bias: np.ndarray) -> "Tensor":
+        """Causal multi-head attention of (B*T, d) query rows `self` over key
+        and value rows `k` and `v`, as (B*T, d) rows. T is read off the (T, T)
+        `causal_bias`. Per sequence and head, with the head_dim columns of
+        that head: softmax(q @ k^T * (1 / sqrt(head_dim)) + bias) @ v.
+
+        One node for the whole chain: no per-head split, transposed key,
+        scores or merge is a Tensor. Forward and backward run the chain's
+        products on the same operands, so the bytes are those of the chain;
+        a product whose K fits one `numerics.MATMUL_BLOCK` runs as the BLAS
+        call that `numerics.matmul` makes. The row max is read down the key
+        axis of a contiguous transposed copy of the scores: numpy reduces
+        along the outer axis in one vectorised pass, but along the inner one
+        runs a loop per row. The closure keeps the attention weights and the
+        q, k and v arrays.
+        """
+        n, d = self._data.shape
+        t = bias.shape[0]
+        if k._data.shape != (n, d) or v._data.shape != (n, d):
+            raise ShapeError(f"q {self._data.shape}, k {k._data.shape} and v {v._data.shape} "
+                             f"must be equal (B*T, d) rows")
+        if bias.shape != (t, t) or t == 0 or n % t or d % n_heads:
+            raise ShapeError(f"bias {bias.shape} and {n_heads} heads for q rows {(n, d)}")
+        b, hd = n // t, d // n_heads
+
+        def heads(a):  # (B*T, d) -> a (B, H, T, head_dim) view
+            return a.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+        def merge(a, axes):  # the one copy into (B*T, d) rows; +0.0 as numerics.matmul
+            out = np.empty((n, d), dtype=a.dtype)
+            np.add(a.transpose(axes), 0.0, out=out.reshape(b, t, n_heads, hd))
+            return out
+
+        scale = 1.0 / math.sqrt(hd)
+        q4, k4, v4 = heads(self._data), heads(k._data), heads(v._data)
+        kt = k4.swapaxes(-1, -2)
+        # numerics.matmul's +0.0 pass is left out: adding the bias clears -0.0 too
+        y = q4 @ kt if hd <= numerics.MATMUL_BLOCK else numerics.matmul(q4, kt)
+        np.multiply(y, scale, out=y)
+        np.add(y, bias, out=y)
+        m = np.maximum.reduce(np.ascontiguousarray(y.swapaxes(-1, -2)), axis=-2)
+        np.subtract(y, m[..., None], out=y)
         np.exp(y, out=y)
         np.true_divide(y, np.add.reduce(y, axis=-1, keepdims=True), out=y)
-        sn = self._node
+        ctx = y @ v4 if t <= numerics.MATMUL_BLOCK else numerics.matmul(y, v4)
+        qn, kn, vn = self._node, k._node, v._node
+
         def back(g):
-            r = np.multiply(g, y)
-            np.subtract(g, np.add.reduce(r, axis=-1, keepdims=True), out=r)
+            g4 = np.ascontiguousarray(heads(g))
+            if vn is not None:
+                vn.accum(merge(numerics.matmul(y.swapaxes(-1, -2), g4), (0, 2, 1, 3)), fresh=True)
+            # softmax backward of the attention weights y, then scale
+            ga = numerics.matmul(g4, v4.swapaxes(-1, -2))
+            r = np.multiply(ga, y)
+            np.subtract(ga, np.add.reduce(r, axis=-1, keepdims=True), out=r)
             np.multiply(y, r, out=r)
-            sn.accum(np.multiply(r, scale, out=r))
-        return self._make(y, (self,), back)
+            np.multiply(r, scale, out=r)
+            if qn is not None:
+                qn.accum(merge(numerics.matmul(r, k4), (0, 2, 1, 3)), fresh=True)
+            if kn is not None:
+                kn.accum(merge(numerics.matmul(q4.swapaxes(-1, -2), r), (0, 3, 1, 2)), fresh=True)
+        return self._make(merge(ctx, (0, 2, 1, 3)), (self, k, v), back)
 
     def cross_entropy_mean(self, targets: np.ndarray) -> "Tensor":
         """Mean token cross-entropy of row logits against integer targets."""
@@ -451,3 +485,9 @@ class Tensor:
 
 def param(data: np.ndarray) -> Tensor:
     return Tensor(data, requires_grad=True)
+
+
+def causal_bias(t: int, dtype) -> np.ndarray:
+    """The (t, t) additive mask of `Tensor.causal_attention`: 0 where key j <= query i,
+    -1e30 where j > i, so exp() underflows and the future key gets probability 0."""
+    return np.triu(np.full((t, t), -1e30, dtype=dtype), 1)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numerics
-from .autograd import Tensor, grad_enabled, param
+from .autograd import Tensor, causal_bias, grad_enabled, param
 from .numerics import F32, ShapeError
 
 # weight role -> parameter suffix of block{i}.ffn, in checkpoint order
@@ -237,18 +237,13 @@ class ForwardResult:
     score_graph: Optional[list] = None   # per-layer (B*T, n_experts) score Tensors, moe_soft only
 
 
-def _attention(params: TransformerParams, i: int, xn: Tensor, b: int, t: int) -> Tensor:
-    """Causal multi-head attention over (B*T, d) rows; heads split by reshape."""
-    cfg = params.config
-    h, hd = cfg.n_heads, cfg.head_dim
-
-    def heads(name: str) -> Tensor:  # (B*T, d) -> (B, H, T, hd)
-        y = xn.matmul(params[f"block{i}.attn.W{name}"], params[f"block{i}.attn.b{name}"])
-        return y.reshape(b, t, h, hd).permute(0, 2, 1, 3)
-
-    q, k, v = heads("q"), heads("k"), heads("v")
-    att = q.matmul(k.transpose()).causal_softmax(1.0 / math.sqrt(hd))
-    ctx = att.matmul(v).permute(0, 2, 1, 3).reshape(b * t, cfg.d_model)
+def _attention(params: TransformerParams, i: int, xn: Tensor, bias: np.ndarray) -> Tensor:
+    """Causal multi-head attention over (B*T, d) rows, T read off the (T, T)
+    `causal_bias`: the q, k and v projections, one `causal_attention` node
+    that splits, attends and merges the heads, then the output projection."""
+    q, k, v = (xn.matmul(params[f"block{i}.attn.W{n}"], params[f"block{i}.attn.b{n}"])
+               for n in ("q", "k", "v"))
+    ctx = q.causal_attention(k, v, params.config.n_heads, bias)
     return ctx.matmul(params[f"block{i}.attn.Wo"], params[f"block{i}.attn.bo"])
 
 
@@ -266,8 +261,9 @@ def forward_lm(
 
     Activations are (B*T, d) rows, batch-major, so every row-wise layer (the
     layer norms, the FFN, routers, the gather path, `ffn_scale` and the
-    loss) sees the whole batch in one call; only attention regroups rows into
-    (B, H, T, head_dim). Logits and RoutingDecisions have B*T rows.
+    loss) sees the whole batch in one call; only inside its one node does
+    attention regroup rows into (B, H, T, head_dim). Logits and
+    RoutingDecisions have B*T rows. T must be at least 1.
 
     ffn_mode: dense | moe_soft | moe_discrete. The moe modes delegate the FFN
     to the routing module and return per-layer RoutingDecisions. moe_discrete
@@ -289,6 +285,8 @@ def forward_lm(
     b, t = (1, tokens.shape[0]) if tokens.ndim == 1 else tokens.shape
     if t > cfg.max_seq_len:
         raise ShapeError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
+    if t == 0:
+        raise ShapeError(f"tokens of shape {tokens.shape} hold empty sequences")
     if ffn_mode not in ("dense", "moe_soft", "moe_discrete"):
         raise ValueError(f"unknown ffn_mode {ffn_mode!r}")
     if ffn_scale is not None and ffn_mode != "dense":
@@ -300,13 +298,14 @@ def forward_lm(
         raise ValueError("moe_discrete without a graph requires packed weights and partitions")
 
     x = params["wte"].rows(tokens.reshape(-1)) + params["wpe"].rows(np.tile(np.arange(t), b))
+    bias = causal_bias(t, x.dtype)
 
     decisions = [] if (ffn_mode != "dense" or ffn_scale) else None
     score_graph = [] if ffn_mode == "moe_soft" else None
 
     for i in range(cfg.n_layers):
         xn = x.layernorm(params[f"block{i}.ln1.g"], params[f"block{i}.ln1.b"])
-        x = x + _attention(params, i, xn, b, t)
+        x = x + _attention(params, i, xn, bias)
         xf = x.layernorm(params[f"block{i}.ln2.g"], params[f"block{i}.ln2.b"])
 
         if ffn_mode == "dense":

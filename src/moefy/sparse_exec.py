@@ -65,6 +65,18 @@ def sparse_ffn_forward(packed: FfnLayer, mask: np.ndarray, x: np.ndarray) -> np.
     return _union_ffn(packed, mask, x)[0]
 
 
+def _zero_unselected(h: np.ndarray, keep) -> None:
+    """Set each entry of `h` whose int8 `keep` is 0 to exactly +0.0, in place,
+    and leave the entries whose `keep` is -1 bit for bit, NaN included (a 0/1
+    multiply would not: NaN * 0 is NaN). AND on h's bits as integers of its
+    item size: with 0 it clears every bit, with -1 it keeps every bit. A
+    `keep` of None (every pair selected) leaves `h` as it is."""
+    if keep is None:
+        return
+    bits = h.view(f"i{h.itemsize}")
+    np.bitwise_and(bits, keep, out=bits)
+
+
 def _union_ffn(packed: FfnLayer, mask: np.ndarray, x: np.ndarray) -> tuple:
     """Gather-free FFN over the union of the experts the rows of `x` selected.
 
@@ -80,8 +92,9 @@ def _union_ffn(packed: FfnLayer, mask: np.ndarray, x: np.ndarray) -> tuple:
     down matmuls into the output in ascending order, then `b2` is added.
 
     Returns the output and the tape `_union_ffn_grads` reads: x, the union,
-    the hidden-buffer mask of unselected pairs, the up (after b1) and gate
-    pre-activations, the gate's activation, and the masked hidden layer.
+    the hidden buffer's 0 / -1 selection for `_zero_unselected`, the up (after
+    b1) and gate pre-activations, the gate's activation, and the masked
+    hidden layer.
     """
     n, d, es = packed.n_experts, packed.d_model, packed.expert_size
     if x.ndim != 2 or x.shape[1] != d:
@@ -113,9 +126,9 @@ def _union_ffn(packed: FfnLayer, mask: np.ndarray, x: np.ndarray) -> tuple:
     else:
         s = numerics.activation(gate, packed.activation)
         h = s * up
-    # where=, not a 0/1 multiply: NaN * 0 is NaN
-    off = np.repeat(~mask[:, union], es, axis=1)
-    np.copyto(h, 0, where=off)
+    sel = mask[:, union].view(np.int8)
+    keep = None if sel.all() else np.repeat(np.negative(sel, out=sel), es, axis=1)
+    _zero_unselected(h, keep)
 
     out = np.zeros((n_tok, d), dtype=x.dtype)
     part = np.empty_like(out)  # one buffer for every run's product
@@ -123,7 +136,7 @@ def _union_ffn(packed: FfnLayer, mask: np.ndarray, x: np.ndarray) -> tuple:
         out += np.matmul(h[:, c], down_w[r], out=part)
     if packed.b2 is not None:
         out += packed.b2
-    return out, (x, union, off, up, gate, s, h)
+    return out, (x, union, keep, up, gate, s, h)
 
 
 def _union_ffn_grads(packed: FfnLayer, tape: tuple,
@@ -132,7 +145,7 @@ def _union_ffn_grads(packed: FfnLayer, tape: tuple,
     for the output gradient `g`. Each product spans the whole union, over a
     copy of the union's weight rows. Experts outside the union get exact
     zeros, and so does every unselected pair, as in the forward."""
-    x, union, off, up, gate, s, h = tape
+    x, union, keep, up, gate, s, h = tape
     d, es = packed.d_model, packed.expert_size
     # the union's slab rows, in hidden-buffer order
     rows = (np.flatnonzero(union)[:, None] * es + np.arange(es)).reshape(-1)
@@ -149,7 +162,7 @@ def _union_ffn_grads(packed: FfnLayer, tape: tuple,
         dz["gate"] = np.multiply(dh, numerics.activation_grad(gate, packed.activation), out=dh)
     dx = np.zeros_like(x)
     for role, dr in dz.items():
-        np.copyto(dr, 0, where=off)
+        _zero_unselected(dr, keep)
         grads[role].reshape(-1, d)[rows] = dr.T @ x
         dx += dr @ w[role]
     if packed.b1 is not None:

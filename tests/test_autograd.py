@@ -1,11 +1,12 @@
 """Every autograd op is checked against central finite differences in float64."""
 
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from moefy.autograd import Tensor, no_grad, param
+from moefy.autograd import Tensor, causal_bias, no_grad, param
 from moefy.numerics import NumericError, Rng, ShapeError, activation, activation_grad, matmul
 
 from oracles import finite_diff_grad
@@ -97,27 +98,9 @@ class TestStructure:
         with pytest.raises(ShapeError):  # a bias rides on 2-D products only
             param(rnd((2, 4, 3), 92)).matmul(param(rnd((2, 3, 5), 93)), param(rnd((5,), 94)))
 
-    def test_transpose(self):
-        check_grads(lambda a: a.transpose().matmul(a).sum(), rnd((3, 4), 12))
-
     def test_rows_with_duplicates(self):
         idx = np.array([0, 2, 2, 1])
         check_grads(lambda a: a.rows(idx).square().sum(), rnd((4, 3), 13))
-
-    def test_transpose_swaps_last_two_axes(self):
-        x = rnd((2, 3, 4), 14)
-        assert param(x).transpose().shape == (2, 4, 3)
-        check_grads(lambda a: (a.transpose() * Tensor(rnd((2, 4, 3), 15))).sum(), x)
-
-    def test_reshape(self):
-        check_grads(lambda a: (a.reshape(6, 4) * Tensor(rnd((6, 4), 30))).square().sum(),
-                    rnd((2, 3, 4), 31))
-
-    def test_permute(self):
-        x = rnd((2, 3, 4, 5), 32)
-        assert param(x).permute(0, 2, 1, 3).shape == (2, 4, 3, 5)
-        check_grads(lambda a: (a.permute(2, 0, 3, 1) * Tensor(rnd((4, 2, 5, 3), 33))).square().sum(),
-                    x)
 
     def test_stacked_matmul_both_operands(self):
         check_grads(lambda a, b: a.matmul(b).square().mean(),
@@ -150,32 +133,39 @@ class TestFused:
             rnd((6, 8), 17), rnd((8,), 18) + 1.0, rnd((8,), 19),
         )
 
-    def test_causal_softmax(self):
-        check_grads(lambda a: (a.causal_softmax(0.7) * Tensor(rnd((5, 5), 21))).sum(),
-                    rnd((5, 5), 20))
+    @pytest.mark.parametrize("b, t, d, heads", [(2, 5, 8, 2), (1, 1, 8, 2), (3, 4, 6, 1)])
+    def test_causal_attention(self, b, t, d, heads):
+        check_grads(lambda q, k, v: (q.causal_attention(k, v, heads, causal_bias(t, np.float64))
+                                     * Tensor(rnd((b * t, d), 21))).sum(),
+                    rnd((b * t, d), 20), rnd((b * t, d), 42), rnd((b * t, d), 43))
 
-    def test_causal_softmax_4d(self):
-        check_grads(lambda a: (a.causal_softmax(0.5) * Tensor(rnd((2, 2, 4, 4), 42))).sum(),
-                    rnd((2, 2, 4, 4), 43))
-
-    def test_layernorm_on_batch_rows(self):
-        # (B, T, d) flattened to B*T rows, as the batched forward pass does
-        check_grads(
-            lambda x, g, b: x.reshape(6, 8).layernorm(g, b).square().mean(),
-            rnd((2, 3, 8), 44), rnd((8,), 45) + 1.0, rnd((8,), 46),
-        )
-
-    def test_cross_entropy_on_batch_rows(self):
-        targets = np.array([[1, 0, 3], [2, 2, 4]]).reshape(-1)
-        check_grads(lambda a: a.reshape(6, 5).cross_entropy_mean(targets), rnd((2, 3, 5), 47))
+    @pytest.mark.parametrize("k_cols, heads, bias_shape", [
+        (4, 2, (3, 3)),  # k and v narrower than q
+        (8, 3, (3, 3)),  # d not divisible by the heads
+        (8, 2, (4, 4)),  # rows not divisible by T
+        (8, 2, (0, 0)),  # T = 0
+        (8, 2, (3, 2)),  # a bias that is not square
+    ])
+    def test_causal_attention_shape_errors(self, k_cols, heads, bias_shape):
+        k = param(rnd((6, k_cols), 96))
+        with pytest.raises(ShapeError):
+            param(rnd((6, 8), 95)).causal_attention(k, k, heads, np.zeros(bias_shape))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_causal_softmax_masks_future_keys_exactly(self, dtype):
-        x = Rng(22).normal((2, 9, 9), std=3.0, dtype=dtype)
-        x[:, :, 8] = 1e6  # a huge score of the last key, future to every row but the last
-        p = param(x).causal_softmax(0.25).data
-        future = np.arange(9) > np.arange(9)[:, None]
-        assert (p[:, future] == 0.0).all() and (p[:, :8][:, ~future[:8]] > 0.0).all()
+    def test_causal_attention_masks_future_keys_exactly(self, dtype):
+        # two sequences of 9 rows, two heads of 16 columns; value row j of
+        # head 0 is one-hot at column j, so head 0's output row i holds its
+        # attention weights over the keys, exactly
+        t, n = 9, 18
+        q = np.abs(Rng(22).normal((n, 32), dtype=dtype))
+        k = Rng(23).normal((n, 32), dtype=dtype)
+        k[t - 1::t] = 1e4  # a huge score of the last key, future to every row but the last
+        v = np.zeros((n, 32), dtype=dtype)
+        v[np.arange(n), np.arange(n) % t] = 1.0
+        p = param(q).causal_attention(param(k), param(v), 2, causal_bias(t, dtype)).data
+        p = p[:, :t].reshape(2, t, t)
+        future = np.arange(t) > np.arange(t)[:, None]
+        assert (p[:, future] == 0.0).all() and (p[:, :t - 1][:, ~future[:t - 1]] > 0.0).all()
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-6)
 
     def test_cross_entropy(self):
@@ -218,7 +208,8 @@ def expression_matmul_bias(x, w, b, g):
 
 
 def expression_causal_softmax(x, scale, g):
-    # the replaced `(x * scale + mask).softmax_rows()`, mask from the removed model.causal_mask
+    # the replaced `(x * scale + mask).softmax_rows()`, mask from the removed model.causal_mask;
+    # returns the softmax and the gradient of x
     t = x.shape[-1]
     mask = np.zeros((t, t), dtype=x.dtype)
     mask[np.triu_indices(t, k=1)] = -1e30
@@ -241,8 +232,20 @@ def expression_cross_entropy_mean(x, targets, g):
     return loss, (g / x.shape[0]) * p
 
 
-def expression_permute(x, axes, g):
-    return x.transpose(axes), g.transpose(tuple(np.argsort(axes)))
+def expression_causal_attention(q, k, v, n_heads, t, g):
+    # the replaced chain: heads split by reshape and permute, `numerics.matmul`
+    # products with a transposed k, the causal softmax, heads merged back
+    n, d = q.shape
+    b, hd = n // t, d // n_heads
+    split = lambda a: a.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+    merge = lambda a: a.transpose(0, 2, 1, 3).reshape(n, d)
+    q4, k4, v4 = split(q), split(k), split(v)
+    g4 = np.ascontiguousarray(split(g))  # the chain's gradient copies left g contiguous
+    att, ds = expression_causal_softmax(matmul(q4, k4.swapaxes(-1, -2)), 1.0 / math.sqrt(hd),
+                                        matmul(g4, v4.swapaxes(-1, -2)))
+    return (merge(matmul(att, v4)), merge(matmul(ds, k4)),
+            merge(matmul(q4.swapaxes(-1, -2), ds).swapaxes(-1, -2)),
+            merge(matmul(att.swapaxes(-1, -2), g4)))
 
 
 def expression_act(x, kind, g):
@@ -286,19 +289,20 @@ class TestBitwiseOracles:
             x[2] = b[:3] = g[1] = g[:, 4] = -0.0
             yield (f"matmul bias {n}x{k}x{m}", lambda a, c, d: a.matmul(c, d), [x, w, b], g,
                    expression_matmul_bias(x, w, b, g))
-        for shape in ((64, 64), (2, 4, 40, 40), (1, 4, 63, 63)):
-            x, g = r(shape, 64, 4.0), r(shape, 65)
-            x[..., 3, :] = -0.0
-            yield (f"causal_softmax {shape}", lambda a: a.causal_softmax(32 ** -0.5), [x], g,
-                   expression_causal_softmax(x, 32 ** -0.5, g))
+        # (B, T, d, heads): T = 100 spans two K blocks of the context product,
+        # and 80-column heads two of the scores product
+        for b, t, d, h in ((3, 1, 128, 4), (2, 40, 128, 4), (1, 63, 128, 4), (2, 64, 128, 4),
+                           (1, 100, 128, 4), (1, 40, 160, 2)):
+            q, k, v, g = (r((b * t, d), seed, 2.0) for seed in (64, 65, 66, 67))
+            q[b * t // 2] = -0.0
+            bias = causal_bias(t, dtype)
+            bias.flags.writeable = False
+            yield (f"causal_attention B{b} T{t} d{d} h{h}",
+                   lambda x, y, z, h=h, bias=bias: x.causal_attention(y, z, h, bias), [q, k, v], g,
+                   expression_causal_attention(q, k, v, h, t, g))
         x = r((320, 256), 66, 3.0)
         yield ("cross_entropy_mean", lambda a: a.cross_entropy_mean(targets), [x], ce_g,
                expression_cross_entropy_mean(x, targets, ce_g))
-        x = r((2, 40, 4, 32), 67)
-        for axes in ((0, 2, 1, 3), (2, 0, 3, 1)):  # the attention split, and a 4-cycle
-            g = r(x.transpose(axes).shape, 68)
-            yield (f"permute {axes}", lambda a, ax=axes: a.permute(*ax), [x], g,
-                   expression_permute(x, axes, g))
         for kind in ("relu", "gelu_tanh", "silu"):
             x, g = r((40, 512), 69, 3.0), r((40, 512), 70)
             yield (f"act {kind}", lambda a, k=kind: a.act(k), [x], g, expression_act(x, kind, g))
@@ -360,25 +364,26 @@ class TestGraph:
 
     def test_tape_keeps_only_what_backward_reads(self):
         # the embedding gather feeds only `+`, the `+` output only a layernorm
-        # (which keeps its own xhat), and the q @ k^T scores only the softmax,
-        # which keeps its output: none is read by a backward. The layernorm
-        # output is a matmul input, which the matmul's weight gradient reads.
+        # (which keeps its own xhat), and the attention output only `+`: none
+        # is read by a backward. The layernorm output is a matmul input, which
+        # the matmul's weight gradient reads.
         wte, g, b = param(rnd((10, 8), 54)), param(np.ones(8)), param(np.zeros(8))
-        wq, wk = param(rnd((8, 8), 55)), param(rnd((8, 8), 56))
+        wq, wk, wv = param(rnd((8, 8), 55)), param(rnd((8, 8), 56)), param(rnd((8, 8), 58))
         pos = param(rnd((6, 8), 57))
         gather = wte.rows(np.array([1, 3, 3, 0, 9, 2]))
         x = gather + pos
         xn = x.layernorm(g, b)
-        scores = xn.matmul(wq).matmul(xn.matmul(wk).transpose())
-        loss = scores.causal_softmax(0.5).square().sum()
+        ctx = xn.matmul(wq).causal_attention(xn.matmul(wk), xn.matmul(wv), 2,
+                                             causal_bias(3, np.float64))
+        loss = (ctx + pos).square().sum()
         freed = {name: weakref.ref(t.data) for name, t in
-                 (("gather", gather), ("sum", x), ("scores", scores), ("matmul input", xn))}
-        del gather, x, xn, scores
+                 (("gather", gather), ("sum", x), ("attention", ctx), ("matmul input", xn))}
+        del gather, x, xn, ctx
         assert {name: ref() is None for name, ref in freed.items()} == {
-            "gather": True, "sum": True, "scores": True, "matmul input": False}
+            "gather": True, "sum": True, "attention": True, "matmul input": False}
         loss.backward()
         assert freed["matmul input"]() is None
-        assert all(t.grad is not None for t in (wte, g, b, wq, wk, pos))
+        assert all(t.grad is not None for t in (wte, g, b, wq, wk, wv, pos))
 
     def test_second_backward_from_the_same_loss_raises(self):
         x = param(rnd((4,), 52))

@@ -283,6 +283,18 @@ class TestForwardLm:
         with pytest.raises(ShapeError):
             forward_lm(params, np.zeros(cfg.max_seq_len + 1, dtype=np.int64))
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_sequence_rejected(self, shape):
+        params = init_params(toy_config(), Rng(15))
+        with pytest.raises(ShapeError, match="empty sequences"):
+            forward_lm(params, np.zeros(shape, dtype=np.int64))
+
+    def test_batch_of_no_sequences(self):
+        params = init_params(toy_config(), Rng(15))
+        with no_grad():
+            res = forward_lm(params, np.zeros((0, 5), dtype=np.int64))
+        assert res.logits.shape == (0, params.config.vocab_size)
+
     def test_moe_mode_needs_routers(self):
         cfg = toy_config()
         params = init_params(cfg, Rng(16))

@@ -29,3 +29,6 @@ def test_two_runs_print_identical_digests(tmp_path):
             assert f"{kind}/{ckpt}.ckpt#tensors" in labels
         assert f"{kind}/results.tsv" in labels
         assert f"{kind}/serving_logits.f32" in labels
+        # three ways at T=1, T=40, a (4, 64) batch and T=100, 256 float32 logits a row
+        rows = 1 + 40 + 4 * 64 + 100
+        assert (tmp_path / "a" / kind / "serving_logits.f32").stat().st_size == 3 * rows * 256 * 4

@@ -437,9 +437,11 @@ class TestRuns:
 
     def test_stage2_ffn_makes_no_blocked_matmul(self, small_corpus, monkeypatch):
         # the discrete FFN runs as the union kernel's graph op, whose products go
-        # to BLAS directly: a stage-2 step's K-blocked products are attention's
-        # six (q, k, v, scores, context, output) and the router per layer plus
-        # the LM head, and backward's two for each of them but the router
+        # to BLAS directly, and so do attention's scores and context products
+        # while K fits one block (T=32 here): a stage-2 forward's K-blocked
+        # products are attention's four projections (q, k, v, output) and the
+        # router per layer plus the LM head, and backward's are two for each
+        # of attention's six products and the LM head
         from moefy import numerics
 
         layers = 2
@@ -458,4 +460,4 @@ class TestRuns:
         monkeypatch.setattr(numerics, "matmul", counting)
         monkeypatch.setattr(training, "collect_gradients", backward_phase)
         train_step(st, sample_batch(small_corpus.train, Rng(16), 4, 32))
-        assert calls == {"forward": layers * 7 + 1, "backward": 2 * (layers * 6 + 1)}
+        assert calls == {"forward": layers * 5 + 1, "backward": 2 * (layers * 6 + 1)}

@@ -9,7 +9,7 @@ runs train-base, moefy, train-lte stage 1 and stage 2, eval with `lte` then
 `python -m moefy.cli` process. Then `tools/serving_logits.py`, run with
 the checkout's `src`, writes `serving_logits.f32`: the stage-2
 checkpoint's raw dense and `lte` logits (without and with a graph) at T=1,
-T=40 and a (4, 64) batch. It prints one `sha256  path` line per
+T=40, a (4, 64) batch and T=100. It prints one `sha256  path` line per
 artifact, sorted by path. A checkpoint gets two lines instead, `path#manifest`
 (magic, length and JSON manifest) and `path#tensors` (the tensor blob), so a
 change to the manifest alone still shows identical tensor bytes. Two

@@ -2,8 +2,9 @@
 
     PYTHONPATH=CHECKOUT/src python tools/serving_logits.py CKPT CORPUS TAU OUT
 
-Runs `forward_lm` on token windows cut from the CORPUS bytes, at T=1, T=40
-and as a (4, 64) batch, three ways: dense without a graph, `lte` without a
+Runs `forward_lm` on token windows cut from the CORPUS bytes, at T=1, T=40,
+as a (4, 64) batch and at T=100 (past one 64-wide K block of attention's
+context product), three ways: dense without a graph, `lte` without a
 graph (the packed gather path that eval and decode run) and `lte` with a
 graph (the union kernel's graph op that stage 2 trains through), both `lte`
 ways thresholding at TAU. It writes every logits array in that order as
@@ -26,9 +27,9 @@ from moefy.sparse_exec import pack
 
 
 def windows(corpus: bytes) -> list[np.ndarray]:
-    """T=1, T=40 and a (4, 64) batch of byte tokens from fixed corpus offsets."""
+    """T=1, T=40, a (4, 64) batch and T=100 of byte tokens from fixed corpus offsets."""
     data = np.frombuffer(corpus, dtype=np.uint8).astype(np.int64)
-    return [data[7:8], data[100:140], data[1000:1256].reshape(4, 64)]
+    return [data[7:8], data[100:140], data[1000:1256].reshape(4, 64), data[2000:2100]]
 
 
 def main(argv: list[str]) -> int:
