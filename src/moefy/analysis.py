@@ -43,7 +43,8 @@ ROUTED = ("lte", "random_router", "noisy_topk")
 
 
 def val_windows(data: np.ndarray, seq_len: int, max_windows: int) -> list[np.ndarray]:
-    """Deterministic non-overlapping windows from the held-out slice."""
+    """Deterministic non-overlapping windows of seq_len + 1 tokens from the
+    start of `data` (the held-out slice in eval)."""
     out = []
     for s in range(0, data.shape[0] - seq_len, seq_len):
         out.append(data[s : s + seq_len + 1].astype(np.int64))
@@ -149,11 +150,6 @@ def layer_sparsity_report(bundle: CheckpointBundle, windows: list[np.ndarray],
         concentration=[score_concentration(s) for s in scores],
         mean_selected_per_layer=[float(m.sum(axis=1).mean()) for m in masks],
     )
-
-
-def near_tau_fraction(scores: np.ndarray, tau: float, halfwidth: float = 0.1) -> float:
-    """Mass of scores inside (tau - halfwidth, tau + halfwidth)."""
-    return float(((scores > tau - halfwidth) & (scores < tau + halfwidth)).mean())
 
 
 # --- eval metrics ---------------------------------------------------------------

@@ -39,6 +39,10 @@ from .numerics import NumericError, Rng, blas_threads
 from .training import TrainHyper, TrainingState
 
 
+# training windows whose selection rates order the experts at the end of stage 2
+ORDER_WINDOWS = 8
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     p = Path(cfg.out_dir)
     p.mkdir(parents=True, exist_ok=True)
@@ -94,7 +98,9 @@ def _train(cfg: RunConfig, bundle: CheckpointBundle, stage: str, meta: dict) -> 
 
     Writes train_{stage}.log, {stage}_step######.ckpt every checkpoint_every
     steps, and {stage}.ckpt. The bundle takes its stage tag and `meta` before
-    training, so the periodic checkpoints carry them too.
+    training, so the periodic checkpoints carry them too. Stage 2 relabels
+    the experts in selection-rate order (`_order_experts`) after its last
+    step, so only stage2.ckpt holds the new order.
     """
     corpus = load_corpus(cfg.corpus)
     out = _out_dir(cfg)
@@ -113,10 +119,23 @@ def _train(cfg: RunConfig, bundle: CheckpointBundle, stage: str, meta: dict) -> 
         checkpoint_every=cfg.checkpoint_every,
         checkpoint_fn=lambda s: save_checkpoint(str(out / f"{stage}_step{s:06d}.ckpt"), bundle),
     )
+    if stage == "stage2":
+        _order_experts(cfg, bundle, corpus.train)
     ckpt = out / f"{stage}.ckpt"
     save_checkpoint(str(ckpt), bundle)
     print(f"wrote {ckpt}")
     return 0
+
+
+def _order_experts(cfg: RunConfig, bundle: CheckpointBundle, data: np.ndarray) -> None:
+    """Relabel every layer's experts in descending selection-rate order
+    (`grouping.order_experts_by_rate`), the rates read off one no-grad lte
+    pass over the first ORDER_WINDOWS training windows at cfg.tau."""
+    windows = analysis.val_windows(data, cfg.seq_len, ORDER_WINDOWS)
+    _, _, masks = analysis.collect_decisions(bundle, windows, cfg.tau)
+    bundle.partitions = [
+        grouping.order_experts_by_rate(bundle.params, i, p, r.Wg.data, m)
+        for i, (p, r, m) in enumerate(zip(bundle.partitions, bundle.routers, masks))]
 
 
 def cmd_train_base(args) -> int:

@@ -5,11 +5,14 @@ else of the `up` role, plus a random-chop baseline, and the weight
 permutation that makes each expert's neurons contiguous so the sparse
 execution path can gather whole slabs. The permutation reorders a block's
 parameters in place, each role along its d_ffn axis (`model.D_FFN_AXIS`).
+`order_experts_by_rate` then relabels a partitioned block's experts, most
+often selected first, so that the experts a call selects lie in few runs of
+adjacent slabs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -157,3 +160,24 @@ def apply_partition(params: TransformerParams, i: int, p: ExpertPartition) -> No
         if role in D_FFN_AXIS:
             w = params[name].data
             w[...] = np.take(w, perm, axis=D_FFN_AXIS[role])
+
+
+def order_experts_by_rate(params: TransformerParams, i: int, p: ExpertPartition,
+                          wg: np.ndarray, mask: np.ndarray) -> ExpertPartition:
+    """Relabel block i's experts in descending order of the rate at which the
+    rows of the (rows, n_experts) bool `mask` select them, ties by expert
+    index, and return the partition composed with the relabeling.
+
+    One block permutation of the hidden units moves every FFN role
+    (`apply_partition`) and the columns of the router weights `wg` (d_model,
+    n_experts), in place, so every selection is the same set of experts under
+    new labels. The union kernel makes one product per run of adjacent union
+    experts, so putting the most selected experts together makes few runs.
+    """
+    if mask.shape[1:] != (p.n_experts,) or wg.shape[1:] != (p.n_experts,):
+        raise ValueError(f"mask {mask.shape} and router {wg.shape} for {p.n_experts} experts")
+    order = np.argsort(-mask.mean(axis=0), kind="stable")
+    units = (order[:, None] * p.expert_size + np.arange(p.expert_size)).reshape(-1)
+    apply_partition(params, i, replace(p, permutation=units))
+    wg[...] = wg[:, order]
+    return replace(p, permutation=p.permutation[units]).validate()

@@ -187,11 +187,6 @@ def ffn_flops_per_token(cfg: ModelConfig) -> int:
     return 2 * matrices * cfg.d_model * cfg.d_ffn
 
 
-def param_count(cfg: ModelConfig) -> int:
-    """Element count of the `param_shapes` table."""
-    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
-
-
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     """Name -> shape of every model parameter, in checkpoint order."""
     d, f, v = cfg.d_model, cfg.d_ffn, cfg.vocab_size

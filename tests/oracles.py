@@ -1,13 +1,15 @@
 """Test-only references: a central-difference gradient, the union
-sparsity of every token prefix, the masked-dense discrete FFN and the
-greedy balanced assignment loop."""
+sparsity of every token prefix, the masked-dense discrete FFN, the greedy
+balanced assignment loop, a model's parameter count and the score mass
+near tau."""
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from moefy.autograd import Tensor
-from moefy.model import ffn_hidden, ffn_out
+from moefy.model import ModelConfig, ffn_hidden, ffn_out, param_shapes
 from moefy.numerics import F64, NumericError
 
 
@@ -70,3 +72,13 @@ def greedy_balanced_assign_loop(dist: np.ndarray, capacity: int) -> np.ndarray:
         if placed == d_ffn:
             break
     return assignment
+
+
+def param_count(cfg: ModelConfig) -> int:
+    """Element count of the `param_shapes` table."""
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+
+
+def near_tau_fraction(scores: np.ndarray, tau: float, halfwidth: float = 0.1) -> float:
+    """Mass of scores inside (tau - halfwidth, tau + halfwidth)."""
+    return float(((scores > tau - halfwidth) & (scores < tau + halfwidth)).mean())

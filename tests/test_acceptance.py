@@ -11,11 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from moefy.analysis import (
-    collect_decisions,
-    near_tau_fraction,
-    val_windows,
-)
+from moefy.analysis import collect_decisions, val_windows
 from moefy.autograd import no_grad, param as mkparam
 from moefy.checkpoint import CheckpointBundle
 from moefy.cli import main as cli_main
@@ -32,7 +28,6 @@ from moefy.model import (
     TransformerParams,
     forward_lm,
     init_params,
-    param_count,
 )
 from moefy.numerics import F64, Rng
 from moefy.routing import router_init
@@ -40,7 +35,7 @@ from moefy.sparse_exec import bench, flops_per_token, sparse_ffn_forward
 from moefy.training import TrainHyper, TrainingState, run_training
 
 from ffn_blocks import expert_oracle, ffn_weights, permuted_block
-from oracles import finite_diff_grad, prefix_union_sparsity
+from oracles import finite_diff_grad, near_tau_fraction, param_count, prefix_union_sparsity
 
 MODEL = dict(vocab_size=256, d_model=64, n_heads=4, n_layers=2, d_ffn=256,
              expert_size=8, max_seq_len=128)

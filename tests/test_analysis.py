@@ -11,7 +11,6 @@ from moefy.analysis import (
     eval_record_line,
     format_report,
     layer_sparsity_report,
-    near_tau_fraction,
     render_histogram_svg,
     render_sparsity_svg,
     score_concentration,
@@ -27,7 +26,7 @@ from moefy.numerics import Rng
 from moefy.routing import RouterLayer, magnitude_select, router_init
 from moefy.sparse_exec import flops_per_token
 
-from oracles import prefix_union_sparsity
+from oracles import near_tau_fraction, prefix_union_sparsity
 
 from ffn_blocks import packed_layers
 

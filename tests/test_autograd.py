@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from moefy import numerics
 from moefy.autograd import Tensor, causal_bias, no_grad, param
 from moefy.numerics import NumericError, Rng, ShapeError, activation, activation_grad, matmul
 
@@ -326,6 +327,28 @@ class TestBitwiseOracles:
                 assert a.dtype == b.dtype == dtype, (name, i)
                 assert a.shape == b.shape, (name, i)
                 assert a.tobytes() == b.tobytes(), (name, i)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_causal_attention_backward_hands_blas_contiguous_heads(self, dtype, monkeypatch):
+        # BLAS reads a strided operand differently (sparse_exec._union_ffn), so
+        # the backward's products read the output gradient's heads from a
+        # contiguous copy, as the replaced chain's gradient copies gave them;
+        # at the covered shapes a strided view happens to give the same bytes
+        b, t, d, h = 2, 40, 128, 4
+        q, k, v, g = (Rng(seed).normal((b * t, d), std=2.0, dtype=dtype)
+                      for seed in (64, 65, 66, 67))
+        g_heads = g.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
+        matmul, seen = numerics.matmul, []
+
+        def spy(*operands):
+            seen.extend(a.flags.c_contiguous for a in operands
+                        if a.shape == g_heads.shape and np.array_equal(a, g_heads))
+            return matmul(*operands)
+
+        monkeypatch.setattr(numerics, "matmul", spy)
+        through_tape(lambda x, y, z: x.causal_attention(y, z, h, causal_bias(t, dtype)),
+                     [q, k, v], g)
+        assert seen == [True, True]  # d_att = g @ v^T and dv = att^T @ g
 
 
 class TestGraph:

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moefy.analysis import evaluate, val_windows
+from moefy.analysis import collect_decisions, evaluate, val_windows
 from moefy.checkpoint import load_checkpoint
-from moefy.cli import main
+from moefy.cli import ORDER_WINDOWS, main
 from moefy.config import load_corpus, make_synthetic_corpus
+from moefy.model import D_FFN_AXIS, ffn_param_names
 from moefy.numerics import blas_threads
 
 
@@ -57,11 +58,44 @@ class TestPipeline:
         b = evaluate(moefied, wins, "dense")
         assert abs(a.mean_ce - b.mean_ce) <= 1e-5
 
-    def test_stage2_routers_match_stage1(self, pipeline):
-        s1 = load_checkpoint(str(pipeline["out"] / "stage1.ckpt"))
-        s2 = load_checkpoint(str(pipeline["out"] / "stage2.ckpt"))
-        for r1, r2 in zip(s1.routers, s2.routers):
-            assert np.array_equal(r1.Wg.data, r2.Wg.data)
+    def test_stage2_relabels_experts_in_selection_rate_order(self, pipeline, tmp_path):
+        # 8 experts, and a stage 1 that keeps some of them selected
+        args = [{str(pipeline["out"]): str(tmp_path),
+                 "expert_size=4": "expert_size=2"}.get(a, a) for a in pipeline["args"]]
+        args += ["--set", "tau=0.47"]
+        assert main(["moefy", "--checkpoint", str(pipeline["out"] / "base.ckpt"), *args]) == 0
+        assert main(["train-lte", "--checkpoint", str(tmp_path / "moefied.ckpt"), "--stage", "1",
+                     "--steps", "12", "--eta", "0.3", *args]) == 0
+        assert main(["train-lte", "--checkpoint", str(tmp_path / "stage1.ckpt"), "--stage", "2",
+                     "--steps", "6", "--set", "checkpoint_every=6", *args]) == 0
+        s1, trained, s2 = (load_checkpoint(str(tmp_path / name))
+                           for name in ("stage1.ckpt", "stage2_step000006.ckpt", "stage2.ckpt"))
+        es, moved = s2.config.expert_size, {}  # parameter name -> (d_ffn axis, unit order)
+        for i, (p1, r1, p, r, p2, r2) in enumerate(zip(
+                s1.partitions, s1.routers, trained.partitions, trained.routers,
+                s2.partitions, s2.routers)):
+            # the last step's checkpoint is stage 1's order; stage2.ckpt relabels it
+            assert np.array_equal(p.permutation, p1.permutation)
+            assert r.Wg.data.tobytes() == r1.Wg.data.tobytes()
+            order = np.argsort(p1.permutation)[p2.permutation[::es]] // es
+            assert sorted(order) == list(range(s2.config.n_experts))
+            assert order.tolist() != sorted(order)
+            assert r2.Wg.data.tobytes() == r1.Wg.data[:, order].tobytes()
+            units = (order[:, None] * es + np.arange(es)).reshape(-1)
+            assert np.array_equal(p2.permutation, p1.permutation[units])
+            moved.update((name, (D_FFN_AXIS[role], units))
+                         for role, name in ffn_param_names(s2.config, i).items()
+                         if role in D_FFN_AXIS)
+        for name in s2.params.names():
+            want = trained.params[name].data
+            if name in moved:
+                want = np.take(want, moved[name][1], axis=moved[name][0])
+            assert s2.params[name].data.tobytes() == want.tobytes(), name
+        # rates over the windows that ordered them are non-increasing
+        train = load_corpus(str(pipeline["corpus"])).train
+        _, _, masks = collect_decisions(s2, val_windows(train, 32, ORDER_WINDOWS), 0.47)
+        for m in masks:
+            assert (np.diff(m.mean(axis=0)) <= 0).all() and 0 < m.mean() < 1
 
     def test_eval_methods_and_ledger(self, pipeline):
         out, args = pipeline["out"], pipeline["args"]

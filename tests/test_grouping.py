@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from moefy.autograd import no_grad
+from moefy.checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from moefy.grouping import (
     ExpertPartition,
     _greedy_balanced_assign,
     apply_partition,
     group_experts_kmeans,
     group_experts_random,
+    order_experts_by_rate,
     partition_sse,
 )
-from moefy.model import D_FFN_AXIS
+from moefy.model import D_FFN_AXIS, ModelConfig, ffn_param_names, forward_lm, init_params
 from moefy.numerics import Rng
+from moefy.routing import router_init
 
-from ffn_blocks import KINDS, dense_ffn, ffn_weights, random_block
+from ffn_blocks import KINDS, dense_ffn, ffn_weights, packed_layers, random_block
 from oracles import greedy_balanced_assign_loop
 
 
@@ -164,3 +168,114 @@ class TestApplyPartition:
         p = group_experts_kmeans(Rng(9).normal((24, 4), std=1.0), 4, Rng(10))
         ordered = p.assignment[p.permutation]
         assert np.array_equal(ordered, np.repeat(np.arange(4), 6))
+
+
+def routed_bundle(kind: str, seed: int = 0) -> tuple[CheckpointBundle, dict]:
+    """A two-layer model of normal(0, 0.3) weights (gains around 1), its
+    experts grouped at random, with routers that select a mix of experts at
+    tau 0.5; and its weights before grouping, by name."""
+    cfg = ModelConfig(d_model=16, n_heads=2, n_layers=2, d_ffn=32, expert_size=4,
+                      max_seq_len=32, ffn_kind=kind).validate()
+    rng = Rng(seed)
+    params = init_params(cfg, rng.split("init"))
+    for name, t in params.tensors.items():
+        t.data[...] = rng.split(name).normal(t.data.shape, std=0.3) + name.endswith(".g")
+    ungrouped = {name: t.data.copy() for name, t in params.tensors.items()}
+    parts = [group_experts_random(cfg.d_ffn, cfg.n_experts, rng.split(f"p{i}"), layer_index=i)
+             for i in range(cfg.n_layers)]
+    for i, p in enumerate(parts):
+        apply_partition(params, i, p)
+    routers = [router_init(cfg.d_model, cfg.n_experts, rng.split(f"r{i}"), std=0.3)
+               for i in range(cfg.n_layers)]
+    return CheckpointBundle(config=cfg, params=params, partitions=parts, routers=routers,
+                            stage="stage2"), ungrouped
+
+
+def logits_and_masks(bundle: CheckpointBundle, tokens: np.ndarray) -> dict:
+    """path -> (logits, per-layer masks): dense, lte with a graph, lte without."""
+    lte = dict(ffn_mode="moe_discrete", routers=bundle.routers, tau=0.5)
+    out = {"dense": (forward_lm(bundle.params, tokens).logits.data, None)}
+    res = forward_lm(bundle.params, tokens, **lte)
+    out["graph lte"] = (res.logits.data, [d.mask for d in res.decisions])
+    with no_grad():
+        res = forward_lm(bundle.params, tokens, **lte, partitions=bundle.partitions,
+                         packed=packed_layers(bundle.params, bundle.partitions))
+    out["no-grad lte"] = (res.logits.data, [d.mask for d in res.decisions])
+    return out
+
+
+class TestOrderExpertsByRate:
+    TOKENS = np.random.default_rng(0).integers(0, 256, (3, 24))
+
+    def relabel(self, bundle, masks) -> list:
+        """Relabel every layer by its mask's rates; returns each layer's order."""
+        orders = [np.argsort(-m.mean(axis=0), kind="stable") for m in masks]
+        bundle.partitions = [order_experts_by_rate(bundle.params, i, p, r.Wg.data, m)
+                             for i, (p, r, m) in enumerate(zip(bundle.partitions,
+                                                               bundle.routers, masks))]
+        return orders
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_logits_and_selections_kept(self, kind):
+        bundle, _ = routed_bundle(kind)
+        before = logits_and_masks(bundle, self.TOKENS)
+        masks = before["no-grad lte"][1]
+        orders = self.relabel(bundle, masks)
+        assert any((o != np.arange(o.size)).any() for o in orders)
+        after = logits_and_masks(bundle, self.TOKENS)
+        for path, (logits, layer_masks) in after.items():
+            np.testing.assert_allclose(logits, before[path][0], rtol=0, atol=1e-5,
+                                       err_msg=path)
+            for m, was, order in zip(layer_masks or (), before[path][1] or (), orders):
+                assert np.array_equal(m, was[:, order]), path
+        for m in after["no-grad lte"][1]:
+            rates = m.mean(axis=0)
+            assert (np.diff(rates) <= 0).all() and 0 < m.mean() < 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_composed_partition_and_checkpoint_round_trip(self, kind, tmp_path):
+        bundle, ungrouped = routed_bundle(kind)
+        self.relabel(bundle, logits_and_masks(bundle, self.TOKENS)["no-grad lte"][1])
+        for p in bundle.partitions:
+            p.validate()
+        # the composed permutation maps the ungrouped weights onto the relabeled ones
+        for i, p in enumerate(bundle.partitions):
+            for role, name in ffn_param_names(bundle.config, i).items():
+                want = ungrouped[name]
+                if role in D_FFN_AXIS:
+                    want = np.take(want, p.permutation, axis=D_FFN_AXIS[role])
+                assert bundle.params[name].data.tobytes() == want.tobytes(), name
+        path = tmp_path / "relabeled.ckpt"
+        save_checkpoint(str(path), bundle)
+        loaded = load_checkpoint(str(path))
+        for p, q in zip(bundle.partitions, loaded.partitions):
+            assert np.array_equal(p.permutation, q.permutation)
+        for r, q in zip(bundle.routers, loaded.routers):
+            assert r.Wg.data.tobytes() == q.Wg.data.tobytes()
+        for name in bundle.params.names():
+            assert bundle.params[name].data.tobytes() == loaded.params[name].data.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_order_is_descending_rate_ties_by_index(self, kind):
+        params = random_layer(Rng(13), kind=kind)
+        before = {role: w.copy() for role, w in ffn_weights(params).items()}
+        p = ExpertPartition(0, 4, 3, np.arange(12), "random").validate()
+        wg = Rng(14).normal((6, 4), std=1.0)
+        wg_before = wg.copy()
+        mask = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 0]], dtype=bool)
+        got = order_experts_by_rate(params, 0, p, wg, mask)  # rates 2/3, 1/3, 2/3, 0
+        order = [0, 2, 1, 3]
+        units = np.array([3 * e + u for e in order for u in range(3)])
+        assert np.array_equal(got.permutation, units)
+        assert wg.tobytes() == wg_before[:, order].tobytes()
+        for role, w in ffn_weights(params).items():
+            want = (np.take(before[role], units, axis=D_FFN_AXIS[role])
+                    if role in D_FFN_AXIS else before[role])
+            assert w.tobytes() == want.tobytes(), role
+
+    def test_shape_mismatch(self):
+        p = ExpertPartition(0, 4, 3, np.arange(12), "random").validate()
+        for mask, wg in ((np.ones((2, 3), bool), np.zeros((6, 4))),
+                         (np.ones((2, 4), bool), np.zeros((6, 3)))):
+            with pytest.raises(ValueError, match="for 4 experts"):
+                order_experts_by_rate(random_layer(Rng(15)), 0, p, wg, mask)

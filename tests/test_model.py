@@ -15,13 +15,12 @@ from moefy.model import (
     forward_lm,
     get_ffn_layer,
     init_params,
-    param_count,
 )
 from moefy.numerics import F64, Rng, ShapeError, activation, sigmoid
 
 from ffn_blocks import (dense_ffn, ffn_weights, one_block, packed_layers,
                         random_block as ffn_random_block)
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, param_count
 
 
 def toy_config(**kw):

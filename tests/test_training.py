@@ -8,7 +8,7 @@ from moefy.autograd import no_grad, param
 from moefy.config import make_synthetic_corpus, load_corpus
 from moefy.grouping import apply_partition, group_experts_random
 from moefy.losses import LteHyperparams, aux_loss_graph
-from moefy.model import ModelConfig, TransformerParams, forward_lm, init_params, param_count
+from moefy.model import ModelConfig, TransformerParams, forward_lm, init_params
 from moefy.numerics import F64, Rng
 from moefy.routing import router_init
 from moefy.training import (
@@ -24,7 +24,7 @@ from moefy.training import (
 )
 
 from ffn_blocks import packed_layers
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, param_count
 
 
 def toy_config(**kw):
