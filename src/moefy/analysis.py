@@ -51,7 +51,7 @@ def val_windows(data: np.ndarray, seq_len: int, max_windows: int) -> list[np.nda
         if len(out) >= max_windows:
             break
     if not out:
-        raise ValueError("eval slice too small for one window")
+        raise ValueError(f"{data.shape[0]} tokens hold no window of seq_len + 1 = {seq_len + 1}")
     return out
 
 

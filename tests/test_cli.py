@@ -97,6 +97,16 @@ class TestPipeline:
         for m in masks:
             assert (np.diff(m.mean(axis=0)) <= 0).all() and 0 < m.mean() < 1
 
+    def test_stage2_needs_one_training_window_to_order_experts(self, pipeline, tmp_path, capsys):
+        short = tmp_path / "short.txt"
+        short.write_bytes(bytes(range(97, 123)))  # a training split of under 33 bytes
+        swap = {str(pipeline["out"]): str(tmp_path), str(pipeline["corpus"]): str(short)}
+        args = [swap.get(a, a) for a in pipeline["args"]]
+        assert main(["train-lte", "--checkpoint", str(pipeline["out"] / "stage1.ckpt"),
+                     "--stage", "2", "--steps", "0", *args]) == 2
+        assert "no window of seq_len + 1 = 33" in capsys.readouterr().err
+        assert not (tmp_path / "stage2.ckpt").exists()
+
     def test_eval_methods_and_ledger(self, pipeline):
         out, args = pipeline["out"], pipeline["args"]
         ckpt = str(out / "stage2.ckpt")
