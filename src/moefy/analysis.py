@@ -23,10 +23,12 @@ from .sparse_exec import FlopsReport
 
 HIST_BINS = 64
 
-# Windows per forward_lm call in eval: one batched pass per chunk keeps the
-# per-call cost spread over many tokens while memory stays bounded for any
-# window count.
-EVAL_CHUNK = 32
+# Rows (windows x seq_len tokens) per no-grad forward_lm call in eval: a
+# chunk of max(1, EVAL_ROWS // seq_len) windows spreads the per-call cost over
+# many tokens, while the budget bounds eval's working set for any window
+# count (a d_ffn 512 hidden buffer is 2 MiB). It is a fixed rule of shape,
+# never timed, and the ledger does not depend on the split.
+EVAL_ROWS = 1024
 
 # eval method -> the `evaluate` arguments it reads; they form its ledger settings
 METHOD_SETTINGS = {
@@ -56,9 +58,11 @@ def val_windows(data: np.ndarray, seq_len: int, max_windows: int) -> list[np.nda
 
 
 def _chunks(windows: list[np.ndarray]):
-    """Yield stacked (inputs, flat targets) for up to EVAL_CHUNK windows at a time."""
-    for c in range(0, len(windows), EVAL_CHUNK):
-        w = np.stack(windows[c:c + EVAL_CHUNK])
+    """Yield stacked (inputs, flat targets), at most EVAL_ROWS input rows at a
+    time; a window longer than the budget runs alone."""
+    per_call = max(1, EVAL_ROWS // (windows[0].shape[0] - 1))
+    for c in range(0, len(windows), per_call):
+        w = np.stack(windows[c:c + per_call])
         yield w[:, :-1], w[:, 1:].reshape(-1)
 
 

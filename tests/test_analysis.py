@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from ffn_blocks import packed_layers
 logit = lambda p: math.log(p / (1 - p))
 
 
-def build_bundle(seed=0, score_bias=None):
-    cfg = ModelConfig(vocab_size=256, d_model=8, n_heads=2, n_layers=2, d_ffn=8,
-                      max_seq_len=16, expert_size=2).validate()
+def build_bundle(seed=0, score_bias=None, cfg=None):
+    cfg = cfg or ModelConfig(vocab_size=256, d_model=8, n_heads=2, n_layers=2, d_ffn=8,
+                             max_seq_len=16, expert_size=2).validate()
     params = init_params(cfg, Rng(seed))
     partitions, routers = [], []
     for i in range(cfg.n_layers):
@@ -200,13 +201,14 @@ class TestEvaluate:
             evaluate(build_bundle(seed=20), windows_from(21), "magic")
 
     def test_chunked_eval_matches_per_window(self):
-        # 40 windows run as two forward_lm chunks (32 + 8); float64 reference per window
+        # 150 windows of 16 run as three forward_lm chunks (64 + 64 + 22); float64
+        # reference per window
         bundle = build_bundle(seed=22)
         bundle.params = bundle.params.astype(np.float64)
         for r in bundle.routers:
             r.Wg = param(r.Wg.data.astype(np.float64))
-        wins = windows_from(23, n=40)
-        assert len(wins) > analysis.EVAL_CHUNK
+        wins = windows_from(23, n=150, t=16)
+        assert len(wins) * 16 > 2 * analysis.EVAL_ROWS
         ce, scores, masks = collect_decisions(bundle, wins, tau=0.5)
         with no_grad():
             packed = packed_layers(bundle.params, bundle.partitions)
@@ -299,3 +301,49 @@ class TestEvalFromAppliedMasks:
         assert m.flops.sparse_flops_per_token == per_neuron.sparse_flops_per_token
         assert m.flops.sparse_flops_per_token == m.flops.dense_flops_per_token * 3 / 8
         assert m.flops.router_flops_per_token == 0.0
+
+
+class TestEvalRowBudget:
+    """Eval stacks max(1, EVAL_ROWS // seq_len) windows per no-grad forward_lm."""
+
+    @pytest.mark.parametrize("method", ("dense", "lte"))
+    @pytest.mark.parametrize("n,seq_len,chunks", [
+        (32, 64, [16, 16]),
+        (40, 64, [16, 16, 8]),
+        (3, 512, [2, 1]),
+        (2, 1024, [1, 1]),
+        (3, 1100, [1, 1, 1]),  # a window longer than the budget runs alone
+    ])
+    def test_windows_per_forward(self, monkeypatch, method, n, seq_len, chunks):
+        cfg = ModelConfig(vocab_size=256, d_model=8, n_heads=2, n_layers=2, d_ffn=8,
+                          max_seq_len=1100, expert_size=2).validate()
+        bundle = build_bundle(seed=28, cfg=cfg)
+        shapes = []
+        real = analysis.forward_lm
+
+        def spy(params, x, *args, **kwargs):
+            shapes.append(x.shape)
+            return real(params, x, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "forward_lm", spy)
+        evaluate(bundle, windows_from(29, n=n, t=seq_len), method)
+        assert shapes == [(c, seq_len) for c in chunks]
+
+    def test_lte_eval_memory_is_bounded_by_the_budget(self):
+        # tracemalloc's peak is deterministic: at d128/f512 and seq 64, 32
+        # windows (two 1,024-row calls) peak near 16 windows (one call); one
+        # 2,048-row call peaked at 1.8x
+        bundle = build_bundle(seed=30, cfg=ModelConfig().validate())
+        wins = windows_from(31, n=32, t=64)
+        evaluate(bundle, wins[:2], "lte")  # first-call allocations out of the count
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                evaluate(bundle, wins[:n], "lte")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak(16), peak(32)
+        assert two < 1.3 * one, (one, two)

@@ -22,7 +22,9 @@ is empty. DIR must be empty or absent. BLAS runs on one thread
 (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1), so the digests do not depend on
 the host's core count. Stage 1 runs at
 eta=0.3, tau=0.48, which keeps about half the experts, so stage 2 trains on
-mixed masks and the lte eval and report run the gather path.
+mixed masks and the lte eval and report run the gather path. Eval and report
+read 40 windows of 64 bytes, more than one `analysis.EVAL_ROWS` chunk holds,
+so the digests cover the chunked eval pass.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 
 FFN_KINDS = ("two_matmul", "swiglu")
 SETTINGS = ("d_model=64", "n_layers=2", "d_ffn=256", "n_heads=4", "expert_size=16",
-            "seq_len=64", "max_seq_len=128", "lr=0.003", "batch_size=4", "eval_windows=8",
+            "seq_len=64", "max_seq_len=128", "lr=0.003", "batch_size=4", "eval_windows=40",
             "eta=0.3", "tau=0.48")
 TAU = dict(s.split("=") for s in SETTINGS)["tau"]
 
