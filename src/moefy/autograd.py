@@ -14,14 +14,14 @@ it is the constant mask of the union-kernel op `sparse_exec.sparse_ffn_graph`,
 and no gradient flows through the decision itself.
 
 The tape is made of nodes, not of values. A Tensor that requires grad holds
-its array and a small `_Node`: the gradient, the closure, the parents' nodes,
-and the shape, dtype and memory order of a first gradient. A closure holds
-only the arrays it reads (matmul and `*` their inputs, `act` and `square`
-theirs, sigmoid and reciprocal their output, layernorm `xhat`, the inverse
-deviation and the gain, attention its q, k and v and its softmax weights)
-and writes into the parents' nodes, so nodes outlive values: a forward
-value that no backward reads, such as an `+` output or attention's output,
-is freed as soon as the forward drops its Tensor.
+its array and a small `_Node`: the gradient, the closure, the parents'
+nodes, and the value's shape and dtype. A closure holds only the arrays it
+reads (matmul and `*` their inputs, `act` and `square` theirs, sigmoid and
+reciprocal their output, layernorm `xhat`, the inverse deviation and the
+gain, attention its q, k and v and its softmax weights) and writes into the
+parents' nodes, so nodes outlive values: a forward value that no backward
+reads, such as an `+` output or attention's output, is freed as soon as the
+forward drops its Tensor.
 
 Backward consumes the tape: one backward per forward. As reverse mode
 passes an inner node it drops that node's gradient, its closure (and with
@@ -34,6 +34,12 @@ Buffer rule for the ops: forward and backward write only arrays they
 allocated themselves, never an input, `self.data` or a value a backward
 closure still reads (such as layernorm's `xhat`), and they keep the operand
 order of the plain numpy expression, so results are byte-identical to it.
+
+Gradient rule: `accum` keeps a node's first gradient as `.grad` when it is
+C-contiguous and of the node's dtype, and copies it into that form
+otherwise; a later gradient is added in place. So an op must hand each
+parent an array that nothing else holds: `+`, which hands its one output
+gradient to both operands, copies it for the second.
 """
 
 from __future__ import annotations
@@ -74,45 +80,22 @@ def _spent(g=None):
 class _Node:
     """The tape entry of a Tensor that requires grad; it holds no forward value.
 
-    `backward` is None on a leaf. `axes` is None for a C-contiguous value,
-    else the axis order, outermost first, in which `np.empty_like` would
-    lay out a copy of it (by descending absolute stride; F order reversed).
+    `backward` is None on a leaf.
     """
 
-    __slots__ = ("grad", "backward", "parents", "shape", "dtype", "axes")
+    __slots__ = ("grad", "backward", "parents", "shape", "dtype")
 
     def __init__(self, data: np.ndarray, backward=None, parents: tuple = ()):
         self.grad: Optional[np.ndarray] = None
         self.backward = backward
         self.parents = parents
-        self.like(data)
-
-    def like(self, data: np.ndarray) -> None:
-        """Take the shape, dtype and memory order of a first gradient from `data`."""
         self.shape, self.dtype = data.shape, data.dtype
-        if data.flags.c_contiguous:
-            self.axes = None
-        elif data.ndim > 1 and data.flags.f_contiguous:
-            self.axes = tuple(range(data.ndim))[::-1]
-        else:
-            self.axes = tuple(sorted(range(data.ndim), key=lambda i: -abs(data.strides[i])))
 
-    def empty(self) -> np.ndarray:
-        """An uninitialised array laid out as `np.empty_like` of the value."""
-        if self.axes is None:
-            return np.empty(self.shape, self.dtype)
-        return np.empty([self.shape[i] for i in self.axes],
-                        self.dtype).transpose(np.argsort(self.axes))
-
-    def accum(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add `g` to `.grad`. `fresh` says that nothing else holds `g` and that
-        it has no -0.0 (a `numerics.matmul` result), so a first gradient of
-        this dtype is kept as it is instead of copied."""
-        if self.grad is None and fresh and g.dtype == self.dtype:
-            self.grad = g
-        elif self.grad is None:
-            # adding 0.0 keeps the bytes of a zero-filled start (-0.0 becomes +0.0)
-            self.grad = np.add(g, 0.0, out=self.empty())
+    def accum(self, g: np.ndarray) -> None:
+        """Add `g` to `.grad`; a first `g` is kept when C-contiguous and of this
+        dtype (the caller gives it up), else copied into that form."""
+        if self.grad is None:
+            self.grad = np.ascontiguousarray(g, dtype=self.dtype)
         else:
             self.grad += g
 
@@ -136,7 +119,7 @@ class Tensor:
     def data(self, value) -> None:
         self._data = np.asarray(value)
         if self._node is not None:
-            self._node.like(self._data)
+            self._node.shape, self._node.dtype = self._data.shape, self._data.dtype
 
     @property
     def requires_grad(self) -> bool:
@@ -235,7 +218,7 @@ class Tensor:
             if sn is not None:
                 sn.accum(g)
             if on is not None:
-                on.accum(g)
+                on.accum(g.copy() if sn is not None else g)
         return self._make(self._data + other._data, (self, other), back)
 
     def __mul__(self, other):
@@ -269,9 +252,9 @@ class Tensor:
             if bn is not None:
                 bn.accum(g.sum(axis=0))
             if sn is not None:
-                sn.accum(numerics.matmul(g, b.swapaxes(-1, -2)), fresh=True)
+                sn.accum(numerics.matmul(g, b.swapaxes(-1, -2)))
             if on is not None:
-                on.accum(numerics.matmul(a.swapaxes(-1, -2), g), fresh=True)
+                on.accum(numerics.matmul(a.swapaxes(-1, -2), g))
         return self._make(data, (self, other) if bias is None else (self, other, bias), back)
 
     # -- nonlinearities -------------------------------------------------
@@ -301,14 +284,9 @@ class Tensor:
     # -- reductions ------------------------------------------------------
 
     def _fill_back(self, div: Optional[int] = None):
-        """The backward of a full reduction: `g` (over `div`) in every entry,
-        as `np.full_like` of the input lays it out."""
+        """The backward of a full reduction: `g` (over `div`) in every entry."""
         sn = self._node
-        def back(g):
-            out = sn.empty()
-            np.copyto(out, g if div is None else g / div, casting="unsafe")
-            sn.accum(out)
-        return back
+        return lambda g: sn.accum(np.full(sn.shape, g if div is None else g / div, sn.dtype))
 
     def mean(self) -> "Tensor":
         data = np.asarray(self._data.mean(), dtype=self._data.dtype)
@@ -324,8 +302,7 @@ class Tensor:
         """Row gather (embedding lookup); duplicate indices accumulate."""
         sn, idx = self._node, np.asarray(idx)
         def back(g):
-            acc = sn.empty()
-            acc.fill(0)
+            acc = np.zeros(sn.shape, sn.dtype)
             np.add.at(acc, idx, g)
             sn.accum(acc)
         return self._make(self._data[idx], (self,), back)
@@ -401,9 +378,8 @@ class Tensor:
 
         One node for the whole chain: no per-head split, transposed key,
         scores or merge is a Tensor. Forward and backward run the chain's
-        products on the same operands, so the bytes are those of the chain;
-        a product whose K fits one `numerics.MATMUL_BLOCK` runs as the BLAS
-        call that `numerics.matmul` makes. The row max is read down the key
+        products, all through `numerics.matmul`, on the same operands, so the
+        bytes are those of the chain. The row max is read down the key
         axis of a contiguous transposed copy of the scores: numpy reduces
         along the outer axis in one vectorised pass, but along the inner one
         runs a loop per row. The closure keeps the attention weights and the
@@ -421,29 +397,27 @@ class Tensor:
         def heads(a):  # (B*T, d) -> a (B, H, T, head_dim) view
             return a.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
 
-        def merge(a, axes):  # the one copy into (B*T, d) rows; +0.0 as numerics.matmul
+        def merge(a, axes):  # the one copy into (B*T, d) rows
             out = np.empty((n, d), dtype=a.dtype)
-            np.add(a.transpose(axes), 0.0, out=out.reshape(b, t, n_heads, hd))
+            np.copyto(out.reshape(b, t, n_heads, hd), a.transpose(axes))
             return out
 
         scale = 1.0 / math.sqrt(hd)
         q4, k4, v4 = heads(self._data), heads(k._data), heads(v._data)
-        kt = k4.swapaxes(-1, -2)
-        # numerics.matmul's +0.0 pass is left out: adding the bias clears -0.0 too
-        y = q4 @ kt if hd <= numerics.MATMUL_BLOCK else numerics.matmul(q4, kt)
+        y = numerics.matmul(q4, k4.swapaxes(-1, -2))
         np.multiply(y, scale, out=y)
         np.add(y, bias, out=y)
         m = np.maximum.reduce(np.ascontiguousarray(y.swapaxes(-1, -2)), axis=-2)
         np.subtract(y, m[..., None], out=y)
         np.exp(y, out=y)
         np.true_divide(y, np.add.reduce(y, axis=-1, keepdims=True), out=y)
-        ctx = y @ v4 if t <= numerics.MATMUL_BLOCK else numerics.matmul(y, v4)
+        ctx = numerics.matmul(y, v4)
         qn, kn, vn = self._node, k._node, v._node
 
         def back(g):
             g4 = np.ascontiguousarray(heads(g))
             if vn is not None:
-                vn.accum(merge(numerics.matmul(y.swapaxes(-1, -2), g4), (0, 2, 1, 3)), fresh=True)
+                vn.accum(merge(numerics.matmul(y.swapaxes(-1, -2), g4), (0, 2, 1, 3)))
             # softmax backward of the attention weights y, then scale
             ga = numerics.matmul(g4, v4.swapaxes(-1, -2))
             r = np.multiply(ga, y)
@@ -451,9 +425,9 @@ class Tensor:
             np.multiply(y, r, out=r)
             np.multiply(r, scale, out=r)
             if qn is not None:
-                qn.accum(merge(numerics.matmul(r, k4), (0, 2, 1, 3)), fresh=True)
+                qn.accum(merge(numerics.matmul(r, k4), (0, 2, 1, 3)))
             if kn is not None:
-                kn.accum(merge(numerics.matmul(q4.swapaxes(-1, -2), r), (0, 3, 1, 2)), fresh=True)
+                kn.accum(merge(numerics.matmul(q4.swapaxes(-1, -2), r), (0, 3, 1, 2)))
         return self._make(merge(ctx, (0, 2, 1, 3)), (self, k, v), back)
 
     def cross_entropy_mean(self, targets: np.ndarray) -> "Tensor":

@@ -20,12 +20,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .grouping import ExpertPartition
+from .grouping import METHODS, ExpertPartition
 from .model import ModelConfig, TransformerParams, param_shapes
 from .routing import RouterLayer
 from .autograd import param
 
 MAGIC = b"LTE1"
+STAGE_TAGS = ("base", "moefied", "stage1", "stage2")
 
 
 @dataclass
@@ -34,7 +35,7 @@ class CheckpointBundle:
     params: TransformerParams
     partitions: Optional[list[ExpertPartition]] = None
     routers: Optional[list[RouterLayer]] = None
-    stage: str = "base"  # base | moefied | stage1 | stage2
+    stage: str = "base"  # one of STAGE_TAGS
     meta: dict = field(default_factory=dict)
 
 
@@ -46,6 +47,9 @@ def _partition_to_json(p: ExpertPartition) -> dict:
 def _partition_from_json(cfg: ModelConfig, d: dict) -> ExpertPartition:
     if type(d["layer_index"]) is not int:
         raise TypeError(f"partition layer_index {d['layer_index']!r} is not an int")
+    if d["method"] not in METHODS:
+        raise ValueError(f"partition {d['layer_index']} method {d['method']!r} is not one "
+                         f"of {', '.join(METHODS)}")
     permutation = np.asarray(d["permutation"])
     if permutation.dtype.kind not in "iu":
         raise TypeError(f"partition {d['layer_index']} permutation is not a list of ints")
@@ -99,7 +103,8 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     """Read a checkpoint; a truncated or malformed file raises ValueError naming it.
 
     Each name must be a string and each shape a list of non-negative ints,
-    the model sizes ints, a partition's layer_index an int and its
+    the model sizes ints, the stage one of STAGE_TAGS, a partition's
+    layer_index an int, its method one of `grouping.METHODS` and its
     permutation a list of ints, and meta an object. The blob must hold
     exactly the table's tensors, no name may repeat, and the model tensors
     must carry the names and shapes of `model.param_shapes` for the
@@ -137,6 +142,8 @@ def _bundle_from(manifest: dict, blob: bytes) -> CheckpointBundle:
         cfg = ModelConfig(**manifest["config"]).validate()
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad model config ({exc})") from None
+    if manifest["stage"] not in STAGE_TAGS:
+        raise ValueError(f"stage {manifest['stage']!r} is not one of {', '.join(STAGE_TAGS)}")
     entries = manifest["tensors"]
     for e in entries:
         if type(e["name"]) is not str:

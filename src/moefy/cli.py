@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moefy", help="partition FFN neurons into experts, add routers")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--method", choices=("kmeans", "random"),
+    p.add_argument("--method", choices=grouping.METHODS,
                    help="neuron grouping; defaults to the group_method config key")
     p.add_argument("--expert-size", dest="expert_size", type=int)
     p.set_defaults(fn=cmd_moefy)

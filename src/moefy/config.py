@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint
+from .grouping import METHODS
 from .losses import LteHyperparams
 from .model import ModelConfig
 from .numerics import Rng
@@ -127,7 +128,7 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     if cfg.seq_len > cfg.max_seq_len:
         raise ConfigError("seq_len must be <= max_seq_len")
-    if cfg.group_method not in ("kmeans", "random"):
+    if cfg.group_method not in METHODS:
         raise ConfigError(f"unknown group_method {cfg.group_method!r}")
 
 

@@ -21,6 +21,9 @@ from .numerics import Rng
 
 KMEANS_MAX_ITERS = 50
 
+# the grouping methods: group_experts_kmeans and group_experts_random
+METHODS = ("kmeans", "random")
+
 
 @dataclass
 class ExpertPartition:
@@ -30,7 +33,7 @@ class ExpertPartition:
     # new position -> old neuron index; expert e is block e, positions
     # [e * expert_size, (e + 1) * expert_size), so it also fixes `assignment`
     permutation: np.ndarray
-    method: str              # kmeans | random
+    method: str              # one of METHODS
     sse_history: list = field(default_factory=list)
 
     @property

@@ -82,10 +82,6 @@ class ModelConfig:
     def n_experts(self) -> int:
         return self.d_ffn // self.expert_size
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
 
 @dataclass
 class FfnLayer:
@@ -258,7 +254,8 @@ def forward_lm(
     layer norms, the FFN, routers, the gather path, `ffn_scale` and the
     loss) sees the whole batch in one call; only inside its one node does
     attention regroup rows into (B, H, T, head_dim). Logits and
-    RoutingDecisions have B*T rows. T must be at least 1.
+    RoutingDecisions have B*T rows. T must be at least 1, and every token id
+    an integer in [0, vocab_size); other ids raise ValueError.
 
     ffn_mode: dense | moe_soft | moe_discrete. The moe modes delegate the FFN
     to the routing module and return per-layer RoutingDecisions. moe_discrete
@@ -274,7 +271,7 @@ def forward_lm(
     from . import routing  # deferred: routing builds on this module's types
 
     cfg = params.config
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2):
         raise ShapeError(f"tokens must be (T,) or (B, T), got shape {tokens.shape}")
     b, t = (1, tokens.shape[0]) if tokens.ndim == 1 else tokens.shape
@@ -282,6 +279,13 @@ def forward_lm(
         raise ShapeError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
     if t == 0:
         raise ShapeError(f"tokens of shape {tokens.shape} hold empty sequences")
+    if tokens.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers in [0, {cfg.vocab_size}), "
+                         f"got dtype {tokens.dtype}")
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < cfg.vocab_size:
+        raise ValueError(f"token ids must lie in [0, {cfg.vocab_size}), got "
+                         f"{tokens.min()}..{tokens.max()}")
+    tokens = tokens.astype(np.int64, copy=False)
     if ffn_mode not in ("dense", "moe_soft", "moe_discrete"):
         raise ValueError(f"unknown ffn_mode {ffn_mode!r}")
     if ffn_scale is not None and ffn_mode != "dense":

@@ -250,11 +250,15 @@ class TestCorruptFiles:
         (lambda m: m["partitions"][0].update(layer_index="0"),
          r"malformed manifest \(partition layer_index '0' is not an int\)"),
         (lambda m: m.update(meta=[1, 2]), r"malformed manifest \(meta is \[1, 2\], not an object\)"),
+        (lambda m: m.update(stage=["stage1"]),
+         re.escape("stage ['stage1'] is not one of base, moefied, stage1, stage2")),
+        (lambda m: m["partitions"][0].update(method=5),
+         "partition 0 method 5 is not one of kmeans, random"),
     ], ids=["shape_not_a_list", "negative_dimension", "null_partition", "short_partition_list",
             "permutation_not_bijective", "config_expert_size_edited",
             "router_disagrees_with_config", "partition_relabelled", "partitions_swapped",
             "name_not_a_string", "float_model_size", "fractional_permutation",
-            "string_layer_index", "meta_not_an_object"])
+            "string_layer_index", "meta_not_an_object", "stage_not_a_tag", "unknown_method"])
     def test_malformed_routing_names_file(self, tmp_path, edit, message):
         path = self.saved(tmp_path)
         rewrite_manifest(path, edit)

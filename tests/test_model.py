@@ -288,6 +288,18 @@ class TestForwardLm:
         with pytest.raises(ShapeError, match="empty sequences"):
             forward_lm(params, np.zeros(shape, dtype=np.int64))
 
+    @pytest.mark.parametrize("tokens,message", [
+        ([-1, 3], r"must lie in \[0, 17\), got -1\.\.3"),
+        ([3, 17], r"must lie in \[0, 17\), got 3\.\.17"),
+        ([[1.0, 3.0]], r"must be integers in \[0, 17\), got dtype float64"),
+    ], ids=["negative", "vocab_size", "float"])
+    def test_token_ids_outside_the_vocabulary_rejected(self, tokens, message):
+        # -1 once read the last embedding row, a float id was truncated and
+        # vocab_size ended in a raw IndexError
+        params = init_params(toy_config(), Rng(15))
+        with pytest.raises(ValueError, match=message):
+            forward_lm(params, np.asarray(tokens))
+
     def test_batch_of_no_sequences(self):
         params = init_params(toy_config(), Rng(15))
         with no_grad():

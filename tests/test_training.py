@@ -435,13 +435,23 @@ class TestRuns:
         assert 20e6 < seen["forward"] < 29e6, seen
         assert seen["peak"] < 1.25 * seen["forward"], seen
 
+    @pytest.mark.parametrize("ffn_kind", ["two_matmul", "swiglu"])
+    def test_gradients_are_contiguous_and_of_the_parameter_dtype(self, small_corpus, ffn_kind):
+        # clip_gradients sums each gradient in memory order, and the optimizer
+        # adds it to a C-contiguous moment of the parameter's dtype
+        st = make_state(small_corpus, seed=17, stage="stage1", steps=2, ffn_kind=ffn_kind)
+        for stage in ("stage1", "stage2"):
+            st.stage = stage
+            train_step(st, sample_batch(small_corpus.train, Rng(18), 4, 32))
+            for name, t in st.trainable().items():
+                assert t.grad.flags.c_contiguous and t.grad.dtype == t.dtype, (stage, name)
+
     def test_stage2_ffn_makes_no_blocked_matmul(self, small_corpus, monkeypatch):
         # the discrete FFN runs as the union kernel's graph op, whose products go
-        # to BLAS directly, and so do attention's scores and context products
-        # while K fits one block (T=32 here): a stage-2 forward's K-blocked
-        # products are attention's four projections (q, k, v, output) and the
-        # router per layer plus the LM head, and backward's are two for each
-        # of attention's six products and the LM head
+        # to BLAS directly: a stage-2 forward's K-blocked products are
+        # attention's four projections (q, k, v, output), its scores and
+        # context products and the router per layer, plus the LM head, and
+        # backward's are two for each of attention's six products and the LM head
         from moefy import numerics
 
         layers = 2
@@ -460,4 +470,4 @@ class TestRuns:
         monkeypatch.setattr(numerics, "matmul", counting)
         monkeypatch.setattr(training, "collect_gradients", backward_phase)
         train_step(st, sample_batch(small_corpus.train, Rng(16), 4, 32))
-        assert calls == {"forward": layers * 5 + 1, "backward": 2 * (layers * 6 + 1)}
+        assert calls == {"forward": layers * 7 + 1, "backward": 2 * (layers * 6 + 1)}
